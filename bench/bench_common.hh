@@ -65,7 +65,7 @@ class JsonReport
 {
   public:
     /** Every report self-describes the machine and build that produced
-     *  it: a single-core or Debug artifact (like an inverted depth
+     *  it: a single-core or Debug artifact (like an inverted scaling
      *  curve) must be explainable from the JSON alone. */
     explicit JsonReport(std::string bench) : bench_(std::move(bench))
     {
@@ -310,12 +310,12 @@ flagValue(int argc, char **argv, const std::string &name)
     return "";
 }
 
-/** Parse a comma-separated depth list ("1,2,4,8"); invalid/empty
- *  tokens are skipped. */
+/** Parse a comma-separated list of positive integers ("1,2,4,8");
+ *  invalid/empty tokens are skipped. */
 inline std::vector<unsigned>
-parseDepthList(const std::string &value)
+parseUintList(const std::string &value)
 {
-    std::vector<unsigned> depths;
+    std::vector<unsigned> values;
     std::string token;
     for (std::size_t i = 0; i <= value.size(); ++i) {
         if (i < value.size() && value[i] != ',') {
@@ -323,13 +323,13 @@ parseDepthList(const std::string &value)
             continue;
         }
         if (!token.empty()) {
-            const long depth = std::strtol(token.c_str(), nullptr, 10);
-            if (depth > 0)
-                depths.push_back(static_cast<unsigned>(depth));
+            const long v = std::strtol(token.c_str(), nullptr, 10);
+            if (v > 0)
+                values.push_back(static_cast<unsigned>(v));
             token.clear();
         }
     }
-    return depths;
+    return values;
 }
 
 inline BenchContext
@@ -382,27 +382,18 @@ parseContext(int argc, char **argv)
 }
 
 /**
- * Stamp the pipeline-relevant bits of @p config into @p report's meta:
- * fetch-thread count and subtree-cache shape (resolved against the
- * PipelineParams defaults), so per-machine artifacts are explainable
- * without the command line that produced them.
+ * Stamp the storage shape of @p config into @p report's meta: backend,
+ * integrity level and disk cache size, so per-machine artifacts are
+ * explainable without the command line that produced them.
  */
 inline void
 addSystemMeta(JsonReport &report, const SystemConfig &config)
 {
-    const PipelineParams defaults;
     report.meta("backend", backendName(config.effectiveBackend()));
     report.meta("integrity", integrityModeName(config.integrity));
     if (config.effectiveBackend() == BackendKind::Disk)
         report.metaCount("disk_cache_pages", config.disk_cache_pages)
             .metaCount("disk_pinned_pages", config.disk_pinned_pages);
-    report.metaCount("fetch_threads", config.fetch_threads)
-        .metaCount("cache_buckets", config.cache_buckets != 0
-                       ? config.cache_buckets
-                       : defaults.cache_buckets)
-        .metaCount("cache_stripes", config.cache_stripes != 0
-                       ? config.cache_stripes
-                       : defaults.cache_stripes);
 }
 
 /** Run one (design, workload) cell. */

@@ -14,12 +14,6 @@
  * maxseconds=S (per-design time cap, default 0.8) plus the usual
  * height/z/stash/wpq/cipher/seed keys.
  *
- * "--pipeline-depth D[,D...]" (with --json) switches to the pipeline
- * depth-scaling mode instead: the PS-ORAM design is driven through an
- * OramEngine at each listed pipeline depth (depth 1 is always measured
- * first as the baseline) and the curve is written to the JSON file
- * (BENCH_pipeline.json) with per-depth speedup_vs_depth1.
- *
  * "--integrity-curve [off,mac,tree]" (with --json) runs the
  * authenticated-record overhead mode instead: the PS-ORAM design is
  * measured at each integrity level (off is always measured first as
@@ -33,7 +27,7 @@
  * (BENCH_disk.json), reporting throughput plus the backend's physical
  * IO counters — vectored calls, preads/pwrites/fsyncs, cache hit rate —
  * per access. The default sweep spans in-core down to a cache ~50x
- * smaller than the tree. height= / depth= / accesses= ride along.
+ * smaller than the tree. height= / accesses= ride along.
  */
 
 #include <benchmark/benchmark.h>
@@ -47,9 +41,7 @@
 #include "bench_common.hh"
 #include "nvm/fault_injector.hh"
 #include "nvm/paged_disk.hh"
-#include "nvm/write_behind.hh"
 #include "oram/block.hh"
-#include "oram/subtree_cache.hh"
 #include "psoram/drainer.hh"
 #include "sim/engine.hh"
 #include "sim/system.hh"
@@ -191,13 +183,11 @@ runJsonMode(const psoram::bench::BenchContext &ctx)
     for (const DesignKind design : allDesigns()) {
         SystemConfig config = configFromOverrides(ctx.overrides, design);
         // An integrity= override applies only where the layer exists:
-        // persistent non-recursive designs with a synchronous drive
-        // thread (buildSystem rejects anything else).
+        // persistent non-recursive designs (buildSystem rejects
+        // anything else).
         const DesignOptions opts = designOptions(design);
         if (opts.persist == PersistMode::None || opts.recursive_posmap)
             config.integrity = IntegrityMode::Off;
-        if (config.integrity != IntegrityMode::Off)
-            config.pipeline_depth = 1;
         systems.push_back(buildSystem(config));
         System &system = systems.back();
         groups.emplace_back(std::string("micro.") + designName(design));
@@ -293,9 +283,7 @@ runJsonMode(const psoram::bench::BenchContext &ctx)
  * Authenticated-record overhead mode: the PS-ORAM design measured at
  * each integrity level (BENCH_integrity.json). Mode "off" — plain
  * 96-byte records, no GMAC, no Merkle streaming — is always measured
- * first and anchors overhead_vs_off (ns/access ratio). All cells run
- * at pipeline depth 1 so the off row pays the same synchronous drive
- * path the authenticated rows are restricted to.
+ * first and anchors overhead_vs_off (ns/access ratio).
  */
 int
 runIntegrityJsonMode(const psoram::bench::BenchContext &ctx,
@@ -334,7 +322,6 @@ runIntegrityJsonMode(const psoram::bench::BenchContext &ctx,
                       << "' (want off|mac|tree)\n";
             return 1;
         }
-        config.pipeline_depth = 1;
         System system = buildSystem(config);
         FaultInjector injector;
         system.attachFaultInjector(&injector);
@@ -396,135 +383,11 @@ runIntegrityJsonMode(const psoram::bench::BenchContext &ctx,
 }
 
 /**
- * Pipeline depth-scaling mode: drive the persistent PS-ORAM design
- * through an OramEngine at each requested pipeline depth and report the
- * accesses/sec curve (BENCH_pipeline.json). Depth 1 — which builds no
- * pipeline machinery at all and replays the exact synchronous traffic —
- * is always measured first and anchors speedup_vs_depth1.
- *
- * The curve's shape is machine-dependent: moving the WPQ drain to a
- * background thread only helps when there is a second core for it to
- * run on, so on a single-core host depth > 1 reads below 1x by
- * construction (DESIGN.md §12.6 quantifies this; the overrides
- * fetchthreads= / cachebuckets= / retirerounds= exist to reproduce the
- * control experiments there).
- */
-int
-runPipelineJsonMode(const psoram::bench::BenchContext &ctx,
-                    std::vector<unsigned> depths)
-{
-    using Clock = std::chrono::steady_clock;
-    const std::uint64_t target =
-        ctx.overrides.getUint("accesses", 20'000);
-    const double max_seconds =
-        ctx.overrides.getDouble("maxseconds", 2.0);
-
-    // Depth 1 anchors the speedup column: force it to the front.
-    if (depths.empty())
-        depths = {1, 2, 4, 8};
-    if (depths.front() != 1)
-        depths.insert(depths.begin(), 1u);
-
-    const SystemConfig banner =
-        configFromOverrides(ctx.overrides, DesignKind::PsOram);
-    psoram::bench::JsonReport report("pipeline_depth");
-    report.metaCount("tree_height", banner.tree_height)
-        .metaCount("bucket_slots", banner.bucket_slots)
-        .metaCount("stash_capacity", banner.stash_capacity)
-        .metaCount("wpq_entries", banner.wpq_entries)
-        .meta("cipher", banner.cipher == CipherKind::Aes128Ctr
-                  ? "aes" : "fast")
-        .metaCount("seed", banner.seed)
-        .metaCount("target_accesses", target);
-    psoram::bench::addSystemMeta(report, banner);
-
-    double depth1_rate = 0.0;
-    for (const unsigned depth : depths) {
-        SystemConfig config =
-            configFromOverrides(ctx.overrides, DesignKind::PsOram);
-        config.pipeline_depth = depth;
-        config.fetch_threads = static_cast<unsigned>(
-            ctx.overrides.getUint("fetchthreads", config.fetch_threads));
-        config.cache_buckets = ctx.overrides.getUint("cachebuckets", 0);
-        config.retire_queue_rounds =
-            ctx.overrides.getUint("retirerounds", 0);
-        System system = buildSystem(config);
-        EngineConfig engine_config;
-        engine_config.record_completions = false;
-        OramEngine engine(*system.controller, engine_config);
-
-        std::uint8_t buf[kBlockDataBytes] = {};
-        BlockAddr addr = 0;
-        const auto submitChunk = [&](unsigned count) {
-            for (unsigned i = 0; i < count; ++i) {
-                engine.submitWrite(addr, buf, nullptr);
-                addr = (addr + 97) % system.params.num_blocks;
-            }
-            engine.drain();
-        };
-        submitChunk(512); // warm the tree and the stash
-
-        std::uint64_t accesses = 0;
-        const auto t0 = Clock::now();
-        double elapsed = 0.0;
-        while (accesses < target && elapsed < max_seconds) {
-            submitChunk(256);
-            accesses += 256;
-            elapsed = std::chrono::duration<double>(Clock::now() - t0)
-                          .count();
-        }
-
-        const double rate = static_cast<double>(accesses) / elapsed;
-        if (depth == depths.front())
-            depth1_rate = rate;
-        auto &row = report.addRow();
-        row.count("pipeline_depth", depth)
-            .count("resolved_depth", engine.pipelineDepth())
-            .count("accesses", accesses)
-            .num("seconds", elapsed)
-            .num("accesses_per_sec", rate)
-            .num("ns_per_access",
-                 elapsed * 1e9 / static_cast<double>(accesses))
-            .num("speedup_vs_depth1",
-                 depth1_rate > 0.0 ? rate / depth1_rate : 1.0);
-        if (const SubtreeCache *cache =
-                system.controller->subtreeCache()) {
-            row.count("subtree_cache_hits", cache->hits())
-                .count("subtree_cache_misses", cache->misses())
-                .num("subtree_cache_hit_rate", cache->hitRate())
-                .count("subtree_cache_capacity",
-                       cache->config().capacity_buckets)
-                .count("subtree_cache_stripes",
-                       cache->config().stripes);
-        }
-        if (const WriteBehindNvm *wb = system.controller->writeBehind())
-            row.count("rounds_retired", wb->roundsRetired())
-                .count("writes_coalesced", wb->writesCoalesced())
-                .count("retire_transactions", wb->retireTransactions());
-        const PhaseLatencyStats &phases =
-            system.controller->phaseHostNs();
-        row.num("phase_remap_ns_mean", phases.remap.mean())
-            .num("phase_load_ns_mean", phases.load.mean())
-            .num("phase_backup_ns_mean", phases.backup.mean())
-            .num("phase_evict_ns_mean", phases.evict.mean())
-            .num("phase_drain_ns_mean", phases.drain.mean());
-        std::cout << "depth " << depth << ": "
-                  << static_cast<std::uint64_t>(rate)
-                  << " accesses/sec (" << accesses << " in " << elapsed
-                  << " s, x" << (rate / depth1_rate)
-                  << " vs depth 1)\n";
-    }
-
-    return report.writeTo(ctx.json_path) ? 0 : 1;
-}
-
-/**
  * Out-of-core mode: PS-ORAM on the PagedDiskBackend across a page-cache
  * size sweep (BENCH_disk.json). A memory-backend row at the same
  * geometry anchors the curve; each disk cell starts from a fresh tree
- * so cells are independent. Runs at pipeline depth 2 by default — the
- * vectored fetch/retire path is what the disk backend batches, so the
- * per-access IO counters land at ~1 readv + ~1 writev + ~1 quiet writev.
+ * so cells are independent. Every WPQ round is written through and
+ * fsynced before the access returns (EXPERIMENTS.md records the cost).
  */
 int
 runDiskJsonMode(const psoram::bench::BenchContext &ctx,
@@ -537,8 +400,6 @@ runDiskJsonMode(const psoram::bench::BenchContext &ctx,
         ctx.overrides.getDouble("maxseconds", 2.0);
     const auto height = static_cast<unsigned>(
         ctx.overrides.getUint("height", 14));
-    const auto depth = static_cast<unsigned>(
-        ctx.overrides.getUint("depth", 2));
 
     std::string path = ctx.backing_file;
     if (path.empty()) {
@@ -553,7 +414,6 @@ runDiskJsonMode(const psoram::bench::BenchContext &ctx,
         SystemConfig config =
             configFromOverrides(ctx.overrides, DesignKind::PsOram);
         config.tree_height = height;
-        config.pipeline_depth = depth;
         config.backend =
             disk ? BackendKind::Disk : BackendKind::Memory;
         config.backing_file = disk ? path : "";
@@ -563,7 +423,6 @@ runDiskJsonMode(const psoram::bench::BenchContext &ctx,
 
     psoram::bench::JsonReport report("disk_backend");
     report.metaCount("tree_height", height)
-        .metaCount("pipeline_depth", depth)
         .metaCount("target_accesses", target)
         .metaCount("seed", ctx.overrides.getUint("seed", 1));
     psoram::bench::addSystemMeta(report, makeConfig(true, pages_list[0]));
@@ -675,8 +534,6 @@ main(int argc, char **argv)
 {
     const psoram::bench::BenchContext ctx =
         psoram::bench::parseContext(argc, argv);
-    const std::string depth_flag =
-        psoram::bench::flagValue(argc, argv, "--pipeline-depth");
     const std::string disk_flag =
         psoram::bench::flagValue(argc, argv, "--disk-curve");
     bool disk_mode = !disk_flag.empty();
@@ -690,13 +547,10 @@ main(int argc, char **argv)
             std::string(argv[i]).rfind("--integrity-curve", 0) == 0;
     if (!ctx.json_path.empty() && disk_mode)
         return runDiskJsonMode(
-            ctx, psoram::bench::parseDepthList(disk_flag));
+            ctx, psoram::bench::parseUintList(disk_flag));
     if (!ctx.json_path.empty() && integrity_mode)
         return runIntegrityJsonMode(
             ctx, parseModeList(integrity_curve_flag));
-    if (!ctx.json_path.empty() && !depth_flag.empty())
-        return runPipelineJsonMode(
-            ctx, psoram::bench::parseDepthList(depth_flag));
     if (!ctx.json_path.empty())
         return runJsonMode(ctx);
 
@@ -708,7 +562,7 @@ main(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--trace" || arg == "--metrics" ||
-            arg == "--pipeline-depth" || arg == "--disk-curve" ||
+            arg == "--disk-curve" ||
             arg == "--integrity-curve" || arg == "--integrity" ||
             arg == "--backend") {
             ++i; // skip the operand too
@@ -716,7 +570,6 @@ main(int argc, char **argv)
         }
         if (arg.rfind("--trace=", 0) == 0 ||
             arg.rfind("--metrics=", 0) == 0 ||
-            arg.rfind("--pipeline-depth=", 0) == 0 ||
             arg.rfind("--disk-curve=", 0) == 0 ||
             arg.rfind("--integrity-curve=", 0) == 0 ||
             arg.rfind("--integrity=", 0) == 0 ||

@@ -211,7 +211,6 @@ addRow(JsonReport &report, const SystemConfig &config, unsigned shards,
                static_cast<std::uint64_t>(s.node_repair.sum()))
         .count("total_ns", static_cast<std::uint64_t>(s.total.sum()))
         .count("redelivered_entries", s.redelivered_entries.value())
-        .count("replayed_rounds", s.replayed_rounds.value())
         .count("records_verified", s.records_verified.value())
         .count("nodes_repaired", s.nodes_repaired.value())
         .count("blackbox_events", s.blackbox_events.value())
@@ -224,9 +223,9 @@ benchMain(int argc, char **argv)
     BenchContext ctx = parseContext(argc, argv);
 
     std::vector<unsigned> heights =
-        parseDepthList(ctx.overrides.getString("heights", "4,6"));
+        parseUintList(ctx.overrides.getString("heights", "4,6"));
     std::vector<unsigned> shard_counts =
-        parseDepthList(ctx.overrides.getString("shardlist", "1,2,4"));
+        parseUintList(ctx.overrides.getString("shardlist", "1,2,4"));
     const std::vector<std::string> backends = splitCsv(
         ctx.overrides.getString("backends", "memory,file,disk"));
     const std::vector<std::string> integrities =

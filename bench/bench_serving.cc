@@ -13,7 +13,7 @@
  * (open loop), so queueing delay is included — see serve/harness.hh.
  *
  * With "--json <path>" the run emits BENCH_serving.json. Overrides:
- *   shards=N pipeline=D       stack shape (default 4 shards, depth 1)
+ *   shards=N                  stack shape (default 4 shards)
  *   keys=N                    logical key space (default 65536)
  *   readfrac=F batch=K        request mix (default 0.95, batch row K=8)
  *   submitters=S depth=D      client threads / closed-loop outstanding
@@ -21,8 +21,8 @@
  *   rates=a,b,c               absolute rate ladder (default: auto from
  *                             calibration x {0.4,0.8,1.2,1.6,2.0})
  *   zipfs=S                   Zipfian exponent (default 0.99)
- * plus the usual height/z/stash/wpq/cipher/seed/fetchthreads/
- * cachebuckets/cachestripes keys and --trace/--metrics.
+ * plus the usual height/z/stash/wpq/cipher/seed keys and
+ * --trace/--metrics.
  */
 
 #include <algorithm>
@@ -125,8 +125,6 @@ main(int argc, char **argv)
 
     const unsigned shards =
         static_cast<unsigned>(ctx.overrides.getUint("shards", 4));
-    const unsigned pipeline_depth =
-        static_cast<unsigned>(ctx.overrides.getUint("pipeline", 1));
     const std::uint64_t keys = ctx.overrides.getUint("keys", 1 << 16);
     const double read_fraction =
         ctx.overrides.getDouble("readfrac", 0.95);
@@ -149,7 +147,6 @@ main(int argc, char **argv)
     ShardedSystemConfig system_config;
     system_config.base =
         configFromOverrides(ctx.overrides, DesignKind::PsOram);
-    system_config.base.pipeline_depth = pipeline_depth;
     system_config.sharding.num_shards = shards;
     ShardedSystem system = buildShardedSystem(system_config);
 
@@ -161,14 +158,12 @@ main(int argc, char **argv)
 
     ShardedEngineConfig engine_config;
     engine_config.record_completions = false;
-    engine_config.pipeline_depth = pipeline_depth;
     ShardedOramEngine engine(system, engine_config);
     BatchScheduler scheduler(engine);
     ServingHarness harness(engine, &scheduler);
 
     psoram::bench::JsonReport report("serving");
     report.metaCount("shards", shards)
-        .metaCount("pipeline_depth", pipeline_depth)
         .metaCount("tree_height", system_config.base.tree_height)
         .metaCount("keys", keys)
         .metaNum("read_fraction", read_fraction)

@@ -16,10 +16,6 @@
  * (per-configuration cap, default 0.8), shards=K (bench only K in
  * addition to the baseline 1) plus the usual height/z/stash/wpq/cipher/
  * seed keys shared with bench_micro_oram.
- *
- * "--pipeline-depth D" additionally runs every shard's intra-shard
- * engine at that pipeline depth (DESIGN.md §12), composing the two
- * parallelism axes: shards × in-flight accesses per shard.
  */
 
 #include <chrono>
@@ -65,13 +61,12 @@ struct RunResult
 RunResult
 runConfiguration(const psoram::bench::BenchContext &ctx,
                  unsigned num_shards, std::uint64_t target,
-                 double max_seconds, unsigned pipeline_depth)
+                 double max_seconds)
 {
     using Clock = std::chrono::steady_clock;
 
     ShardedSystemConfig config;
     config.base = configFromOverrides(ctx.overrides, DesignKind::PsOram);
-    config.base.pipeline_depth = pipeline_depth;
     config.sharding.num_shards = num_shards;
 
     // Per-shard tree capacity depends on the shard count, so a
@@ -84,7 +79,6 @@ runConfiguration(const psoram::bench::BenchContext &ctx,
     ShardedSystem system = buildShardedSystem(config);
     ShardedEngineConfig engine_config;
     engine_config.record_completions = false;
-    engine_config.pipeline_depth = pipeline_depth;
     ShardedOramEngine engine(system, engine_config);
 
     const BlockAddr blocks = system.router.totalBlocks();
@@ -147,12 +141,6 @@ main(int argc, char **argv)
     const std::uint64_t target = ctx.overrides.getUint("accesses", 20'000);
     const double max_seconds = ctx.overrides.getDouble("maxseconds", 0.8);
     const auto only = ctx.overrides.getUint("shards", 0);
-    const std::string depth_flag =
-        psoram::bench::flagValue(argc, argv, "--pipeline-depth");
-    const std::vector<unsigned> depth_list =
-        psoram::bench::parseDepthList(depth_flag);
-    const unsigned pipeline_depth =
-        depth_list.empty() ? 1 : depth_list.front();
 
     std::vector<unsigned> shard_counts{1, 2, 4, 8};
     if (only > 1)
@@ -168,8 +156,7 @@ main(int argc, char **argv)
         .meta("cipher",
               banner.cipher == CipherKind::Aes128Ctr ? "aes" : "fast")
         .metaCount("seed", banner.seed)
-        .metaCount("target_accesses", target)
-        .metaCount("pipeline_depth", pipeline_depth);
+        .metaCount("target_accesses", target);
     psoram::bench::addSystemMeta(report, banner);
 
     TextTable table({"shards", "accesses", "seconds", "accesses/sec",
@@ -177,8 +164,7 @@ main(int argc, char **argv)
     double baseline_rate = 0.0;
     for (const unsigned num_shards : shard_counts) {
         const RunResult run = runConfiguration(ctx, num_shards, target,
-                                               max_seconds,
-                                               pipeline_depth);
+                                               max_seconds);
         if (num_shards == 1)
             baseline_rate = run.accessesPerSec();
         const double speedup = baseline_rate > 0.0

@@ -363,7 +363,6 @@ RecoveryStats::merge(const RecoveryStats &other)
     total.merge(other.total);
     recoveries += other.recoveries.value();
     redelivered_entries += other.redelivered_entries.value();
-    replayed_rounds += other.replayed_rounds.value();
     records_verified += other.records_verified.value();
     records_refused += other.records_refused.value();
     nodes_repaired += other.nodes_repaired.value();
@@ -383,7 +382,6 @@ RecoveryStats::reset()
     total.reset();
     recoveries.reset();
     redelivered_entries.reset();
-    replayed_rounds.reset();
     records_verified.reset();
     records_refused.reset();
     nodes_repaired.reset();
@@ -396,7 +394,7 @@ RecoveryStats::registerWith(StatGroup &group,
                             const std::string &prefix) const
 {
     group.addDistribution(prefix + ".wpq_replay_ns", &wpq_replay,
-                          "write-behind queued-round replay");
+                          "empty window before the ADR redelivery");
     group.addDistribution(prefix + ".adr_redeliver_ns", &adr_redeliver,
                           "ADR crashFlush of the in-flight WPQ rounds");
     group.addDistribution(prefix + ".image_reload_ns", &image_reload,
@@ -414,8 +412,6 @@ RecoveryStats::registerWith(StatGroup &group,
                      "recoveries sampled (successful only)");
     group.addCounter(prefix + ".redelivered_entries", &redelivered_entries,
                      "WPQ entries redelivered by the ADR crash flush");
-    group.addCounter(prefix + ".replayed_rounds", &replayed_rounds,
-                     "write-behind queued rounds replayed");
     group.addCounter(prefix + ".records_verified", &records_verified,
                      "integrity records whose tags verified");
     group.addCounter(prefix + ".records_refused", &records_refused,

@@ -263,12 +263,14 @@ struct PhaseLatencyStats
  * timestamp deltas over one recovery, so for every sampled recovery
  *   wpq_replay + adr_redeliver + image_reload + posmap_rebuild
  *     + integrity_verify + node_repair == total   exactly.
- * Phases a recovery does not run (no write-behind, integrity off, ...)
- * sample 0 so the identity still holds.
+ * Phases a recovery does not run (integrity off, ...) sample 0 so the
+ * identity still holds. wpq_replay has no work left in it (no queue
+ * holds committed rounds outside the WPQs); it stays because the
+ * repository benchmark reports it.
  */
 struct RecoveryStats
 {
-    Distribution wpq_replay;       ///< write-behind queued-round replay
+    Distribution wpq_replay;       ///< empty; see above
     Distribution adr_redeliver;    ///< ADR crashFlush of in-flight WPQs
     Distribution image_reload;     ///< controller/device image rebuild
     Distribution posmap_rebuild;   ///< volatile PosMap/stash/shadow redo
@@ -278,7 +280,6 @@ struct RecoveryStats
 
     Counter recoveries;          ///< recoveries sampled (success only)
     Counter redelivered_entries; ///< WPQ entries crashFlush redelivered
-    Counter replayed_rounds;     ///< write-behind rounds replayed
     Counter records_verified;    ///< integrity records that verified
     Counter records_refused;     ///< recoveries refused (IntegrityError)
     Counter nodes_repaired;      ///< interior nodes rewritten

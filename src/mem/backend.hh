@@ -85,13 +85,14 @@ class MemoryBackend
     /** @} */
 
     /**
-     * Functional write that does NOT report a persist boundary. Used by
-     * the background WPQ retirer: entries of a *committed* round are
-     * already durable under ADR semantics (a crash anywhere during their
-     * retirement is recovered by the power-failure flush), so their
-     * landing in the image is not a distinct enumerable crash point.
-     * Default: forwards to writeBytes (backends without an injector
-     * behave identically either way).
+     * Functional write that does NOT report a persist boundary: bytes
+     * outside the enumerable protocol sequence, which recovery either
+     * rebuilds (lazily streamed Merkle nodes) or never orders against
+     * tree traffic. The flight recorder appends through it to a side
+     * region that never aliases protocol addresses, and image
+     * checkpoints use it for bulk loads. Default: forwards to
+     * writeBytes (backends without an injector behave identically
+     * either way).
      */
     virtual void
     writeBytesQuiet(Addr addr, const std::uint8_t *in, std::size_t len)
@@ -100,8 +101,8 @@ class MemoryBackend
     }
 
     /**
-     * @{ Vectored batch access: one call carries a whole path load, WPQ
-     * round, or retire batch across the seam. The defaults forward
+     * @{ Vectored batch access: one call carries a whole path load or
+     * WPQ round across the seam. The defaults forward
      * span-by-span to the scalar virtual ops, which makes them
      * *contractually equivalent* to a loop of scalar calls: the same
      * bytes move in the same order, and a noisy writev reports exactly
@@ -135,23 +136,6 @@ class MemoryBackend
             writeBytesQuiet(spans[i].addr, spans[i].data, spans[i].len);
     }
 
-    /**
-     * Quiet write to a *side region*: a reserved address range (the
-     * flight-recorder ring) that never aliases protocol traffic. Like
-     * writevQuiet — no persist boundaries, not an enumerable crash
-     * point — but additionally exempt from program-order guarantees
-     * against pending protocol writes: a decorator that queues or
-     * reorders protocol traffic (WriteBehindNvm) lands side writes on
-     * the durable medium directly, WITHOUT flushing its queue, since
-     * no read or recovery path can observe an ordering between a side
-     * record and tree traffic. Default: forwards to writevQuiet.
-     */
-    virtual void
-    writevSide(const WriteSpan *spans, std::size_t n)
-    {
-        writevQuiet(spans, n);
-    }
-
     void
     readv(const std::vector<ReadSpan> &spans) const
     {
@@ -170,13 +154,11 @@ class MemoryBackend
     /** @} */
 
     /**
-     * Durability barrier for *quiet* writes. Quiet writes model data
-     * that is already durable at the protocol level (ADR-covered WPQ
-     * entries being retired), so in-memory backends need nothing here;
-     * a write-back backend (PagedDiskBackend) flushes its dirty page
-     * cache and fsyncs so the physical medium catches up. Never reports
-     * persist boundaries — it is called from background retire threads
-     * outside the enumerable protocol sequence.
+     * Durability barrier for *quiet* writes. In-memory backends need
+     * nothing here; a write-back backend (PagedDiskBackend) flushes its
+     * dirty page cache and fsyncs so the physical medium catches up.
+     * Never reports persist boundaries: quiet writes are outside the
+     * enumerable protocol sequence.
      */
     virtual void persistBarrier() {}
 

@@ -52,17 +52,6 @@ AdrDomain::drain(MemoryBackend &device, Cycle earliest)
     return posmap_wpq_.drainTo(device, data_done);
 }
 
-std::vector<WpqEntry>
-AdrDomain::takeCommittedRound()
-{
-    std::vector<WpqEntry> round = data_wpq_.takeCommitted();
-    std::vector<WpqEntry> posmap = posmap_wpq_.takeCommitted();
-    round.reserve(round.size() + posmap.size());
-    for (auto &entry : posmap)
-        round.push_back(std::move(entry));
-    return round;
-}
-
 std::size_t
 AdrDomain::crashFlush(MemoryBackend &device)
 {

@@ -38,14 +38,6 @@ class AdrDomain
     Cycle drain(MemoryBackend &device, Cycle earliest);
 
     /**
-     * Move the committed round out of both WPQs for asynchronous
-     * retirement, data entries strictly before PosMap entries (the
-     * §4.2.3 in-order persistence rule). The caller must apply the
-     * entries to the device in the returned order. @pre round committed.
-     */
-    std::vector<WpqEntry> takeCommittedRound();
-
-    /**
      * Power-failure flush: committed rounds persist, uncommitted rounds
      * are dropped — on both queues, consistently.
      *

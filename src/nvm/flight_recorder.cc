@@ -64,8 +64,6 @@ flightEventKindName(FlightEventKind kind)
         return "round-commit";
       case FlightEventKind::DrainWatermark:
         return "drain-watermark";
-      case FlightEventKind::RetireBatch:
-        return "retire-batch";
       case FlightEventKind::Checkpoint:
         return "checkpoint";
       case FlightEventKind::RecoveryStart:
@@ -130,7 +128,7 @@ FlightRecorder::record(MemoryBackend &device, FlightEventKind kind,
     const Addr slot =
         base_ + kHeaderBytes + (seq % num_records_) * kRecordBytes;
     const WriteSpan span{slot, rec, kRecordBytes};
-    device.writevSide(&span, 1);
+    device.writevQuiet(&span, 1);
 }
 
 std::uint64_t

@@ -7,16 +7,15 @@
  *
  * What gets recorded — and why it is oblivious to record it — is
  * strictly limited to events the untrusted memory already observes as
- * NVM traffic shape: ADR round brackets (round ids), drain watermarks,
- * write-behind retirement batches, and image-checkpoint markers. No
+ * NVM traffic shape: ADR round brackets (round ids), drain watermarks
+ * and image-checkpoint markers. No
  * block addresses, leaf labels, stash contents or payload bytes ever
  * enter a record; the recorder adds a constant-size append per event
  * that is independent of the access pattern (pinned by the
  * transparency differential in tests/test_recovery_obs.cc).
  *
- * Durability model: records are appended through writevSide — a side
- * seam with quiet (boundary-free) semantics that is additionally
- * exempt from ordering against queued protocol traffic — so the
+ * Durability model: records are appended through writevQuiet into a
+ * reserved side region that never aliases protocol traffic, so the
  * recorder adds **zero** enumerable persist boundaries and cannot
  * perturb the crash-point population. The price is that the tail
  * record may be torn by a crash mid-append; decode() tolerates that by
@@ -58,9 +57,8 @@ enum class FlightEventKind : std::uint16_t
     /** Synchronous WPQ drain finished: arg0 = round id,
      *  arg1 = entries drained (the durable watermark). */
     DrainWatermark = 3,
-    /** Write-behind retirement batch landed: arg0 = first round id,
-     *  arg1 = rounds in batch, arg2 = device transactions. */
-    RetireBatch = 4,
+    /* 4 was a write-behind retirement batch; the value stays
+     * reserved so rings written by older builds decode unchanged. */
     /** Backend image checkpoint persisted: arg0 = image lines. */
     Checkpoint = 5,
     /** Recovery began: arg0 = prior events decoded,
@@ -113,8 +111,8 @@ class FlightRecorder
     void attach(MemoryBackend &device);
 
     /**
-     * Append one event. Thread-safe (drive thread + write-behind
-     * retirer); the append is a single quiet line write.
+     * Append one event. Thread-safe; the append is a single quiet
+     * line write.
      */
     void record(MemoryBackend &device, FlightEventKind kind,
                 std::uint64_t arg0 = 0, std::uint64_t arg1 = 0,

@@ -324,9 +324,8 @@ void
 PagedDiskBackend::flushFrameQuiet(std::uint64_t page, Frame &frame) const
 {
     // Quiet write-back (eviction / barrier): whole-record pwrite, no
-    // persist boundary — this path runs under reader locks and on the
-    // background retire thread, where the single-threaded injector
-    // must never be touched.
+    // persist boundary — this path runs under reader locks, where the
+    // injector must never be touched.
     auto *self = const_cast<PagedDiskBackend *>(this);
     self->storePage(page, frame.bytes.data(), /*tearable=*/false,
                     /*noisy=*/false);

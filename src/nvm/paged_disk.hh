@@ -31,17 +31,15 @@
  *     touched pages flush with a PageWrite boundary each (fired
  *     mid-pwrite inside a WPQ drain — the torn-page crash point), and
  *     the call ends with a Sync boundary + fsync;
- *   - quiet writes (committed-round retirement) are write-back: they
- *     dirty cached pages and reach the file on eviction, on
- *     persistBarrier() (the retire batch's durability point) or at
- *     destruction;
+ *   - quiet writes (lazily streamed Merkle nodes, flight-recorder
+ *     appends) are write-back: they dirty cached pages and reach the
+ *     file on eviction, on persistBarrier() or at destruction;
  *   - dropVolatile() discards the whole cache un-flushed — the crash
  *     framework's model of losing RAM — so post-crash reads observe
  *     only what pwrite actually landed.
  *
  * Thread safety: functional ops and the cache are guarded by one
- * internal mutex (pipelined fetch threads read concurrently with the
- * retire thread). The timing model (access/accessOne) keeps NvmDevice's
+ * internal mutex. The timing model (access/accessOne) keeps NvmDevice's
  * drive-thread-only contract.
  */
 
@@ -106,8 +104,7 @@ class PagedDiskBackend final : public MemoryBackend
     void writevQuiet(const WriteSpan *spans, std::size_t n) override;
     /** @} */
 
-    /** Flush every dirty page and fsync (no persist boundaries —
-     *  called from the background retirer). */
+    /** Flush every dirty page and fsync (no persist boundaries). */
     void persistBarrier() override;
 
     /** Discard the page cache without flushing (crash model). */

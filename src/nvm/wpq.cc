@@ -97,22 +97,6 @@ Wpq::crashFlush(MemoryBackend &device)
     return flushed;
 }
 
-std::vector<WpqEntry>
-Wpq::takeCommitted()
-{
-    if (open_)
-        PSORAM_PANIC("WPQ '", name_, "': takeCommitted() before end()");
-    std::vector<WpqEntry> round;
-    round.reserve(entries_.size());
-    while (!entries_.empty()) {
-        round.push_back(std::move(entries_.front()));
-        entries_.pop_front();
-        ++drained_;
-    }
-    committed_ = false;
-    return round;
-}
-
 std::size_t
 Wpq::queuedBytes() const
 {

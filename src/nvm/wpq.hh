@@ -20,7 +20,6 @@
 #include <deque>
 #include <iterator>
 #include <string>
-#include <vector>
 
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -146,14 +145,6 @@ class Wpq
      * @return number of entries that reached the NVM
      */
     std::size_t crashFlush(MemoryBackend &device);
-
-    /**
-     * Move the committed round out of the queue (async retirement):
-     * the caller takes responsibility for writing the entries to the
-     * device in order. Leaves the queue empty and closed, exactly like
-     * drainTo. @pre the round is committed (end() was called).
-     */
-    std::vector<WpqEntry> takeCommitted();
 
     bool open() const { return open_; }
     bool committed() const { return committed_; }

@@ -45,8 +45,10 @@
  *     snapshot defeats any integrity scheme without a hardware
  *     monotonic counter; everything short of that is detected.
  *
- * Scope: persistent non-recursive PS-ORAM at pipeline depth 1 (the
- * freshness cache is drive-thread state; sim/system.cc enforces this).
+ * Scope: persistent non-recursive PS-ORAM, the designs whose eviction
+ * puts whole records through the WPQ the root record binds to
+ * (sim/system.cc enforces this). The freshness cache is per-controller
+ * state, touched only by the thread driving that controller.
  */
 
 #ifndef PSORAM_ORAM_INTEGRITY_HH

@@ -18,8 +18,6 @@ Drainer::persist(const EvictionBundle &bundle, MemoryBackend &device,
 {
     std::size_t data_idx = 0;
     std::size_t pos_idx = 0;
-    /** Data writes committed in earlier (already drained) rounds. */
-    std::size_t data_committed = 0;
     Cycle done = earliest;
     bool first_round = true;
 
@@ -90,25 +88,12 @@ Drainer::persist(const EvictionBundle &bundle, MemoryBackend &device,
         if (hook)
             hook(CrashSite::AfterCommit);
 
-        if (sink_) {
-            // Deamortized drain: the committed round is durable the
-            // moment "end" landed (ADR); hand it to the background
-            // retirer and return without paying the drain latency.
-            // The modeled hardware deamortizes the same way — the WPQ
-            // writes back on its own, off the access's critical path.
-            sink_(adr_.takeCommittedRound());
-        } else {
-            done = adr_.drain(device, done);
-            // The synchronous drain *is* the durable watermark: every
-            // entry of the round has physically reached the NVM cells.
-            // (The async path's watermark is the RetireBatch record.)
-            if (flight_)
-                flight_->record(*flight_sink_,
-                                FlightEventKind::DrainWatermark, round_id,
-                                committed_data + committed_pos);
-        }
-        data_committed = data_idx;
-        (void)data_committed;
+        done = adr_.drain(device, done);
+        // The drain *is* the durable watermark: every entry of the round
+        // has physically reached the NVM cells.
+        if (flight_)
+            flight_->record(*flight_sink_, FlightEventKind::DrainWatermark,
+                            round_id, committed_data + committed_pos);
         entries_ += in_round;
         ++rounds_;
     }

@@ -55,14 +55,6 @@ struct EvictionBundle
 using DrainCrashHook = std::function<void(CrashSite)>;
 
 /**
- * Consumer of committed rounds for asynchronous retirement. When set,
- * persist() hands each committed round's entries (data before PosMap)
- * to the sink instead of draining them synchronously; the sink owns
- * getting them to the device in submission order (WriteBehindNvm).
- */
-using RoundSink = std::function<void(std::vector<WpqEntry> &&)>;
-
-/**
  * Per-round finalizer: invoked once per WPQ round after every entry of
  * the round is staged and immediately before the "end" commit. It
  * receives the data entries of exactly this round and returns one
@@ -99,14 +91,6 @@ class Drainer
     const AdrDomain &domain() const { return adr_; }
 
     /**
-     * Route committed rounds to @p sink (deamortized drain) instead of
-     * draining them inline. Pass an empty function to restore the
-     * synchronous drain.
-     */
-    void setRoundSink(RoundSink sink) { sink_ = std::move(sink); }
-    bool asyncDrain() const { return static_cast<bool>(sink_); }
-
-    /**
      * Append a finalizer entry to every round (see RoundFinalizer).
      * @pre the PosMap WPQ capacity is at least 2 (one slot is reserved)
      */
@@ -121,11 +105,9 @@ class Drainer
 
     /**
      * Black-box the round brackets: when set, persist() appends a
-     * RoundStart/RoundCommit record per WPQ round (and a DrainWatermark
-     * after each synchronous drain) through @p sink's side-write seam.
-     * @p sink should be the device the controller drains through (the
-     * write-behind decorator when pipelined — its writevSide takes the
-     * device lock without flushing the queue). Null detaches.
+     * RoundStart/RoundCommit record per WPQ round and a DrainWatermark
+     * after each drain, as quiet writes to @p sink (the device the
+     * controller drains through). Null detaches.
      */
     void setFlightRecorder(FlightRecorder *recorder, MemoryBackend *sink)
     {
@@ -135,7 +117,6 @@ class Drainer
 
   private:
     AdrDomain adr_;
-    RoundSink sink_;
     RoundFinalizer finalizer_;
     FlightRecorder *flight_ = nullptr;
     MemoryBackend *flight_sink_ = nullptr;

@@ -5,7 +5,6 @@
 #include "obs/trace.hh"
 #include "oram/controller.hh"
 #include "oram/integrity.hh"
-#include "oram/subtree_cache.hh"
 
 namespace psoram {
 
@@ -132,8 +131,7 @@ Evictor::run(AccessContext &ctx)
                 ls.addr == addr || sc.used[slotIx(ls.level, ls.slot)])
                 continue;
             StashEntry *resident = stash.find(ls.addr);
-            if (!resident ||
-                env_.temp.getVisible(ls.addr, env_.temp_horizon))
+            if (!resident || env_.temp.get(ls.addr))
                 continue;
             place(*resident, ls.level, ls.slot);
             stash.remove(ls.addr);
@@ -259,21 +257,6 @@ Evictor::run(AccessContext &ctx)
     if (safe_placement)
         emitGroup(true);
 
-    if (env_.subtree_cache) {
-        // Publish the post-eviction path: a later in-flight access
-        // whose stage-2 fetch pinned any of these buckets must see the
-        // contents this write-back produces, not what the device held
-        // when it fetched (the cache is the coherence point; the
-        // write-behind queue makes the device itself lag).
-        std::vector<PlainBlock> bucket(z);
-        for (unsigned level = 0; level < levels; ++level) {
-            for (unsigned s = 0; s < z; ++s)
-                bucket[s] = sc.plan[slotIx(level, s)];
-            env_.subtree_cache->update(geo.bucketAt(leaf, level),
-                                       bucket);
-        }
-    }
-
     if (!env_.persistent()) {
         // Direct (non-atomic) write-back; FullNVM reads each evicted
         // block out of its on-chip NVM stash first.
@@ -337,10 +320,7 @@ Evictor::run(AccessContext &ctx)
             for (const Placed &p : sc.placed) {
                 if (p.is_backup)
                     continue;
-                // Horizon-gated: a *later* in-flight access's pending
-                // remap must not persist before its data (rule 2).
-                const auto pending =
-                    env_.temp.getVisible(p.addr, env_.temp_horizon);
+                const auto pending = env_.temp.get(p.addr);
                 if (!pending)
                     continue;
                 PosmapWrite pw;
@@ -367,8 +347,7 @@ Evictor::run(AccessContext &ctx)
                 const std::uint32_t pi = sc.write_placed[i];
                 if (pi != 0 && !sc.placed[pi - 1].is_backup) {
                     const Placed &p = sc.placed[pi - 1];
-                    const auto pending =
-                        env_.temp.getVisible(p.addr, env_.temp_horizon);
+                    const auto pending = env_.temp.get(p.addr);
                     const PathId path =
                         pending ? *pending : p.path;
                     pw.entry.addr =
@@ -440,12 +419,8 @@ Evictor::run(AccessContext &ctx)
     for (const Placed &p : sc.placed) {
         if (p.is_backup)
             continue;
-        if (!env_.recursive()) {
-            // Only this access's (or an earlier one's) remap merged;
-            // a later in-flight remap stays pending for its own round.
-            if (env_.temp.getVisible(p.addr, env_.temp_horizon))
-                env_.temp.erase(p.addr);
-        }
+        if (!env_.recursive())
+            env_.temp.erase(p.addr);
         env_.notifyCommit(p.addr, p.data);
     }
     if (env_.recursive()) {

@@ -22,33 +22,6 @@
 
 namespace psoram {
 
-/**
- * Intra-shard access pipelining (DESIGN.md §12). depth == 1 keeps the
- * fully synchronous protocol — no cache, no write-behind, no extra
- * threads — and stays byte-identical to the pre-pipeline controller.
- */
-struct PipelineParams
-{
-    /** Maximum in-flight accesses per controller. */
-    unsigned depth = 1;
-    /** Worker threads servicing stage-2 path fetches. */
-    unsigned fetch_threads = 2;
-    /** SubtreeCache capacity in buckets. The default keeps the top
-     *  ~14 levels of a large tree resident (~9 MB at z=4), where every
-     *  path's buckets concentrate. */
-    std::size_t cache_buckets = 16384;
-    /** SubtreeCache lock stripes (concurrent fetch threads filling
-     *  disjoint buckets contend on 1/stripes of the locks). */
-    unsigned cache_stripes = 16;
-    /** Committed WPQ rounds the background retirer may queue. A deep
-     *  backlog maximizes retire-side write coalescing: the top-of-tree
-     *  buckets every path rewrites are skipped as stale (see
-     *  nvm/write_behind.hh). The retirer batches at half this depth —
-     *  it sleeps until capacity/2 rounds have accumulated, then lands
-     *  the whole backlog under one device-lock hold. */
-    std::size_t retire_queue_rounds = 192;
-};
-
 struct PsOramParams
 {
     TreeLayout data_layout;
@@ -70,7 +43,7 @@ struct PsOramParams
     /** @} */
 
     /** @{ Integrity subsystem (oram/integrity.hh). Non-Off requires a
-     *  persistent non-recursive design at pipeline depth 1, and
+     *  persistent non-recursive design and
      *  data_layout.record_bytes == kIntegrityRecordBytes; sim's
      *  systemParams() sets all of it consistently. */
     IntegrityMode integrity = IntegrityMode::Off;
@@ -93,8 +66,6 @@ struct PsOramParams
     unsigned onchip_banks = 8;
     /** Controller pipeline occupancy per block (decrypt/steer). */
     Cycle controller_block_cycles = 2;
-
-    PipelineParams pipeline;
 };
 
 /** Traffic as the paper counts it: NVM transactions (Fig. 6). */

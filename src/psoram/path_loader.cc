@@ -6,7 +6,6 @@
 
 #include "oram/controller.hh"
 #include "oram/integrity.hh"
-#include "oram/subtree_cache.hh"
 
 namespace psoram {
 
@@ -146,10 +145,7 @@ PathLoader::run(AccessContext &ctx)
         // committed PosMap record *as it is classified*, so the bus
         // sequence interleaves slot reads with PosMap entry reads.
         // That interleave is part of the pinned protocol sequence the
-        // golden digests capture — keep it at per-slot granularity
-        // here; bulk path IO for these designs goes through fetch()
-        // (the pipelined stage), which batches without reordering any
-        // pinned sequence.
+        // golden digests capture, so it stays at per-slot granularity.
         for (unsigned level = 0; level <= geo.height; ++level) {
             const BucketId bucket = geo.bucketAt(ctx.leaf, level);
             for (unsigned s = 0; s < geo.bucket_slots; ++s) {
@@ -189,118 +185,6 @@ PathLoader::run(AccessContext &ctx)
         // fill phase serializes against the path transfer (the single
         // controller port), which is what makes the FullNVM designs
         // pay close to one extra NVM pass per access (§5.2.1 a).
-        Cycle onchip_done = proc;
-        for (unsigned i = 0; i < total; ++i)
-            onchip_done = std::max(onchip_done, env_.onChipWrite(proc));
-        proc = onchip_done;
-    }
-    ctx.t = proc + kAesLatencyCpuCycles / kCpuCyclesPerNvmCycle;
-}
-
-void
-PathLoader::fetch(const AccessContext &ctx, SubtreeCache &cache) const
-{
-    const TreeGeometry &geo = env_.geo;
-    const unsigned levels = geo.height + 1;
-
-    // Probe which buckets of the path are resident, then issue ONE
-    // vectored read for every slot of every missing bucket — the whole
-    // path crosses the seam as a single readv (one batched pread pass
-    // on a disk backend, one round trip on a future RPC backend)
-    // instead of blocksPerPath() scalar calls. The probe is advisory:
-    // a bucket evicted (or filled) between the probe and the pinFill
-    // below falls back to a scalar per-slot fill, which is rare and
-    // merely costs the old IO pattern. Device IO happens outside any
-    // stripe lock — the fill callbacks below only decode.
-    std::vector<BucketId> path(levels);
-    std::vector<char> prefetched(levels, 0);
-    std::vector<SlotBytes> raw;
-    // Spans point into `raw`: reserve the worst case up front so the
-    // incremental resizes below can never reallocate under them.
-    raw.reserve(static_cast<std::size_t>(levels) * geo.bucket_slots);
-    std::vector<std::size_t> raw_base(levels, 0);
-    std::vector<ReadSpan> spans;
-    for (unsigned level = 0; level < levels; ++level) {
-        path[level] = geo.bucketAt(ctx.leaf, level);
-        if (cache.contains(path[level]))
-            continue;
-        prefetched[level] = 1;
-        raw_base[level] = raw.size();
-        raw.resize(raw.size() + geo.bucket_slots);
-        for (unsigned s = 0; s < geo.bucket_slots; ++s)
-            spans.push_back(
-                {env_.params.data_layout.slotAddr(path[level], s),
-                 raw[raw_base[level] + s].data(), kSlotBytes});
-    }
-    if (!spans.empty())
-        env_.device.readv(spans);
-
-    for (unsigned level = 0; level < levels; ++level) {
-        cache.pinFill(path[level], [&, level](
-                                       BucketId b,
-                                       std::vector<PlainBlock> &slots) {
-            for (unsigned s = 0;
-                 s < static_cast<unsigned>(slots.size()); ++s) {
-                if (prefetched[level]) {
-                    slots[s] =
-                        env_.codec.decode(raw[raw_base[level] + s]);
-                } else {
-                    const Addr slot_addr =
-                        env_.params.data_layout.slotAddr(b, s);
-                    SlotBytes scalar{};
-                    env_.device.readBytes(slot_addr, scalar.data(),
-                                          kSlotBytes);
-                    slots[s] = env_.codec.decode(scalar);
-                }
-            }
-        });
-    }
-}
-
-void
-PathLoader::integrate(AccessContext &ctx, SubtreeCache &cache)
-{
-    const TreeGeometry &geo = env_.geo;
-    const unsigned total = geo.blocksPerPath();
-    const Cycle start = ctx.t;
-    ctx.slots.reserve(total);
-    Cycle proc = start;
-    unsigned count = 0;
-    std::vector<PlainBlock> blocks;
-
-    for (unsigned level = 0; level <= geo.height; ++level) {
-        const BucketId bucket = geo.bucketAt(ctx.leaf, level);
-        if (!cache.read(bucket, blocks)) {
-            // Pinned buckets cannot be capacity-evicted; refill
-            // defensively anyway so a cache bug degrades to a reload
-            // instead of corrupting the protocol.
-            blocks.assign(geo.bucket_slots, PlainBlock::dummy());
-            std::vector<SlotBytes> raw(geo.bucket_slots);
-            std::vector<ReadSpan> spans(geo.bucket_slots);
-            for (unsigned s = 0; s < geo.bucket_slots; ++s)
-                spans[s] = {env_.params.data_layout.slotAddr(bucket, s),
-                            raw[s].data(), kSlotBytes};
-            env_.device.readv(spans);
-            for (unsigned s = 0; s < geo.bucket_slots; ++s)
-                blocks[s] = env_.codec.decode(raw[s]);
-        }
-        for (unsigned s = 0; s < geo.bucket_slots; ++s) {
-            const Addr slot_addr =
-                env_.params.data_layout.slotAddr(bucket, s);
-            const Cycle rd = env_.device.accessOne(slot_addr, false,
-                                                   start);
-            proc = std::max(rd, proc) +
-                   env_.params.controller_block_cycles;
-
-            LoadedSlot slot_info{level, s, kDummyBlockAddr, false};
-            classify(blocks[s], ctx.addr, ctx.leaf, slot_info);
-            ctx.slots.push_back(slot_info);
-
-            if (++count == total / 2)
-                env_.crashCheck(CrashSite::DuringLoad);
-        }
-    }
-    if (env_.onchip) {
         Cycle onchip_done = proc;
         for (unsigned i = 0; i < total; ++i)
             onchip_done = std::max(onchip_done, env_.onChipWrite(proc));

@@ -21,8 +21,6 @@
 
 namespace psoram {
 
-class SubtreeCache;
-
 class PathLoader
 {
   public:
@@ -34,24 +32,6 @@ class PathLoader
      */
     void run(AccessContext &ctx);
 
-    /**
-     * Pipeline stage 2 (fetch-pool thread): pin every bucket of
-     * ctx.leaf's path into @p cache, filling misses with device reads +
-     * decode. Thread-safe: touches only const shared state (the device
-     * read path, the codec decoder) and the internally locked cache —
-     * no stash, PosMap, timing model or crash hook. The pins are
-     * released by the controller after stage 3.
-     */
-    void fetch(const AccessContext &ctx, SubtreeCache &cache) const;
-
-    /**
-     * Pipeline stage 3 (drive thread): run()'s classification and
-     * timing, but over the cached buckets fetch() pinned — which a
-     * preceding in-flight access's eviction may have updated in place,
-     * making this read coherent with all earlier write-backs.
-     */
-    void integrate(AccessContext &ctx, SubtreeCache &cache);
-
   private:
     /** Classify one decoded block during the path load. */
     void classify(const PlainBlock &block, BlockAddr target, PathId leaf,
@@ -59,8 +39,7 @@ class PathLoader
 
     PhaseEnv &env_;
 
-    /** @{ run()'s vectored-read scratch (drive thread only — fetch()
-     *  is the concurrent entry point and uses locals instead). */
+    /** @{ run()'s vectored-read scratch. */
     std::vector<Addr> slot_addrs_;
     std::vector<SlotBytes> raw_;
     std::vector<ReadSpan> spans_;

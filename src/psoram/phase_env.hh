@@ -103,20 +103,9 @@ struct PhaseEnv
     /** Rotating line offset for the on-chip buffer's bank spread. */
     Cycle onchip_clock_skew = 0;
 
-    /** @{ Pipelined-engine state (null/identity when synchronous).
-     *  current_ticket stamps temp-PosMap entries with the recording
-     *  access; temp_horizon bounds which pending remaps the evictor may
-     *  treat as committed-in-this-access (see TempPosMap::getVisible).
-     *  The controller sets these around each stage; phase components
-     *  only read them. */
-    class SubtreeCache *subtree_cache = nullptr;
-    std::uint64_t current_ticket = 0;
-    std::uint64_t temp_horizon = ~std::uint64_t{0};
-    /** @} */
-
     /** Authenticated-record layer (oram/integrity.hh); the loader
      *  verifies and the evictor seals through it when set. Assigned
-     *  after construction, like subtree_cache. */
+     *  after construction. */
     class IntegrityManager *integrity = nullptr;
 
     /** @{ Design predicates. */

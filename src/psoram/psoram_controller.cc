@@ -87,11 +87,10 @@ PsOramController::PsOramController(const PsOramParams &params,
             params_.design.wpq_entries, params_.design.wpq_entries);
 
     if (params_.integrity != IntegrityMode::Off) {
-        if (!usesBackups() || params_.pipeline.depth > 1)
+        if (!usesBackups())
             PSORAM_FATAL("integrity=",
                          integrityModeName(params_.integrity),
-                         " requires a persistent non-recursive design "
-                         "at pipeline depth 1");
+                         " requires a persistent non-recursive design");
         if (params_.design.wpq_entries < 2)
             PSORAM_FATAL("integrity needs wpq_entries >= 2 (one PosMap "
                          "slot per round is the root record's)");
@@ -120,31 +119,14 @@ PsOramController::PsOramController(const PsOramParams &params,
             tech, 1, params_.onchip_banks, 16ULL << 20);
     }
 
-    // Pipelined mode: only the backup-block designs tolerate multiple
-    // remapped-but-unevicted accesses in flight (see the staged-API
-    // comment in the header). Everything else silently runs depth 1.
-    if (params_.pipeline.depth > 1 && usesBackups()) {
-        write_behind_ = std::make_unique<WriteBehindNvm>(
-            device_, params_.pipeline.retire_queue_rounds);
-        subtree_cache_ = std::make_unique<SubtreeCache>(
-            geo_.bucket_slots,
-            SubtreeCache::Config{params_.pipeline.cache_buckets,
-                                 params_.pipeline.cache_stripes});
-        drainer_->setRoundSink(
-            [this](std::vector<WpqEntry> &&round) {
-                write_behind_->submitRound(std::move(round));
-            });
-    }
-
     // Wire the phase components over the assembled subsystems.
     env_ = std::make_unique<PhaseEnv>(PhaseEnv{
-        params_, geo_, dev(), codec_, rng_, stash_, temp_,
+        params_, geo_, device_, codec_, rng_, stash_, temp_,
         volatile_posmap_, persistent_posmap_, counters_, pom_.get(),
         shadow_data_.get(), shadow_pom_.get(), pom_pos_region_.get(),
         drainer_.get(), onchip_.get(),
         [this](CrashSite site) { maybeCrash(site); }, &commit_observer_,
         0});
-    env_->subtree_cache = subtree_cache_.get();
     env_->integrity = integrity_.get();
     remapper_ = std::make_unique<Remapper>(*env_);
     loader_ = std::make_unique<PathLoader>(*env_);
@@ -275,7 +257,7 @@ PsOramController::access(BlockAddr addr, bool is_write,
             fresh.path = ctx.leaf;
             if (usesBackups())
                 fresh.epoch =
-                    persistent_posmap_.readFullEntry(dev(), addr)
+                    persistent_posmap_.readFullEntry(device_, addr)
                         .epoch;
             stash_.insert(fresh);
             entry = stash_.find(addr);
@@ -327,198 +309,15 @@ PsOramController::access(BlockAddr addr, bool is_write,
     return ctx.info;
 }
 
-void
-PsOramController::stageBegin(StagedAccess &sa)
-{
-    if (!pipelineSupported())
-        PSORAM_PANIC("stageBegin without pipeline support");
-    if (sa.addr >= params_.num_blocks)
-        PSORAM_PANIC("ORAM access beyond logical capacity: ", sa.addr);
-    maybeCrash(CrashSite::BetweenAccesses);
-    ++accesses_;
-    const std::uint64_t access_id =
-        pending_access_id_ != 0 ? pending_access_id_ : accesses_.value();
-    pending_access_id_ = 0;
-    sa.ticket = next_ticket_++;
-    sa.stash_hit = false;
-    sa.h0 = obs::hostNowNs();
-
-    // ---- Step 1: check stash. The hit fast path completes here (the
-    // engine skips fetch/finish): the stash is the newest value and no
-    // eviction runs, exactly as in the synchronous protocol. ----
-    if (StashEntry *hit = stash_.find(sa.addr)) {
-        OramAccessInfo info;
-        Cycle t = now_;
-        if (onchip_) {
-            t = env_->onChipRead(t);
-            if (sa.is_write)
-                t = env_->onChipWrite(t);
-            info.nvm_cycles = t - now_;
-            now_ = t;
-        }
-        if (sa.is_write)
-            std::memcpy(hit->data.data(), sa.data.data(),
-                        kBlockDataBytes);
-        else
-            std::memcpy(sa.data.data(), hit->data.data(),
-                        kBlockDataBytes);
-        ++counters_.stash_hits;
-        info.stash_hit = true;
-        stash_.sampleOccupancy();
-        PSORAM_TRACE_INSTANT("oram", "stash_hit", access_id);
-        phase_ns_.stash_hit.sample(
-            static_cast<double>(obs::hostNowNs() - sa.h0));
-        phase_cycles_.stash_hit.sample(
-            static_cast<double>(info.nvm_cycles));
-        sa.stash_hit = true;
-        sa.ctx.info = info;
-        return;
-    }
-
-    AccessContext &ctx = sa.ctx;
-    ctx.reset();
-    ctx.addr = sa.addr;
-    ctx.is_write = sa.is_write;
-    ctx.start = ctx.t = now_;
-    ctx.access_id = access_id;
-    sa.c0 = ctx.t;
-
-    // ---- Step 2: access PosMap and backup the label. All RNG draws
-    // happen here, on the drive thread, in ticket order — the source of
-    // the pipelined engine's determinism. ----
-    env_->current_ticket = sa.ticket;
-    {
-        PSORAM_TRACE_SCOPE("phase", "remap", access_id);
-        remapper_->run(ctx);
-    }
-    ctx.info.leaf = ctx.leaf;
-    if (observer_)
-        observer_(ctx.leaf);
-    maybeCrash(CrashSite::AfterRemap);
-    sa.h1 = obs::hostNowNs();
-    sa.c1 = ctx.t;
-}
-
-void
-PsOramController::stageFetch(const StagedAccess &sa)
-{
-    loader_->fetch(sa.ctx, *subtree_cache_);
-}
-
-OramAccessInfo
-PsOramController::stageFinish(StagedAccess &sa)
-{
-    AccessContext &ctx = sa.ctx;
-    PSORAM_TRACE_SCOPE("oram", "access", ctx.access_id);
-
-    // The evictor may persist/merge only remaps recorded by this or an
-    // earlier ticket; later in-flight tickets' data has not been
-    // written yet (TempPosMap::getVisible). Restored on success; after
-    // a crash/fault the controller is discarded, so leaving it set is
-    // moot.
-    env_->temp_horizon = sa.ticket;
-
-    // ---- Step 3: integrate the cached path. ----
-    const std::uint64_t h1 = obs::hostNowNs();
-    const Cycle c1 = ctx.t;
-    {
-        PSORAM_TRACE_SCOPE("phase", "load", ctx.access_id);
-        loader_->integrate(ctx, *subtree_cache_);
-    }
-    const std::uint64_t h2 = obs::hostNowNs();
-    const Cycle c2 = ctx.t;
-
-    // ---- Step 4: update stash and backup the data block. ----
-    {
-        PSORAM_TRACE_SCOPE("phase", "backup", ctx.access_id);
-        StashEntry *entry = stash_.find(ctx.addr);
-        if (!entry) {
-            StashEntry fresh;
-            fresh.addr = ctx.addr;
-            fresh.path = ctx.leaf;
-            if (usesBackups())
-                fresh.epoch =
-                    persistent_posmap_.readFullEntry(dev(), ctx.addr)
-                        .epoch;
-            stash_.insert(fresh);
-            entry = stash_.find(ctx.addr);
-        } else {
-            backup_planner_->plan(ctx);
-        }
-        entry->path = ctx.new_leaf;
-        ++entry->epoch;
-        if (sa.is_write)
-            std::memcpy(entry->data.data(), sa.data.data(),
-                        kBlockDataBytes);
-        else
-            std::memcpy(sa.data.data(), entry->data.data(),
-                        kBlockDataBytes);
-    }
-    maybeCrash(CrashSite::AfterStashUpdate);
-    const std::uint64_t h3 = obs::hostNowNs();
-    const Cycle c3 = ctx.t;
-
-    // ---- Step 5: PS-ORAM eviction (WPQ bracket; rounds retire via
-    // the write-behind queue). ----
-    {
-        PSORAM_TRACE_SCOPE("phase", "evict", ctx.access_id);
-        evictor_->run(ctx);
-    }
-    const std::uint64_t h4 = obs::hostNowNs();
-    const Cycle c4 = ctx.t;
-
-    env_->temp_horizon = ~std::uint64_t{0};
-
-    // Release this access's path pins (the buckets were repinned by
-    // any later in-flight access that shares them).
-    for (unsigned level = 0; level <= geo_.height; ++level)
-        subtree_cache_->unpin(geo_.bucketAt(ctx.leaf, level));
-
-    const Cycle end = std::max(ctx.t, ctx.start);
-    now_ = std::max(now_, end);
-    ctx.info.nvm_cycles = end - ctx.start;
-    stash_.sampleOccupancy();
-
-    const std::uint64_t remap_host = sa.h1 - sa.h0;
-    const std::uint64_t evict_host = h4 - h3;
-    const std::uint64_t drain_host =
-        std::min(ctx.drain_host_ns, evict_host);
-    phase_ns_.sampleAccess(
-        static_cast<double>(remap_host), static_cast<double>(h2 - h1),
-        static_cast<double>(h3 - h2),
-        static_cast<double>(evict_host - drain_host),
-        static_cast<double>(drain_host),
-        static_cast<double>(remap_host + (h4 - h1)));
-    const Cycle remap_cycles = sa.c1 - sa.c0;
-    const Cycle evict_cycles = c4 - c3;
-    const Cycle drain_cycles = std::min(ctx.drain_cycles, evict_cycles);
-    phase_cycles_.sampleAccess(
-        static_cast<double>(remap_cycles), static_cast<double>(c2 - c1),
-        static_cast<double>(c3 - c2),
-        static_cast<double>(evict_cycles - drain_cycles),
-        static_cast<double>(drain_cycles),
-        static_cast<double>(remap_cycles + (c4 - c1)));
-    return ctx.info;
-}
-
 PsOramController::FlushOutcome
 PsOramController::powerFailureFlush(bool timed)
 {
     FlushOutcome outcome;
-    // Committed rounds queued behind the background retirer are part of
-    // the ADR domain: land them before (and in order with) whatever is
-    // still inside the WPQs.
     {
-        // Span emitted even without a retire queue (zero-length): the
-        // recovery timeline has the same shape in every build.
+        // Nothing queues committed rounds outside the WPQs, so this
+        // span is empty; it keeps the six-window recovery timeline
+        // (RecoveryStats) that benchmark reports read.
         PSORAM_TRACE_SCOPE("recovery", "wpq_replay", 0);
-        if (write_behind_) {
-            const std::uint64_t retired_before =
-                write_behind_->roundsRetired();
-            write_behind_->flushQueued();
-            outcome.replayed_rounds =
-                write_behind_->roundsRetired() - retired_before;
-        }
     }
     if (timed)
         outcome.split_ns = obs::hostNowNs();
@@ -526,7 +325,7 @@ PsOramController::powerFailureFlush(bool timed)
         PSORAM_TRACE_SCOPE("recovery", "adr_redeliver", 0);
         if (drainer_)
             outcome.redelivered_entries =
-                drainer_->domain().crashFlush(dev());
+                drainer_->domain().crashFlush(device_);
     }
     return outcome;
 }
@@ -534,14 +333,10 @@ PsOramController::powerFailureFlush(bool timed)
 void
 PsOramController::attachFlightRecorder(FlightRecorder *recorder)
 {
-    // The drainer records through dev() — the write-behind decorator
-    // when pipelined, whose writevSide takes the device lock without
-    // flushing the retire queue (a black-box append must not perturb
-    // the batching it observes).
+    // Appends are quiet writes to the recorder's side region, so they
+    // add no persist boundary to the protocol sequence they observe.
     if (drainer_)
-        drainer_->setFlightRecorder(recorder, &dev());
-    if (write_behind_)
-        write_behind_->setFlightRecorder(recorder);
+        drainer_->setFlightRecorder(recorder, &device_);
 }
 
 void
@@ -559,8 +354,6 @@ PsOramController::registerStats(StatGroup &group) const
                      "temporary-PosMap overflows forcing a merge");
     group.addCounter("unplaced_carried", &counters_.unplaced_carried,
                      "live stash residue carried across evictions");
-    if (subtree_cache_)
-        subtree_cache_->registerStats(group, "subtree_cache");
     phase_ns_.registerWith(group, "phase_ns");
     phase_cycles_.registerWith(group, "phase_cycles");
 }
@@ -574,8 +367,6 @@ PsOramController::recoverFromNvm(RecoveryTimings *timings)
         stash_.clear();
         temp_.clear();
         volatile_posmap_.clear();
-        if (subtree_cache_)
-            subtree_cache_->clear();
         if (recursive()) {
             pom_->loseVolatileState();
             if (persistent()) {
@@ -654,13 +445,13 @@ PsOramController::committedDataInTree(BlockAddr addr,
     const PathId leaf = committedPath(addr);
     const bool check_epoch = usesBackups();
     const std::uint32_t epoch = check_epoch
-        ? persistent_posmap_.readFullEntry(dev(), addr).epoch
+        ? persistent_posmap_.readFullEntry(device_, addr).epoch
         : 0;
     for (unsigned level = 0; level <= geo_.height; ++level) {
         const BucketId bucket = geo_.bucketAt(leaf, level);
         for (unsigned s = 0; s < geo_.bucket_slots; ++s) {
             SlotBytes raw{};
-            dev().readBytes(params_.data_layout.slotAddr(bucket, s),
+            device_.readBytes(params_.data_layout.slotAddr(bucket, s),
                             raw.data(), kSlotBytes);
             const PlainBlock block = codec_.decode(raw);
             if (!block.isDummy() && block.addr == addr &&

@@ -45,14 +45,12 @@
 #include "common/types.hh"
 #include "mem/backend.hh"
 #include "nvm/device.hh"
-#include "nvm/write_behind.hh"
 #include "oram/block.hh"
 #include "oram/controller.hh"
 #include "oram/integrity.hh"
 #include "oram/posmap.hh"
 #include "oram/recursive_posmap.hh"
 #include "oram/stash.hh"
-#include "oram/subtree_cache.hh"
 #include "oram/tree.hh"
 #include "psoram/access_context.hh"
 #include "psoram/backup_planner.hh"
@@ -81,68 +79,6 @@ class PsOramController
     /** Write 64 bytes from @p in to block @p addr. */
     OramAccessInfo write(BlockAddr addr, const std::uint8_t *in);
 
-    /**
-     * @{ Staged access API (DESIGN.md §12). The pipelined engine splits
-     * one access() into three resumable stages over a StagedAccess:
-     *
-     *   stageBegin  (drive thread, ticket order) — stash check + remap,
-     *               consumes the RNG draws and fires AfterRemap;
-     *   stageFetch  (fetch-pool thread) — pin + fill the path's buckets
-     *               in the subtree cache; no shared mutable state;
-     *   stageFinish (drive thread, strict ticket order) — integrate the
-     *               cached path, stash update/backup, eviction and the
-     *               WPQ bracket.
-     *
-     * Available only when pipelineSupported(): the controller was built
-     * with pipeline.depth > 1 and a design using backup blocks
-     * (persistent, non-recursive). Recursive designs shadow-snapshot
-     * the whole stash per eviction and non-persistent designs classify
-     * against an eagerly updated PosMap — neither tolerates a remapped-
-     * but-not-yet-evicted access in flight, so they stay synchronous.
-     */
-    struct StagedAccess
-    {
-        AccessContext ctx;
-        BlockAddr addr = 0;
-        bool is_write = false;
-        /** Write payload in; read result out (after finish). */
-        std::array<std::uint8_t, kBlockDataBytes> data{};
-        bool stash_hit = false;
-        std::uint64_t ticket = 0;
-        /** @{ Phase-breakdown boundary timestamps (begin window). */
-        std::uint64_t h0 = 0, h1 = 0;
-        Cycle c0 = 0, c1 = 0;
-        /** @} */
-    };
-
-    /** True when the staged API is live (depth > 1, backup design). */
-    bool pipelineSupported() const { return write_behind_ != nullptr; }
-
-    /**
-     * Stages 1+2 of a pipelined access. On a stash hit the access
-     * completes here: sa.stash_hit is set, sa.ctx.info is final and
-     * sa.data holds the read value — skip fetch and finish.
-     */
-    void stageBegin(StagedAccess &sa);
-
-    /** Stage "fetch": thread-safe path load into the subtree cache. */
-    void stageFetch(const StagedAccess &sa);
-
-    /** Stages 3-5; returns the access's final info. */
-    OramAccessInfo stageFinish(StagedAccess &sa);
-
-    /** Subtree cache observability (null when not pipelined). */
-    const SubtreeCache *subtreeCache() const
-    {
-        return subtree_cache_.get();
-    }
-    /** Write-behind retirer observability (null when not pipelined). */
-    const WriteBehindNvm *writeBehind() const
-    {
-        return write_behind_.get();
-    }
-    /** @} */
-
     /** @{ Crash-injection plumbing. */
     void setCrashPolicy(CrashPolicy *policy) { crash_policy_ = policy; }
 
@@ -163,10 +99,9 @@ class PsOramController
     {
         /** WPQ entries the ADR crash flush redelivered to the NVM. */
         std::size_t redelivered_entries = 0;
-        /** Committed rounds the write-behind retirer replayed. */
-        std::uint64_t replayed_rounds = 0;
-        /** Host timestamp between the write-behind replay and the ADR
-         *  redelivery (phase attribution; 0 when not requested). */
+        /** Host timestamp that closes the (empty) wpq_replay window and
+         *  opens the ADR redelivery (phase attribution; 0 when not
+         *  requested). */
         std::uint64_t split_ns = 0;
     };
 
@@ -200,10 +135,9 @@ class PsOramController
     /** @} */
 
     /**
-     * Black-box the protocol's round brackets + retirement batches
-     * (nvm/flight_recorder.hh): wires @p recorder through the drainer
-     * and the write-behind retirer. Null detaches. The recorder must
-     * outlive this controller.
+     * Black-box the protocol's round brackets and drain watermarks
+     * (nvm/flight_recorder.hh): wires @p recorder through the drainer.
+     * Null detaches. The recorder must outlive this controller.
      */
     void attachFlightRecorder(FlightRecorder *recorder);
 
@@ -320,15 +254,6 @@ class PsOramController
 
     void maybeCrash(CrashSite site);
 
-    /** The device the protocol sees: the write-behind decorator when
-     *  pipelined (read-your-writes over queued rounds), else the raw
-     *  backend. */
-    MemoryBackend &
-    dev() const
-    {
-        return write_behind_ ? *write_behind_ : device_;
-    }
-
     bool persistent() const
     {
         return params_.design.persist != PersistMode::None;
@@ -365,14 +290,6 @@ class PsOramController
     /** On-chip NVM buffer for FullNVM stash/PosMap. */
     std::unique_ptr<NvmDevice> onchip_;
 
-    /** @{ Pipelined-engine machinery (null when pipeline.depth == 1:
-     *  the synchronous protocol then runs with zero new code on its
-     *  path, keeping depth-1 traffic byte-identical). Declared before
-     *  env_, which binds dev() — the decorator when present. */
-    std::unique_ptr<WriteBehindNvm> write_behind_;
-    std::unique_ptr<SubtreeCache> subtree_cache_;
-    /** @} */
-
     CrashPolicy *crash_policy_ = nullptr;
     PathObserver observer_;
     CommitObserver commit_observer_;
@@ -389,9 +306,6 @@ class PsOramController
 
     /** Engine-supplied id for the next access (0 = automatic). */
     std::uint64_t pending_access_id_ = 0;
-
-    /** Ticket sequence for staged accesses (1-based; 0 = synchronous). */
-    std::uint64_t next_ticket_ = 1;
 
     /** Reused per-access context (reset() keeps vector capacity). */
     AccessContext ctx_;

@@ -87,7 +87,6 @@ RecoveryManager::recover(std::unique_ptr<PsOramController> crashed,
             static_cast<double>(t.end_ns - t.verify_done_ns),
             static_cast<double>(hend - h0));
         stats->redelivered_entries += flush.redelivered_entries;
-        stats->replayed_rounds += flush.replayed_rounds;
         stats->records_verified += t.records_verified;
         stats->nodes_repaired += t.nodes_repaired;
     }

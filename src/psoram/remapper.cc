@@ -24,7 +24,7 @@ Remapper::run(AccessContext &ctx)
             // until the block's eviction round commits.
             if (env_.temp.full())
                 ++env_.counters.forced_merges;
-            env_.temp.put(addr, new_leaf, env_.current_ticket);
+            env_.temp.put(addr, new_leaf);
         } else {
             leaf = env_.volatile_posmap.get(addr);
             env_.volatile_posmap.set(addr, new_leaf);

@@ -19,28 +19,18 @@ TempPosMap::get(BlockAddr addr) const
     return it->second.path;
 }
 
-std::optional<PathId>
-TempPosMap::getVisible(BlockAddr addr, std::uint64_t horizon) const
-{
-    const auto it = entries_.find(addr);
-    if (it == entries_.end() || it->second.stamp > horizon)
-        return std::nullopt;
-    return it->second.path;
-}
-
 void
-TempPosMap::put(BlockAddr addr, PathId path, std::uint64_t stamp)
+TempPosMap::put(BlockAddr addr, PathId path)
 {
     const auto it = entries_.find(addr);
     if (it != entries_.end()) {
         it->second.path = path;
-        it->second.stamp = stamp;
         return;
     }
     if (full())
         ++pressure_;
     order_.push_back(addr);
-    entries_[addr] = Entry{path, stamp, std::prev(order_.end())};
+    entries_[addr] = Entry{path, std::prev(order_.end())};
 }
 
 bool

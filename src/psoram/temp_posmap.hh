@@ -33,23 +33,10 @@ class TempPosMap
     std::optional<PathId> get(BlockAddr addr) const;
 
     /**
-     * Pending remap for @p addr, visible only if it was recorded by an
-     * access with ticket <= @p horizon. The pipelined engine runs the
-     * remap of access N+1 before access N's eviction retires; N's
-     * evictor must not treat N+1's still-pending remap as its own (it
-     * would persist — or erase — a mapping whose data has not been
-     * written). Synchronous mode stamps everything 0 and reads with an
-     * unbounded horizon, reproducing plain get().
-     */
-    std::optional<PathId> getVisible(BlockAddr addr,
-                                     std::uint64_t horizon) const;
-
-    /**
      * Record a pending remap (overwrites an existing pending entry —
      * the block was re-remapped before its first remap committed).
-     * @param stamp ticket of the recording access (0 when synchronous)
      */
-    void put(BlockAddr addr, PathId path, std::uint64_t stamp = 0);
+    void put(BlockAddr addr, PathId path);
 
     /** Remove the pending entry after it commits. */
     bool erase(BlockAddr addr);
@@ -74,7 +61,6 @@ class TempPosMap
     struct Entry
     {
         PathId path;
-        std::uint64_t stamp;
         std::list<BlockAddr>::iterator pos;
     };
     std::unordered_map<BlockAddr, Entry> entries_;

@@ -6,7 +6,6 @@
 
 #include "common/random.hh"
 #include "obs/trace.hh"
-#include "sim/engine.hh"
 
 namespace psoram {
 
@@ -50,40 +49,6 @@ CrashEnumSummary::describe() const
 namespace {
 
 /**
- * Drive @p trace through a pipelined OramEngine (systems built with
- * pipeline_depth > 1), keeping the configured window of accesses in
- * flight so faults land with drains and fetches genuinely overlapped.
- *
- * The oracle's latest[] is bumped at submit: a submitted-but-unretired
- * write only widens the old-or-new window the invariant checker
- * accepts, exactly like the sync path's catch-side bump.
- */
-bool
-runTraceEngine(System &system, const std::vector<TraceOp> &trace,
-               RecoveryOracle &oracle)
-{
-    EngineConfig config;
-    config.record_completions = false;
-    OramEngine engine(*system.controller, config);
-    std::uint8_t buf[kBlockDataBytes];
-    try {
-        for (const TraceOp &op : trace) {
-            if (op.is_write) {
-                stampPayload(op.addr, op.version, buf);
-                oracle.latest[op.addr] = op.version;
-                engine.submitWrite(op.addr, buf);
-            } else {
-                engine.submitRead(op.addr);
-            }
-        }
-        engine.drain();
-    } catch (const InjectedFault &) {
-        return true;
-    }
-    return false;
-}
-
-/**
  * Drive @p trace against @p system with @p oracle tracking durability.
  * @return true if an InjectedFault aborted the run.
  */
@@ -91,8 +56,6 @@ bool
 runTrace(System &system, const std::vector<TraceOp> &trace,
          RecoveryOracle &oracle)
 {
-    if (system.controller->pipelineSupported())
-        return runTraceEngine(system, trace, oracle);
     std::uint8_t buf[kBlockDataBytes];
     for (const TraceOp &op : trace) {
         try {

@@ -44,12 +44,6 @@ configFromOverrides(const Config &overrides, DesignKind design)
     config.banks_per_channel =
         static_cast<unsigned>(overrides.getUint("banks", 8));
     config.seed = overrides.getUint("seed", 1);
-    config.fetch_threads = static_cast<unsigned>(
-        overrides.getUint("fetchthreads", config.fetch_threads));
-    config.cache_buckets = static_cast<std::size_t>(
-        overrides.getUint("cachebuckets", 0));
-    config.cache_stripes = static_cast<unsigned>(
-        overrides.getUint("cachestripes", 0));
 
     const std::string cipher = overrides.getString("cipher", "fast");
     if (cipher == "aes")

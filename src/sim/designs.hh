@@ -28,8 +28,9 @@ std::vector<DesignKind> allDesigns();
 /**
  * Build a SystemConfig from command-line style overrides. Recognized
  * keys: height, z, stash, wpq, channels, banks, seed, cipher
- * (aes|fast), tech (pcm|stt), fetchthreads, cachebuckets,
- * cachestripes (0 = pipeline defaults).
+ * (aes|fast), tech (pcm|stt), integrity (off|mac|tree), backend
+ * (memory|file|disk), backingfile, cachepages, pinpages, flightrec,
+ * flightrecords.
  */
 SystemConfig configFromOverrides(const Config &overrides,
                                  DesignKind design);

@@ -1,116 +1,11 @@
 #include "sim/engine.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
 #include "obs/trace.hh"
 
 namespace psoram {
-
-OramEngine::OramEngine(PsOramController &ctrl, Config config)
-    : ctrl_(ctrl), config_(config)
-{
-    const unsigned want = config_.pipeline_depth != 0
-        ? config_.pipeline_depth
-        : ctrl_.params().pipeline.depth;
-    depth_ = (want > 1 && ctrl_.pipelineSupported()) ? want : 1;
-    if (depth_ > 1) {
-        // 0 workers is valid: every fetch is then stolen and run
-        // inline by wait(), which is the fastest configuration on a
-        // single-core host (no context-switch round trips).
-        pool_ = std::make_unique<FetchPool>(
-            ctrl_, ctrl_.params().pipeline.fetch_threads);
-    }
-}
-
-OramEngine::~OramEngine() = default;
-
-OramEngine::FetchPool::FetchPool(PsOramController &controller,
-                                 unsigned num_threads)
-    : ctrl(controller)
-{
-    threads.reserve(num_threads);
-    for (unsigned i = 0; i < num_threads; ++i) {
-        threads.emplace_back([this] {
-            for (;;) {
-                Flight *flight = nullptr;
-                {
-                    std::unique_lock<std::mutex> lock(mutex);
-                    work_cv.wait(lock, [this] {
-                        return stop || !work.empty();
-                    });
-                    // On shutdown, discard queued fetches: a pool is
-                    // only torn down with work pending after a fault,
-                    // and those flights are about to be destroyed.
-                    if (stop)
-                        return;
-                    flight = work.front();
-                    work.pop_front();
-                    flight->fetch_state = 3; // running (worker)
-                }
-                try {
-                    ctrl.stageFetch(*flight->sa);
-                } catch (...) {
-                    flight->fetch_error = std::current_exception();
-                }
-                {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    flight->fetch_state = 2;
-                }
-                done_cv.notify_all();
-            }
-        });
-    }
-}
-
-OramEngine::FetchPool::~FetchPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        stop = true;
-    }
-    work_cv.notify_all();
-    for (std::thread &t : threads)
-        t.join();
-}
-
-void
-OramEngine::FetchPool::dispatch(Flight *flight)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        flight->fetch_state = 1;
-        work.push_back(flight);
-    }
-    work_cv.notify_one();
-}
-
-void
-OramEngine::FetchPool::wait(Flight *flight)
-{
-    std::unique_lock<std::mutex> lock(mutex);
-    if (flight->fetch_state == 1) {
-        // Work stealing: the fetch is still queued — run it on the
-        // waiting (drive) thread instead of paying a context-switch
-        // round trip to a worker. On a single-core host this turns the
-        // pool into an inline fallback with no handoff cost; with real
-        // cores the workers win the race and the drive thread only
-        // steals when they are saturated.
-        work.erase(std::find(work.begin(), work.end(), flight));
-        flight->fetch_state = 3;
-        lock.unlock();
-        try {
-            ctrl.stageFetch(*flight->sa);
-        } catch (...) {
-            flight->fetch_error = std::current_exception();
-        }
-        lock.lock();
-        flight->fetch_state = 2;
-        return;
-    }
-    done_cv.wait(lock, [flight] { return flight->fetch_state == 2; });
-}
 
 OramEngine::RequestId
 OramEngine::submitRead(BlockAddr addr, Callback callback,
@@ -161,9 +56,8 @@ OramEngine::backpressure()
     // configured watermark, instead of growing the deque without limit.
     if (queue_.size() > config_.max_pending)
         ++stats_.backpressure_stalls;
-    while (queue_.size() > config_.max_pending && !faulted_)
-        if (poll() == 0 && inflight_.empty())
-            break;
+    while (queue_.size() > config_.max_pending)
+        poll();
 }
 
 void
@@ -191,14 +85,6 @@ OramEngine::finish(const Pending &request, bool coalesced, Cycle start,
 
 std::size_t
 OramEngine::poll()
-{
-    if (depth_ > 1)
-        return pollPipelined();
-    return pollSync();
-}
-
-std::size_t
-OramEngine::pollSync()
 {
     if (queue_.empty())
         return 0;
@@ -258,153 +144,11 @@ OramEngine::pollSync()
     return batch.size();
 }
 
-void
-OramEngine::issueReady()
-{
-    while (!faulted_ && inflight_.size() < depth_ && !queue_.empty()) {
-        // Conflict defer (head-of-line): never launch an address that
-        // is already in flight. The older flight's commit both fixes
-        // the observable value order and publishes the block's stash /
-        // PosMap state the younger access must see at stageBegin.
-        if (inflight_addrs_.count(queue_.front().addr) != 0)
-            return;
-
-        auto flight = std::make_unique<Flight>();
-        const BlockAddr addr = queue_.front().addr;
-        // A silent folded write flies alone: coalescing real requests
-        // into it would mark their completions silent too.
-        const bool silent = queue_.front().silent;
-        flight->addr = addr;
-        flight->batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        while (config_.coalesce && !silent && !queue_.empty() &&
-               queue_.front().addr == addr) {
-            flight->batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-        }
-        flight->read_led = !flight->batch.front().is_write;
-        flight->start = ctrl_.nowCycles();
-
-        flight->sa =
-            std::make_unique<PsOramController::StagedAccess>();
-        PsOramController::StagedAccess &sa = *flight->sa;
-        sa.addr = addr;
-        sa.is_write = !flight->read_led;
-        if (sa.is_write) {
-            // Write-led run: the physical access writes the final
-            // folded value (full-block writes squash, no read needed).
-            for (const Pending &request : flight->batch)
-                if (request.is_write)
-                    sa.data = request.data;
-        }
-
-        ctrl_.setNextAccessId(flight->batch.front().id);
-        try {
-            ctrl_.stageBegin(sa);
-        } catch (...) {
-            // Crash-injection faults surface here; the controller is
-            // rebuilt by recovery, this engine is done.
-            faulted_ = true;
-            throw;
-        }
-        if (!sa.stash_hit)
-            pool_->dispatch(flight.get());
-
-        inflight_addrs_.insert(addr);
-        inflight_.push_back(std::move(flight));
-    }
-}
-
-std::size_t
-OramEngine::commitFront()
-{
-    Flight &flight = *inflight_.front();
-    PsOramController::StagedAccess &sa = *flight.sa;
-
-    OramAccessInfo info = sa.ctx.info;
-    if (!sa.stash_hit) {
-        pool_->wait(&flight);
-        if (flight.fetch_error) {
-            faulted_ = true;
-            std::rethrow_exception(flight.fetch_error);
-        }
-        try {
-            // Stage 3, strictly in ticket order (we always retire the
-            // oldest flight): the temp-PosMap horizon proof in
-            // DESIGN.md §12 depends on this.
-            info = ctrl_.stageFinish(sa);
-        } catch (...) {
-            faulted_ = true;
-            throw;
-        }
-        ++stats_.physical_accesses;
-    }
-
-    // Fold the run exactly as the synchronous path does: a read-led
-    // run starts from the fetched value, a write-led run squashes from
-    // a zero block; each request observes the block as of its slot.
-    std::array<std::uint8_t, kBlockDataBytes> block{};
-    if (flight.read_led)
-        block = sa.data;
-    std::vector<std::array<std::uint8_t, kBlockDataBytes>> observed;
-    observed.reserve(flight.batch.size());
-    bool any_write = false;
-    for (const Pending &request : flight.batch) {
-        if (request.is_write) {
-            block = request.data;
-            any_write = true;
-        }
-        observed.push_back(block);
-    }
-
-    std::size_t delivered = 0;
-    const bool silent = flight.batch.front().silent;
-    if (!silent) {
-        for (std::size_t i = 0; i < flight.batch.size(); ++i)
-            finish(flight.batch[i], i > 0, flight.start, info,
-                   observed[i]);
-        delivered = flight.batch.size();
-    }
-
-    // A read-led run with writes needs a second access landing the
-    // folded value (the sync path issues ctrl_.write here). To keep
-    // stage finishes in ticket order we re-enqueue it as a silent
-    // head-of-queue request: conflict defer has kept this address out
-    // of the rest of the window, so it launches next and usually
-    // stash-hits on the copy the read just pulled in.
-    if (flight.read_led && any_write) {
-        Pending follow;
-        follow.id = flight.batch.front().id;
-        follow.addr = flight.addr;
-        follow.is_write = true;
-        follow.data = block;
-        follow.silent = true;
-        queue_.push_front(std::move(follow));
-    }
-
-    inflight_addrs_.erase(flight.addr);
-    inflight_.pop_front();
-    return delivered;
-}
-
-std::size_t
-OramEngine::pollPipelined()
-{
-    if (faulted_)
-        return 0;
-    issueReady();
-    if (inflight_.empty())
-        return 0;
-    const std::size_t delivered = commitFront();
-    issueReady();
-    return delivered;
-}
-
 std::size_t
 OramEngine::drain()
 {
     std::size_t total = 0;
-    while (!faulted_ && (!queue_.empty() || !inflight_.empty()))
+    while (!queue_.empty())
         total += poll();
     return total;
 }

@@ -23,14 +23,9 @@
 #define PSORAM_SIM_ENGINE_HH
 
 #include <array>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stats.hh"
@@ -50,13 +45,6 @@ struct EngineConfig
      *  engine's workers deliver completions through callbacks instead
      *  and turn recording off so long runs stay bounded. */
     bool record_completions = true;
-    /**
-     * In-flight access window (DESIGN.md §12). 0 follows the
-     * controller's params().pipeline.depth; an explicit value > 1 is
-     * still clamped to 1 unless the controller was built with pipeline
-     * support. Depth 1 runs the untouched synchronous poll path.
-     */
-    unsigned pipeline_depth = 0;
     /**
      * Submit-side backpressure: a submit that would leave more than
      * this many requests pending drives the engine until the queue is
@@ -92,15 +80,13 @@ class OramEngine
 
     using Callback = std::function<void(const Completion &)>;
 
-    explicit OramEngine(PsOramController &ctrl, Config config = Config());
-    ~OramEngine();
+    explicit OramEngine(PsOramController &ctrl, Config config = Config())
+        : ctrl_(ctrl), config_(config)
+    {
+    }
 
     OramEngine(const OramEngine &) = delete;
     OramEngine &operator=(const OramEngine &) = delete;
-
-    /** Resolved in-flight window: 1 when the controller lacks pipeline
-     *  support (the synchronous path), else the configured depth. */
-    unsigned pipelineDepth() const { return depth_; }
 
     /** @{ Enqueue a request; returns immediately. The write payload is
      *  copied. The callback (optional) fires during poll()/drain().
@@ -127,10 +113,7 @@ class OramEngine
     /** Process the whole queue. @return total completions delivered. */
     std::size_t drain();
 
-    std::size_t pending() const
-    {
-        return queue_.size() + inflight_.size();
-    }
+    std::size_t pending() const { return queue_.size(); }
 
     /** Completions accumulated since the last takeCompletions(). */
     std::vector<Completion> takeCompletions();
@@ -173,67 +156,12 @@ class OramEngine
         bool is_write;
         std::array<std::uint8_t, kBlockDataBytes> data;
         Callback callback;
-        /** Internal folded-write request: apply the data but deliver no
-         *  completion (the originating batch already completed). */
-        bool silent = false;
-    };
-
-    /**
-     * One coalescing run moving through the pipeline. The staged access
-     * belongs to the run's leading request; trailing requests are served
-     * from the fold at commit time, exactly as in the synchronous path.
-     *
-     * fetch_state is guarded by FetchPool::mutex: 0 = no fetch needed
-     * (stash hit at stageBegin), 1 = queued, 3 = running (on a pool
-     * thread, or on the drive thread after a steal in wait()), 2 =
-     * done (fetch_error set if it threw).
-     */
-    struct Flight
-    {
-        std::vector<Pending> batch;
-        BlockAddr addr = kDummyBlockAddr;
-        bool read_led = true;
-        Cycle start = 0;
-        std::unique_ptr<PsOramController::StagedAccess> sa;
-        int fetch_state = 0;
-        std::exception_ptr fetch_error;
-    };
-
-    /**
-     * Worker threads running stageFetch (stage 2) off the drive thread.
-     * Fetches only pin-and-fill the subtree cache from the (read-only,
-     * internally locked) device view, so they commute; all protocol
-     * mutation stays on the drive thread in ticket order.
-     */
-    struct FetchPool
-    {
-        FetchPool(PsOramController &ctrl, unsigned num_threads);
-        ~FetchPool();
-
-        void dispatch(Flight *flight);
-        void wait(Flight *flight);
-
-        PsOramController &ctrl;
-        std::mutex mutex;
-        std::condition_variable work_cv;
-        std::condition_variable done_cv;
-        std::deque<Flight *> work;
-        bool stop = false;
-        std::vector<std::thread> threads;
     };
 
     void finish(const Pending &request, bool coalesced, Cycle start,
                 const OramAccessInfo &info,
                 const std::array<std::uint8_t, kBlockDataBytes> &block);
 
-    std::size_t pollSync();
-    std::size_t pollPipelined();
-    /** Launch flights while the window has room and the head-of-queue
-     *  address is not already in flight. */
-    void issueReady();
-    /** Complete the oldest flight (waits for its fetch), delivering its
-     *  batch completions. Returns completions delivered. */
-    std::size_t commitFront();
     void backpressure();
 
     PsOramController &ctrl_;
@@ -242,14 +170,6 @@ class OramEngine
     std::vector<Completion> completions_;
     Stats stats_;
     RequestId next_id_ = 1;
-
-    unsigned depth_ = 1;
-    bool faulted_ = false;
-    std::deque<std::unique_ptr<Flight>> inflight_;
-    std::unordered_set<BlockAddr> inflight_addrs_;
-    /** Last member: its destructor joins the fetch threads before the
-     *  flights they reference are destroyed. */
-    std::unique_ptr<FetchPool> pool_;
 };
 
 } // namespace psoram

@@ -37,12 +37,14 @@ ShardedOramEngine::ShardedOramEngine(
         PSORAM_PANIC("router expects ", router_.numShards(),
                      " shards, got ", controllers.size(),
                      " controllers");
+    if (config_.pipeline_depth > 1)
+        PSORAM_FATAL("pipeline_depth must be 0 or 1 (got ",
+                     config_.pipeline_depth, ")");
     EngineConfig inner;
     inner.coalesce = config_.coalesce;
     // Workers hand completions to the drain thread; the inner engines
     // must not also retain them.
     inner.record_completions = false;
-    inner.pipeline_depth = config_.pipeline_depth;
     workers_.reserve(controllers.size());
     for (unsigned k = 0; k < controllers.size(); ++k) {
         auto worker = std::make_unique<Worker>();

@@ -55,9 +55,9 @@ struct ShardedEngineConfig
     /** Keep completion records for takeCompletions(); benches turn
      *  this off so multi-million-request runs stay bounded. */
     bool record_completions = true;
-    /** Per-shard in-flight access window, forwarded to each shard's
-     *  OramEngine (0 follows the shard controller's pipeline params;
-     *  see EngineConfig::pipeline_depth). */
+    /** Must be 0 or 1: each shard runs one access at a time. Kept
+     *  only because the repository benchmark assigns it; removed in
+     *  the next change to the benchmark. */
     unsigned pipeline_depth = 0;
     /** Submit-side backpressure: a submit to a shard whose mailbox
      *  holds this many requests blocks until the worker drains it

@@ -48,14 +48,9 @@ systemParams(const SystemConfig &config)
     params.stash_capacity = config.stash_capacity;
     params.cipher = config.cipher;
     params.seed = config.seed;
-    params.pipeline.depth = config.pipeline_depth;
-    params.pipeline.fetch_threads = config.fetch_threads;
-    if (config.cache_buckets != 0)
-        params.pipeline.cache_buckets = config.cache_buckets;
-    if (config.cache_stripes != 0)
-        params.pipeline.cache_stripes = config.cache_stripes;
-    if (config.retire_queue_rounds != 0)
-        params.pipeline.retire_queue_rounds = config.retire_queue_rounds;
+    if (config.pipeline_depth != 1)
+        PSORAM_FATAL("pipeline_depth must be 1 (got ",
+                     config.pipeline_depth, ")");
 
     params.design = designOptions(config.design);
     params.design.wpq_entries = config.wpq_entries;
@@ -64,8 +59,7 @@ systemParams(const SystemConfig &config)
         params.design.backup_blocks = false;
 
     if (config.integrity != IntegrityMode::Off) {
-        // Scope: the per-record freshness hashes are drive-thread
-        // state, and only backup-block persistence puts whole records
+        // Scope: only backup-block persistence puts whole records
         // through the WPQ the root record can bind to.
         if (params.design.persist == PersistMode::None ||
             params.design.recursive_posmap)
@@ -73,11 +67,6 @@ systemParams(const SystemConfig &config)
                          integrityModeName(config.integrity),
                          " requires a persistent non-recursive design "
                          "(got ", designName(config.design), ")");
-        if (config.pipeline_depth > 1)
-            PSORAM_FATAL("integrity=",
-                         integrityModeName(config.integrity),
-                         " requires pipeline_depth=1 (fetch threads "
-                         "would race the freshness hashes)");
         if (config.wpq_entries < 2)
             PSORAM_FATAL("integrity needs wpq_entries >= 2");
         params.integrity = config.integrity;
@@ -236,10 +225,10 @@ System::recoverController()
     {
         const FaultInjector::ScopedSuspend suspend(fault_injector);
         // Simulated power failure: any RAM cache in front of the
-        // durable medium is gone BEFORE the ADR flush and the retiring
-        // wrapper's teardown redeliver in-flight rounds — so those
-        // redeliveries land durably, and everything else the cache
-        // held un-flushed is genuinely lost to recovery.
+        // durable medium is gone BEFORE the ADR flush redelivers the
+        // committed in-flight rounds — so those redeliveries land
+        // durably, and everything else the cache held un-flushed is
+        // genuinely lost to recovery.
         device->dropVolatile();
         controller = RecoveryManager::recover(std::move(controller),
                                               *device, nullptr,

@@ -63,36 +63,25 @@ struct SystemConfig
      * historical 96-byte slot layout byte-identical; mac widens tree
      * records to 128 bytes with a per-record GMAC tag; tree adds the
      * persistent Merkle tree + per-round root record. Non-Off requires
-     * a persistent non-recursive design at pipeline_depth 1.
+     * a persistent non-recursive design.
      */
     IntegrityMode integrity = IntegrityMode::Off;
 
     /**
-     * Intra-shard pipelining (DESIGN.md §12): > 1 builds the controller
-     * with the subtree cache + write-behind retire queue so an
-     * OramEngine can keep this many accesses in flight. 1 (default)
-     * builds none of the pipeline machinery — traffic is byte-identical
-     * to the synchronous engine.
+     * Must be 1: accesses run one at a time per controller (DESIGN.md
+     * §12 records why there is no intra-shard pipeline). Kept only
+     * because the repository benchmark assigns it; removed in the next
+     * change to the benchmark.
      */
     unsigned pipeline_depth = 1;
-    /** Fetch-pool threads per shard when pipeline_depth > 1. */
-    unsigned fetch_threads = 2;
-    /** SubtreeCache capacity override; 0 keeps PipelineParams' default. */
-    std::size_t cache_buckets = 0;
-    /** SubtreeCache lock-stripe override; 0 keeps PipelineParams'
-     *  default (tune alongside fetch_threads — stripes bound fill
-     *  concurrency). */
-    unsigned cache_stripes = 0;
-    /** Retire-queue depth override; 0 keeps PipelineParams' default. */
-    std::size_t retire_queue_rounds = 0;
 
     /**
      * Persistent flight recorder ("black box", nvm/flight_recorder.hh):
      * reserve a CRC-stamped event ring at the end of the NVM layout and
-     * wire it through the drainer, the write-behind retirer and the
-     * file-image checkpoints. Off by default: the ring appends are
-     * quiet writes, which the golden traffic digests DO count — every
-     * byte-pinned configuration runs without it. The reserved region is
+     * wire it through the drainer and the file-image checkpoints. Off
+     * by default: the ring appends are quiet writes, which the golden
+     * traffic digests DO count — every byte-pinned configuration runs
+     * without it. The reserved region is
      * laid out last, so enabling it shifts no other region base.
      */
     bool flight_recorder = false;

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <vector>
 
+#include "common/random.hh"
 #include "sim/engine.hh"
 #include "sim/system.hh"
 
@@ -163,6 +166,47 @@ TEST(OramEngine, DistinctAddressesDoNotCoalesce)
 
     EXPECT_EQ(engine.stats().coalesced.value(), 0u);
     EXPECT_EQ(system.controller->accessCount(), 3u);
+}
+
+TEST(OramEngine, HotAddressesReadLatestWriteInSubmitOrder)
+{
+    // A handful of hot addresses (same-path conflicts, coalescing runs
+    // of every shape): each read observes the latest preceding write in
+    // submit order, and completions arrive in submit order.
+    System system = buildSystem(engineConfig());
+    OramEngine engine(*system.controller);
+
+    std::map<BlockAddr, std::uint8_t> shadow;
+    std::vector<OramEngine::RequestId> completion_order;
+    const auto record = [&completion_order](
+                            const OramEngine::Completion &c) {
+        completion_order.push_back(c.id);
+    };
+    Rng rng(7);
+    std::uint8_t next_tag = 1;
+    for (std::size_t op = 0; op < 600; ++op) {
+        const BlockAddr addr = rng.nextBelow(5);
+        if (rng.nextBool(0.5)) {
+            const std::uint8_t tag = next_tag++;
+            shadow[addr] = tag;
+            const auto data = pattern(tag);
+            engine.submitWrite(addr, data.data(), record);
+        } else {
+            const std::uint8_t expect_tag =
+                shadow.count(addr) ? shadow[addr] : 0;
+            engine.submitRead(
+                addr, [&record, expect_tag](
+                          const OramEngine::Completion &c) {
+                    record(c);
+                    EXPECT_EQ(c.data[0], expect_tag);
+                });
+        }
+    }
+    engine.drain();
+
+    ASSERT_EQ(completion_order.size(), 600u);
+    for (std::size_t i = 1; i < completion_order.size(); ++i)
+        EXPECT_LT(completion_order[i - 1], completion_order[i]);
 }
 
 } // namespace

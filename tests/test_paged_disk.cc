@@ -339,8 +339,8 @@ TEST(PagedDiskDeathTest, StrictTornModeRefusesCorruptPages)
     std::remove(path.c_str());
 }
 
-/** Concurrent functional reads share the internal mutex (the pipelined
- *  fetch pool reads while the retirer writes back) — TSan coverage. */
+/** Concurrent functional reads and quiet writes share the internal
+ *  mutex — TSan coverage. */
 TEST(PagedDisk, ConcurrentReadsAndQuietWritesAreSafe)
 {
     const std::string path = tmpTree("paged_disk_threads.tree");

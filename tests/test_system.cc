@@ -177,6 +177,16 @@ TEST(Designs, ConfigOverridesApply)
     EXPECT_EQ(config.main_tech, NvmTech::STTRAM);
 }
 
+/** Accesses run one at a time per controller: any other depth is a
+ *  configuration error, not a silent clamp. */
+TEST(Designs, PipelineDepthOtherThanOneIsFatal)
+{
+    SystemConfig config = tinyConfig(DesignKind::PsOram);
+    config.pipeline_depth = 2;
+    EXPECT_EXIT(buildSystem(config), ::testing::ExitedWithCode(1),
+                "pipeline_depth must be 1");
+}
+
 /** Config large enough that the miss stream exceeds the L2 reach. */
 SystemConfig
 expConfig(DesignKind design, unsigned channels = 1)

@@ -7,11 +7,26 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "mem/core.hh"
 #include "trace/generator.hh"
 #include "trace/workloads.hh"
 
 namespace psoram {
+
+/**
+ * Print a workload parameter by name. gtest's default byte dump would
+ * include the address of the name's character buffer, so the listed
+ * test names (and the ctest names discovered from them) would change
+ * from run to run.
+ */
+static void
+PrintTo(const WorkloadSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
 namespace {
 
 TEST(Workloads, RosterMatchesTable4)

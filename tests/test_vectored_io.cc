@@ -2,9 +2,7 @@
  * @file
  * The vectored seam contract (mem/backend.hh): the default readv/writev
  * forwarding is byte- and boundary-equivalent to scalar loops, noisy
- * batches keep per-span persist-boundary granularity, and the
- * write-behind decorator resolves whole span lists against its pending
- * rounds in one pass.
+ * batches keep per-span persist-boundary granularity.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +13,6 @@
 #include "mem/backend.hh"
 #include "nvm/device.hh"
 #include "nvm/fault_injector.hh"
-#include "nvm/wpq.hh"
-#include "nvm/write_behind.hh"
 
 namespace psoram {
 namespace {
@@ -116,63 +112,6 @@ TEST(VectoredIo, FaultMidWritevAppliesEarlierSpansOnly)
     device.readBytes(256, got.data(), got.size());
     EXPECT_EQ(got, std::vector<std::uint8_t>(64, 0))
         << "span after the fault must not be applied";
-}
-
-TEST(VectoredIo, WriteBehindReadvResolvesPendingRounds)
-{
-    NvmDevice inner(pcmTimings(), 1, 8, kCapacity);
-    const auto durable = pattern(64, 40);
-    inner.writeBytes(1024, durable.data(), durable.size());
-
-    WriteBehindNvm device(inner, 8);
-    const auto queued = pattern(96, 41);
-    WpqEntry entry;
-    entry.addr = 0;
-    entry.data.assign(queued.begin(), queued.end());
-    std::vector<WpqEntry> round;
-    round.push_back(entry);
-    device.submitRound(std::move(round));
-
-    // One readv mixing a pending hit (addr 0, still unretired) with an
-    // inner-device miss (addr 1024).
-    std::vector<std::uint8_t> got_pending(96), got_inner(64);
-    const std::vector<ReadSpan> spans{
-        {0, got_pending.data(), got_pending.size()},
-        {1024, got_inner.data(), got_inner.size()},
-    };
-    device.readv(spans);
-    EXPECT_EQ(got_pending, queued) << "read-your-writes across readv";
-    EXPECT_EQ(got_inner, durable);
-
-    device.flushQueued();
-    std::vector<std::uint8_t> retired(96);
-    inner.readBytes(0, retired.data(), retired.size());
-    EXPECT_EQ(retired, queued);
-    EXPECT_GE(device.roundsRetired(), 1u);
-}
-
-TEST(VectoredIo, WriteBehindWritevFlushesQueueFirst)
-{
-    NvmDevice inner(pcmTimings(), 1, 8, kCapacity);
-    WriteBehindNvm device(inner, 8);
-
-    const auto queued = pattern(96, 50);
-    WpqEntry entry;
-    entry.addr = 512;
-    entry.data.assign(queued.begin(), queued.end());
-    std::vector<WpqEntry> round;
-    round.push_back(entry);
-    device.submitRound(std::move(round));
-
-    // A direct vectored write to the same address must order after the
-    // queued round (program order), not under it.
-    const auto direct = pattern(96, 51);
-    const std::vector<WriteSpan> spans{{512, direct.data(), direct.size()}};
-    device.writev(spans);
-
-    std::vector<std::uint8_t> got(96);
-    inner.readBytes(512, got.data(), got.size());
-    EXPECT_EQ(got, direct);
 }
 
 } // namespace

@@ -47,7 +47,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/crash_enumerator.hh"
-#include "sim/engine.hh"
 #include "sim/recovery_invariants.hh"
 #include "sim/sharded_system.hh"
 #include "sim/system.hh"
@@ -94,7 +93,7 @@ struct TortureCase
         out << designName(system.design) << " height "
             << system.tree_height << " blocks " << system.num_blocks
             << " wpq " << system.wpq_entries << " shards " << num_shards
-            << " depth " << system.pipeline_depth << " backend "
+            << " backend "
             << backendName(system.effectiveBackend())
             << " integrity " << integrityModeName(system.integrity)
             << " flightrec "
@@ -147,19 +146,8 @@ drawCase(Rng &rng, std::uint64_t iteration)
     tc.system.cipher = CipherKind::FastStream;
     tc.system.seed = mix(iteration * 3 + 1);
 
-    // Intra-shard pipelining: only the paper's main design runs the
-    // staged engine (recursive/non-persistent stay synchronous, see
-    // DESIGN.md §12), so only there is a depth draw meaningful.
-    if (tc.system.design == DesignKind::PsOram) {
-        const unsigned depths[] = {1, 2, 4};
-        tc.system.pipeline_depth =
-            depths[rng.nextBelow(3)];
-    }
-
     // Occasional non-memory backend: a flat file-backed image, or the
     // out-of-core paged disk tree behind a small write-back page cache.
-    // Disk fault injection is only supported on the synchronous access
-    // path, so a disk draw forces pipeline depth 1 (DESIGN.md §14).
     const unsigned backend_roll =
         static_cast<unsigned>(rng.nextBelow(8));
     if (backend_roll == 0) {
@@ -171,15 +159,14 @@ drawCase(Rng &rng, std::uint64_t iteration)
             "torture_disk_" + std::to_string(iteration) + ".tree";
         tc.system.disk_cache_pages = 16 + rng.nextBelow(49);
         tc.system.disk_pinned_pages = rng.nextBelow(5);
-        tc.system.pipeline_depth = 1;
     }
 
     // Authenticated-record draw for the persistent non-recursive
     // designs (the integrity scope, see sim/system.cc): half the
     // eligible iterations run with a MAC or Merkle layer, so the
     // random crash+recovery audit also covers sealed records, the
-    // per-round root record, and the I5 invariant. Integrity pins
-    // pipeline depth to 1 (enforced by systemParams).
+    // per-round root record, and the I5 invariant. It combines freely
+    // with the backend and flight-recorder draws.
     if (tc.system.design == DesignKind::PsOram ||
         tc.system.design == DesignKind::NaivePsOram) {
         const unsigned integrity_roll =
@@ -188,8 +175,6 @@ drawCase(Rng &rng, std::uint64_t iteration)
             tc.system.integrity = IntegrityMode::Mac;
         else if (integrity_roll == 3)
             tc.system.integrity = IntegrityMode::Tree;
-        if (tc.system.integrity != IntegrityMode::Off)
-            tc.system.pipeline_depth = 1;
     }
 
     // Black box on half the iterations: the flight ring's side-channel
@@ -256,31 +241,12 @@ runUnsharded(TortureCase &tc, Rng &rng, IterationStats &stats,
         FaultInjector injector;
         system.attachFaultInjector(&injector);
         std::uint8_t buf[kBlockDataBytes];
-        if (system.controller->pipelineSupported()) {
-            // Probe the same way the armed replay will run (the
-            // enumerator drives pipelined systems through an engine):
-            // boundary indices are only comparable within one drive
-            // mode.
-            EngineConfig engine_config;
-            engine_config.record_completions = false;
-            OramEngine engine(*system.controller, engine_config);
-            for (const TraceOp &op : config.trace) {
-                if (op.is_write) {
-                    stampPayload(op.addr, op.version, buf);
-                    engine.submitWrite(op.addr, buf);
-                } else {
-                    engine.submitRead(op.addr);
-                }
-            }
-            engine.drain();
-        } else {
-            for (const TraceOp &op : config.trace) {
-                if (op.is_write) {
-                    stampPayload(op.addr, op.version, buf);
-                    system.controller->write(op.addr, buf);
-                } else {
-                    system.controller->read(op.addr, buf);
-                }
+        for (const TraceOp &op : config.trace) {
+            if (op.is_write) {
+                stampPayload(op.addr, op.version, buf);
+                system.controller->write(op.addr, buf);
+            } else {
+                system.controller->read(op.addr, buf);
             }
         }
         total = injector.boundariesSeen();
@@ -348,55 +314,21 @@ runShardedInner(TortureCase &tc, Rng &rng, IterationStats &stats,
                        sharded.router.totalBlocks(), tc.write_fraction);
     bool crashed = false;
     std::uint8_t buf[kBlockDataBytes];
-    if (sharded.controller(0).pipelineSupported()) {
-        // Pipelined shards: drive every shard through its own engine so
-        // the fault lands while fetches and background retires are
-        // genuinely in flight. latest[] is bumped at submit — a
-        // submitted-but-unretired write only widens the old-or-new
-        // window the checker accepts. Engines are scoped: they must be
-        // destroyed (fetch pools joined, retire queues idle) before the
-        // victim controller is torn down for recovery.
-        std::vector<std::unique_ptr<OramEngine>> engines;
-        EngineConfig engine_config;
-        engine_config.record_completions = false;
-        for (unsigned s = 0; s < sharded.numShards(); ++s)
-            engines.push_back(std::make_unique<OramEngine>(
-                sharded.controller(s), engine_config));
+    for (const TraceOp &op : trace) {
+        const ShardSlot slot = sharded.router.route(op.addr);
         try {
-            for (const TraceOp &op : trace) {
-                const ShardSlot slot = sharded.router.route(op.addr);
-                if (op.is_write) {
-                    stampPayload(slot.local, op.version, buf);
-                    oracles[slot.shard].latest[slot.local] = op.version;
-                    engines[slot.shard]->submitWrite(slot.local, buf);
-                } else {
-                    engines[slot.shard]->submitRead(slot.local);
-                }
+            if (op.is_write) {
+                stampPayload(slot.local, op.version, buf);
+                sharded.controller(slot.shard).write(slot.local, buf);
+                oracles[slot.shard].latest[slot.local] = op.version;
+            } else {
+                sharded.controller(slot.shard).read(slot.local, buf);
             }
-            for (auto &engine : engines)
-                engine->drain();
         } catch (const InjectedFault &) {
+            if (op.is_write)
+                oracles[slot.shard].latest[slot.local] = op.version;
             crashed = true;
-        }
-    } else {
-        for (const TraceOp &op : trace) {
-            const ShardSlot slot = sharded.router.route(op.addr);
-            try {
-                if (op.is_write) {
-                    stampPayload(slot.local, op.version, buf);
-                    sharded.controller(slot.shard).write(slot.local,
-                                                         buf);
-                    oracles[slot.shard].latest[slot.local] = op.version;
-                } else {
-                    sharded.controller(slot.shard).read(slot.local,
-                                                        buf);
-                }
-            } catch (const InjectedFault &) {
-                if (op.is_write)
-                    oracles[slot.shard].latest[slot.local] = op.version;
-                crashed = true;
-                break;
-            }
+            break;
         }
     }
     // A boundary the trace never reached must not fire later, during
