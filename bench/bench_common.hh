@@ -13,9 +13,8 @@
  * Storage backend selection ("--backend <kind>" or "--backend=<kind>",
  * equivalently the "backend=<kind>" override):
  *   --backend memory  in-memory NvmDevice (default)
- *   --backend file    FileBackedNvm (image checkpointed to a file)
- *   --backend disk    PagedDiskBackend (out-of-core page-cached tree)
- * file/disk take their path from "backingfile=<path>"; when absent the
+ *   --backend disk    PagedDiskBackend (page-cached tree in a file)
+ * disk takes its path from "backingfile=<path>"; when absent the
  * bench generates a per-process temp path and deletes the tree at exit.
  * Disk tuning rides along as "cachepages=N pinpages=N".
  *
@@ -188,9 +187,9 @@ struct BenchContext
 {
     Config overrides;
     std::uint64_t instructions = 200'000;
-    /** Resolved --backend / backend= choice ("memory"|"file"|"disk"). */
+    /** Resolved --backend / backend= choice ("memory"|"disk"). */
     std::string backend = "memory";
-    /** Backing tree path for file/disk backends; empty for memory.
+    /** Backing tree path for the disk backend; empty for memory.
      *  When the bench generated it (no backingfile= given), the paths
      *  (plus per-shard suffixes) are deleted at exit. */
     std::string backing_file;
@@ -363,7 +362,7 @@ parseContext(int argc, char **argv)
     ctx.backend = ctx.overrides.getString("backend", "memory");
     ctx.backing_file = ctx.overrides.getString("backingfile", "");
     if (ctx.backend != "memory" && ctx.backing_file.empty()) {
-        // file/disk need a tree path; keep generated ones out of the
+        // disk needs a tree path; keep generated ones out of the
         // repo and off the next run's plate.
         ctx.backing_file = "/tmp/psoram_bench_" +
                            std::to_string(static_cast<long>(::getpid())) +
@@ -389,9 +388,9 @@ parseContext(int argc, char **argv)
 inline void
 addSystemMeta(JsonReport &report, const SystemConfig &config)
 {
-    report.meta("backend", backendName(config.effectiveBackend()));
+    report.meta("backend", backendName(config.backend));
     report.meta("integrity", integrityModeName(config.integrity));
-    if (config.effectiveBackend() == BackendKind::Disk)
+    if (config.backend == BackendKind::Disk)
         report.metaCount("disk_cache_pages", config.disk_cache_pages)
             .metaCount("disk_pinned_pages", config.disk_pinned_pages);
 }

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "nvm/device.hh"
 
 int
 main(int argc, char **argv)
@@ -34,6 +35,13 @@ main(int argc, char **argv)
     for (const DesignKind design : allDesigns()) {
         SystemConfig config = configFromOverrides(ctx.overrides, design);
         System system = buildSystem(config);
+        const auto *nvm =
+            dynamic_cast<const NvmDevice *>(system.device.get());
+        if (nvm == nullptr) {
+            std::cerr << "bench_lifetime: wear is modelled on the "
+                         "memory backend only\n";
+            return 2;
+        }
         GeneratorParams gen = ctx.genParams(4);
         gen.address_space_lines = system.params.num_blocks;
         SyntheticTrace trace(workload, gen);
@@ -56,9 +64,9 @@ main(int argc, char **argv)
             base_writes = writes;
         table.addRow(
             {designName(design), TextTable::num(writes / base_writes, 3),
-             std::to_string(system.device->maxLineWrites()),
-             TextTable::num(system.device->meanLineWrites(), 2),
-             std::to_string(system.device->distinctLinesWritten())});
+             std::to_string(nvm->maxLineWrites()),
+             TextTable::num(nvm->meanLineWrites(), 2),
+             std::to_string(nvm->distinctLinesWritten())});
     }
     table.print(std::cout);
     std::cout << "# Dirty-only persistence keeps PS-ORAM's wear at the "

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "nvm/device.hh"
 #include "nvm/fault_injector.hh"
 #include "nvm/paged_disk.hh"
 #include "oram/block.hh"

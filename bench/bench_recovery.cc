@@ -23,7 +23,7 @@
  * Overrides (bench_common.hh conventions):
  *   heights=4,6          tree heights to sweep
  *   shardlist=1,2,4      shard counts to sweep
- *   backends=memory,file,disk
+ *   backends=memory,disk
  *   integrities=off,mac,tree
  *   ops=96               trace length per cell
  *   repeats=1            crash+recover cycles per cell
@@ -190,7 +190,7 @@ addRow(JsonReport &report, const SystemConfig &config, unsigned shards,
 {
     const RecoveryStats &s = result.stats;
     report.addRow()
-        .str("backend", backendName(config.effectiveBackend()))
+        .str("backend", backendName(config.backend))
         .str("integrity", integrityModeName(config.integrity))
         .count("height", config.tree_height)
         .count("shards", shards)
@@ -227,7 +227,7 @@ benchMain(int argc, char **argv)
     std::vector<unsigned> shard_counts =
         parseUintList(ctx.overrides.getString("shardlist", "1,2,4"));
     const std::vector<std::string> backends = splitCsv(
-        ctx.overrides.getString("backends", "memory,file,disk"));
+        ctx.overrides.getString("backends", "memory,disk"));
     const std::vector<std::string> integrities =
         splitCsv(ctx.overrides.getString("integrities", "off,mac,tree"));
     const std::size_t ops =
@@ -272,10 +272,7 @@ benchMain(int argc, char **argv)
                                   << "'\n";
                         return 2;
                     }
-                    if (backend == "file") {
-                        config.backend = BackendKind::File;
-                        config.backing_file = tree_path;
-                    } else if (backend == "disk") {
+                    if (backend == "disk") {
                         config.backend = BackendKind::Disk;
                         config.backing_file = tree_path;
                         config.disk_cache_pages = 64;

@@ -1,35 +1,36 @@
 /**
  * @file
  * Storage backend abstraction: the seam between the ORAM protocol stack
- * and the concrete memory model beneath it.
+ * and the store beneath it.
  *
- * Every component that used to hold a concrete NvmDevice reference —
- * controllers, WPQs, PosMap regions, shadow stashes — talks to this
- * interface instead. A backend provides three facets:
+ * Controllers, WPQs, PosMap regions and shadow stashes all talk to this
+ * interface. A backend stores bytes and knows which writes are durable
+ * protocol points; nothing else:
  *
- *   - a *functional* byte store (readBytes/writeBytes), sparse with
- *     zero-fill semantics for never-written lines;
- *   - *vectored* batch variants (readv/writev/writevQuiet) taking a
- *     span list, so a whole ORAM path or WPQ round crosses the seam as
- *     ONE operation — the unit a disk pread/pwrite batch or a future
- *     RPC round trip can be amortized over;
- *   - a *timing* model (access/accessOne) that schedules line transfers
- *     and returns completion cycles;
- *   - *observability*: traffic counters, wear statistics, and a
- *     snapshot/restore image used by the crash-injection framework.
+ *   - reads: readBytes, and readv for a whole path in one call; a
+ *     never-written line reads as zero;
+ *   - writes: one verb, writev, whose Durability says whether each
+ *     span is an enumerable persist point (Noisy: a WPQ drain entry or
+ *     a direct write, §4.2 step 5) or a write outside the protocol
+ *     sequence (Quiet: streamed Merkle nodes, flight-recorder appends,
+ *     tamper injection). writeBytes is the one-span form;
+ *   - durability: persistBarrier makes quiet writes durable and
+ *     dropVolatile models losing RAM at a power failure;
+ *   - a snapshot/restore image for the crash-injection framework.
  *
- * The vectored defaults forward span-by-span to the scalar ops, which
- * pins two invariants for backends that do not override them: the
- * functional byte sequence (and hence the golden traffic digests) is
- * identical to issuing the scalar calls one by one, and every span of a
- * noisy writev reports exactly one persist boundary in span order, so
- * the crash-point enumeration is unchanged.
+ * Timing is not a backend concern: each backend carries one NvmTiming
+ * (nvm/timing.hh), and callers schedule the line transfers of the
+ * traffic they move through timing() directly.
  *
- * Implementations: NvmDevice (in-memory channel/bank model, the
- * default; keeps the scalar-forwarding defaults), FileBackedNvm (same
- * model, image persisted to disk across process restarts), and
- * PagedDiskBackend (out-of-core page-cached tree on a real file, with
- * genuinely batched vectored IO).
+ * Contract for writev: the same bytes land in span order, and a Noisy
+ * call reports exactly one persist boundary per span, before that span
+ * applies (the span is the durability atom, so the crash-point
+ * enumeration keeps per-entry granularity). A Quiet call reports none.
+ *
+ * Implementations: NvmDevice (in-memory, the default and the model the
+ * golden digests pin) and PagedDiskBackend (the tree in a real file
+ * behind a page cache; with a cache at least as large as the tree it is
+ * the in-core, file-backed case).
  */
 
 #ifndef PSORAM_MEM_BACKEND_HH
@@ -38,9 +39,11 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
+#include "nvm/timing.hh"
 
 namespace psoram {
 
@@ -72,48 +75,31 @@ struct WriteSpan
     std::size_t len = 0;
 };
 
+/** Whether a write is an enumerable persist point. */
+enum class Durability
+{
+    /** Each span reports a DrainWrite/DirectWrite persist boundary. */
+    Noisy,
+    /** No boundary: bytes outside the protocol sequence, which
+     *  recovery rebuilds or never orders against tree traffic. */
+    Quiet,
+};
+
 class MemoryBackend
 {
   public:
     virtual ~MemoryBackend() = default;
+    MemoryBackend(const MemoryBackend &) = delete;
+    MemoryBackend &operator=(const MemoryBackend &) = delete;
 
-    /** @{ Functional access (no timing). Reads of unwritten lines are 0. */
+    /** Functional read (no timing). Reads of unwritten lines are 0. */
     virtual void readBytes(Addr addr, std::uint8_t *out,
                            std::size_t len) const = 0;
-    virtual void writeBytes(Addr addr, const std::uint8_t *in,
-                            std::size_t len) = 0;
-    /** @} */
 
     /**
-     * Functional write that does NOT report a persist boundary: bytes
-     * outside the enumerable protocol sequence, which recovery either
-     * rebuilds (lazily streamed Merkle nodes) or never orders against
-     * tree traffic. The flight recorder appends through it to a side
-     * region that never aliases protocol addresses, and image
-     * checkpoints use it for bulk loads. Default: forwards to
-     * writeBytes (backends without an injector behave identically
-     * either way).
-     */
-    virtual void
-    writeBytesQuiet(Addr addr, const std::uint8_t *in, std::size_t len)
-    {
-        writeBytes(addr, in, len);
-    }
-
-    /**
-     * @{ Vectored batch access: one call carries a whole path load or
-     * WPQ round across the seam. The defaults forward
-     * span-by-span to the scalar virtual ops, which makes them
-     * *contractually equivalent* to a loop of scalar calls: the same
-     * bytes move in the same order, and a noisy writev reports exactly
-     * one persist boundary per span (the span is the durability atom —
-     * a WPQ entry or an eviction slot — not the whole batch, so the
-     * crash-point enumeration keeps per-entry granularity). Backends
-     * with expensive per-call costs (disk seeks, RPC round trips)
-     * override these to batch the physical IO; they must preserve both
-     * properties. Timing stays a caller concern: callers schedule the
-     * constituent line transfers through access/accessOne exactly as
-     * they did around scalar calls.
+     * Vectored read: one call carries a whole path load across the
+     * seam. The default forwards span by span to readBytes; backends
+     * with a per-call cost (disk) batch it.
      */
     virtual void
     readv(const ReadSpan *spans, std::size_t n) const
@@ -122,34 +108,28 @@ class MemoryBackend
             readBytes(spans[i].addr, spans[i].data, spans[i].len);
     }
 
-    virtual void
-    writev(const WriteSpan *spans, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            writeBytes(spans[i].addr, spans[i].data, spans[i].len);
-    }
+    /** The one write verb (see the file comment for its contract). */
+    virtual void writev(const WriteSpan *spans, std::size_t n,
+                        Durability durability) = 0;
 
-    virtual void
-    writevQuiet(const WriteSpan *spans, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            writeBytesQuiet(spans[i].addr, spans[i].data, spans[i].len);
-    }
-
+    /** @{ Convenience forms of readv/writev. */
     void
     readv(const std::vector<ReadSpan> &spans) const
     {
         readv(spans.data(), spans.size());
     }
     void
-    writev(const std::vector<WriteSpan> &spans)
+    writev(const std::vector<WriteSpan> &spans,
+           Durability durability = Durability::Noisy)
     {
-        writev(spans.data(), spans.size());
+        writev(spans.data(), spans.size(), durability);
     }
     void
-    writevQuiet(const std::vector<WriteSpan> &spans)
+    writeBytes(Addr addr, const std::uint8_t *in, std::size_t len,
+               Durability durability = Durability::Noisy)
     {
-        writevQuiet(spans.data(), spans.size());
+        const WriteSpan span{addr, in, len};
+        writev(&span, 1, durability);
     }
     /** @} */
 
@@ -157,8 +137,7 @@ class MemoryBackend
      * Durability barrier for *quiet* writes. In-memory backends need
      * nothing here; a write-back backend (PagedDiskBackend) flushes its
      * dirty page cache and fsyncs so the physical medium catches up.
-     * Never reports persist boundaries: quiet writes are outside the
-     * enumerable protocol sequence.
+     * Never reports persist boundaries.
      */
     virtual void persistBarrier() {}
 
@@ -172,54 +151,8 @@ class MemoryBackend
      */
     virtual void dropVolatile() {}
 
-    /**
-     * Timing-only access: schedule @p len bytes starting at @p addr as
-     * 64-byte line transfers.
-     *
-     * @param earliest cycle the request arrives at the memory controller
-     * @return completion cycle of the last line transfer
-     */
-    virtual Cycle access(Addr addr, std::size_t len, bool is_write,
-                         Cycle earliest) = 0;
-
-    /**
-     * Timing-only access of exactly one transaction (one burst) at the
-     * line containing @p addr.
-     */
-    virtual Cycle accessOne(Addr addr, bool is_write, Cycle earliest) = 0;
-
-    /** @{ Functional + timing in one call. */
-    Cycle
-    readTimed(Addr addr, std::uint8_t *out, std::size_t len,
-              Cycle earliest)
-    {
-        readBytes(addr, out, len);
-        return access(addr, len, false, earliest);
-    }
-    Cycle
-    writeTimed(Addr addr, const std::uint8_t *in, std::size_t len,
-               Cycle earliest)
-    {
-        writeBytes(addr, in, len);
-        return access(addr, len, true, earliest);
-    }
-    /** @} */
-
-    /** Addressable capacity in bytes (bounds checking only). */
-    virtual std::uint64_t capacity() const = 0;
-
-    /** @{ Aggregate traffic statistics. */
-    virtual std::uint64_t totalReads() const = 0;
-    virtual std::uint64_t totalWrites() const = 0;
-    /** @} */
-
-    /** @{ Wear statistics (NVM lifetime proxy). */
-    virtual std::uint64_t distinctLinesWritten() const = 0;
-    virtual std::uint64_t maxLineWrites() const = 0;
-    virtual double meanLineWrites() const = 0;
-    /** @} */
-
-    virtual void resetStats() = 0;
+    /** Zero the timing counters and any backend-specific statistics. */
+    virtual void resetStats() { timing_.resetStats(); }
 
     /**
      * @{ Snapshot / restore of the functional contents; the
@@ -232,11 +165,19 @@ class MemoryBackend
     virtual void restoreImage(const MemoryImage &img) = 0;
     /** @} */
 
+    /** @{ The channel/bank model that times this store's traffic. */
+    NvmTiming &timing() { return timing_; }
+    const NvmTiming &timing() const { return timing_; }
+    /** @} */
+
+    /** Addressable capacity in bytes (bounds checking only). */
+    std::uint64_t capacity() const { return capacity_; }
+
     /**
      * @{ Fault injection (nvm/fault_injector.hh). When set, the backend
-     * reports every functional write as a persist boundary so the
-     * crash-point enumerator can abort execution at any of them. Null
-     * (the default) costs one branch per write.
+     * reports every noisy span as a persist boundary so the crash-point
+     * enumerator can abort execution at any of them. Null (the default)
+     * costs one branch per write.
      */
     void setFaultInjector(FaultInjector *injector)
     {
@@ -246,10 +187,11 @@ class MemoryBackend
     /** @} */
 
     /**
-     * @{ Flight recorder (nvm/flight_recorder.hh). When set, backends
-     * with a checkpoint notion (FileBackedNvm) stamp a black-box marker
-     * per image persist. Non-owning; the owner must outlive the
-     * backend's last write (sim::System orders its members so).
+     * @{ Flight recorder (nvm/flight_recorder.hh). When set, a backend
+     * with a write-back cache (PagedDiskBackend) stamps a Checkpoint
+     * marker at every persistBarrier. Non-owning; the owner must
+     * outlive the backend's last write (sim::System orders its members
+     * so).
      */
     void setFlightRecorder(FlightRecorder *recorder)
     {
@@ -259,8 +201,17 @@ class MemoryBackend
     /** @} */
 
   protected:
+    MemoryBackend(NvmTiming timing, std::uint64_t capacity_bytes)
+        : timing_(std::move(timing)), capacity_(capacity_bytes)
+    {
+    }
+
     FaultInjector *fault_injector_ = nullptr;
     FlightRecorder *flight_recorder_ = nullptr;
+
+  private:
+    NvmTiming timing_;
+    std::uint64_t capacity_;
 };
 
 } // namespace psoram

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/bitops.hh"
 #include "common/log.hh"
 #include "nvm/fault_injector.hh"
 
@@ -12,38 +11,18 @@ namespace psoram {
 NvmDevice::NvmDevice(const NvmTimingParams &params, unsigned num_channels,
                      unsigned banks_per_channel,
                      std::uint64_t capacity_bytes)
-    : params_(params), capacity_(capacity_bytes)
+    : MemoryBackend(NvmTiming(params, num_channels, banks_per_channel),
+                    capacity_bytes)
 {
-    if (num_channels == 0)
-        PSORAM_FATAL("device needs at least one channel");
-    channels_.reserve(num_channels);
-    for (unsigned i = 0; i < num_channels; ++i)
-        channels_.emplace_back(params, banks_per_channel);
     pages_.resize((capacity_bytes + kPageBytes - 1) / kPageBytes);
-}
-
-void
-NvmDevice::decode(Addr line_addr, unsigned &channel, unsigned &bank) const
-{
-    // Row-granular (4 KiB) channel interleaving with line-granular bank
-    // interleaving inside a channel. Coarse channel interleaving is
-    // what commodity controllers do, and it reproduces the paper's
-    // observation that "it is hard to allocate the memory accesses to
-    // each channel equally" (§5.2.3): a path's buckets do not spread
-    // perfectly, so channel scaling saturates beyond two channels.
-    constexpr Addr kLinesPerRow = 64; // 4 KiB rows
-    channel = static_cast<unsigned>((line_addr / kLinesPerRow) %
-                                    channels_.size());
-    bank = static_cast<unsigned>(line_addr %
-                                 channels_[channel].numBanks());
 }
 
 void
 NvmDevice::readBytes(Addr addr, std::uint8_t *out, std::size_t len) const
 {
-    // Overflow-safe bounds check: `addr + len > capacity_` can wrap for
+    // Overflow-safe bounds check: `addr + len > capacity()` can wrap for
     // addresses near the top of the 64-bit space.
-    if (addr > capacity_ || len > capacity_ - addr)
+    if (addr > capacity() || len > capacity() - addr)
         PSORAM_PANIC("NVM read past capacity: addr=", addr, " len=", len);
     std::size_t off = 0;
     while (off < len) {
@@ -62,24 +41,27 @@ NvmDevice::readBytes(Addr addr, std::uint8_t *out, std::size_t len) const
 }
 
 void
-NvmDevice::writeBytes(Addr addr, const std::uint8_t *in, std::size_t len)
+NvmDevice::writev(const WriteSpan *spans, std::size_t n,
+                  Durability durability)
 {
-    // Persist boundary: the durable image is about to change. A fault
-    // raised here aborts *before* the write applies; for writes inside
-    // a committed WPQ drain the entry stays queued and the ADR flush
-    // still delivers it, preserving the committed-round guarantee.
-    if (fault_injector_)
-        fault_injector_->boundary(fault_injector_->inDrain()
-                                      ? PersistBoundary::DrainWrite
-                                      : PersistBoundary::DirectWrite);
-    writeBytesQuiet(addr, in, len);
+    for (std::size_t i = 0; i < n; ++i) {
+        // Persist boundary: the durable image is about to change. A
+        // fault raised here aborts *before* the span applies; for
+        // writes inside a committed WPQ drain the entry stays queued
+        // and the ADR flush still delivers it, preserving the
+        // committed-round guarantee.
+        if (durability == Durability::Noisy && fault_injector_)
+            fault_injector_->boundary(fault_injector_->inDrain()
+                                          ? PersistBoundary::DrainWrite
+                                          : PersistBoundary::DirectWrite);
+        applySpan(spans[i].addr, spans[i].data, spans[i].len);
+    }
 }
 
 void
-NvmDevice::writeBytesQuiet(Addr addr, const std::uint8_t *in,
-                           std::size_t len)
+NvmDevice::applySpan(Addr addr, const std::uint8_t *in, std::size_t len)
 {
-    if (addr > capacity_ || len > capacity_ - addr)
+    if (addr > capacity() || len > capacity() - addr)
         PSORAM_PANIC("NVM write past capacity: addr=", addr, " len=", len);
     std::size_t off = 0;
     while (off < len) {
@@ -108,48 +90,6 @@ NvmDevice::writeBytesQuiet(Addr addr, const std::uint8_t *in,
     }
 }
 
-Cycle
-NvmDevice::access(Addr addr, std::size_t len, bool is_write, Cycle earliest)
-{
-    const Addr first_line = addr / kBlockDataBytes;
-    const Addr last_line = (addr + len - 1) / kBlockDataBytes;
-    Cycle done = earliest;
-    for (Addr line = first_line; line <= last_line; ++line) {
-        unsigned channel, bank;
-        decode(line, channel, bank);
-        done = std::max(done,
-                        channels_[channel].access(bank, earliest,
-                                                  is_write));
-    }
-    return done;
-}
-
-Cycle
-NvmDevice::accessOne(Addr addr, bool is_write, Cycle earliest)
-{
-    unsigned channel, bank;
-    decode(addr / kBlockDataBytes, channel, bank);
-    return channels_[channel].access(bank, earliest, is_write);
-}
-
-std::uint64_t
-NvmDevice::totalReads() const
-{
-    std::uint64_t total = 0;
-    for (const auto &channel : channels_)
-        total += channel.readCount();
-    return total;
-}
-
-std::uint64_t
-NvmDevice::totalWrites() const
-{
-    std::uint64_t total = 0;
-    for (const auto &channel : channels_)
-        total += channel.writeCount();
-    return total;
-}
-
 double
 NvmDevice::meanLineWrites() const
 {
@@ -162,8 +102,7 @@ NvmDevice::meanLineWrites() const
 void
 NvmDevice::resetStats()
 {
-    for (auto &channel : channels_)
-        channel.resetStats();
+    MemoryBackend::resetStats();
     for (auto &slot : pages_)
         if (slot)
             slot->wear.fill(0);
@@ -209,7 +148,7 @@ NvmDevice::restoreImage(const MemoryImage &img)
     for (const auto &[line, data] : img) {
         if (line >= pages_.size() * kLinesPerPage)
             PSORAM_FATAL("image line ", line, " beyond device capacity ",
-                         capacity_);
+                         capacity());
         auto &slot = pages_[line / kLinesPerPage];
         if (!slot)
             slot = std::make_unique<NvmPage>();

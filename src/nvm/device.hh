@@ -1,11 +1,8 @@
 /**
  * @file
- * NVM main-memory device: functional byte store + channel/bank timing.
- *
- * The device plays the role NVMain 2.0 plays for the paper: it holds the
- * persistent contents of the ORAM tree and PosMap region, schedules
- * accesses through per-channel bank models, and counts read/write traffic
- * and per-line wear (NVM lifetime).
+ * NVM main-memory device: the in-memory byte store of the ORAM tree and
+ * PosMap region, with per-line wear counters (NVM lifetime). Its
+ * channel/bank timing is the NvmTiming every backend carries.
  *
  * The functional store is a demand-allocated page table: 4 KiB pages in a
  * flat vector indexed directly by address (the device capacity is fixed at
@@ -25,10 +22,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/backend.hh"
-#include "nvm/channel.hh"
 #include "nvm/timing.hh"
 
 namespace psoram {
@@ -45,64 +40,27 @@ class NvmDevice : public MemoryBackend
     NvmDevice(const NvmTimingParams &params, unsigned num_channels,
               unsigned banks_per_channel, std::uint64_t capacity_bytes);
 
-    /** @{ Functional access (no timing). Reads of unwritten lines are 0. */
     void readBytes(Addr addr, std::uint8_t *out,
                    std::size_t len) const override;
-    void writeBytes(Addr addr, const std::uint8_t *in,
-                    std::size_t len) override;
-    /** Write without reporting a persist boundary (see MemoryBackend). */
-    void writeBytesQuiet(Addr addr, const std::uint8_t *in,
-                         std::size_t len) override;
-    /** @} */
+    using MemoryBackend::writev;
+    void writev(const WriteSpan *spans, std::size_t n,
+                Durability durability) override;
 
-    /**
-     * Timing-only access: schedule @p len bytes starting at @p addr as
-     * 64-byte line transfers across the channels.
-     *
-     * @param earliest cycle the request arrives at the memory controller
-     * @return completion cycle of the last line transfer
-     */
-    Cycle access(Addr addr, std::size_t len, bool is_write,
-                 Cycle earliest) override;
-
-    /**
-     * Timing-only access of exactly one transaction (one burst) at the
-     * line containing @p addr. ORAM block slots are a little larger than
-     * a cache line (data + header + IV); the paper counts each block as
-     * one read/write, which this models.
-     */
-    Cycle accessOne(Addr addr, bool is_write, Cycle earliest) override;
-
-    unsigned numChannels() const
-    {
-        return static_cast<unsigned>(channels_.size());
-    }
-    std::uint64_t capacity() const override { return capacity_; }
-    const NvmTimingParams &timings() const { return params_; }
-
-    /** @{ Aggregate traffic statistics across all channels. */
-    std::uint64_t totalReads() const override;
-    std::uint64_t totalWrites() const override;
-    /** @} */
-
-    /** @{ Wear statistics (NVM lifetime proxy). */
-    std::uint64_t distinctLinesWritten() const override
+    /** @{ Wear statistics (NVM lifetime proxy). Quiet writes wear the
+     *  cells too. */
+    std::uint64_t distinctLinesWritten() const
     {
         return distinct_lines_written_;
     }
-    std::uint64_t maxLineWrites() const override
-    {
-        return max_line_writes_;
-    }
-    double meanLineWrites() const override;
+    std::uint64_t maxLineWrites() const { return max_line_writes_; }
+    double meanLineWrites() const;
     /** @} */
 
     void resetStats() override;
 
     /** Crash snapshot/restore (see MemoryBackend). */
-    using Image = MemoryImage;
-    Image image() const override;
-    void restoreImage(const Image &img) override;
+    MemoryImage image() const override;
+    void restoreImage(const MemoryImage &img) override;
 
     /** @{ Functional-store page geometry. */
     static constexpr std::size_t kPageBytes = 4096;
@@ -118,12 +76,8 @@ class NvmDevice : public MemoryBackend
         std::array<std::uint32_t, kLinesPerPage> wear{};
     };
 
-    /** Decode a line address into (channel, bank). */
-    void decode(Addr line_addr, unsigned &channel, unsigned &bank) const;
+    void applySpan(Addr addr, const std::uint8_t *in, std::size_t len);
 
-    NvmTimingParams params_;
-    std::uint64_t capacity_;
-    std::vector<Channel> channels_;
     /** Page table: index = byte address / kPageBytes; null = all-zero. */
     std::vector<std::unique_ptr<NvmPage>> pages_;
 

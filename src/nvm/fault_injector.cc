@@ -16,8 +16,6 @@ persistBoundaryName(PersistBoundary kind)
         return "drain-write";
       case PersistBoundary::DirectWrite:
         return "direct-write";
-      case PersistBoundary::ImagePersist:
-        return "image-persist";
       case PersistBoundary::PageWrite:
         return "page-write";
       case PersistBoundary::Sync:

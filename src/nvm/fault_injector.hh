@@ -6,7 +6,7 @@
  * state is about to change: a WPQ round opening ("start" signal), a WPQ
  * round committing ("end" signal — the ADR durability point), an
  * individual entry draining out of a committed round, a direct
- * (non-WPQ) functional write, or a file-backed image checkpoint. The
+ * (non-WPQ) functional write, or a disk page write or fsync. The
  * injector counts every boundary it passes; when armed at boundary k it
  * throws InjectedFault the moment the k-th boundary is reached — i.e.
  * *before* that boundary's durable effect applies.
@@ -47,8 +47,6 @@ enum class PersistBoundary
     /** A functional write outside any WPQ drain (non-persistent
      *  designs' eviction writes, recovery-era region writes). */
     DirectWrite,
-    /** FileBackedNvm image checkpoint (cross-process persistence). */
-    ImagePersist,
     /** PagedDiskBackend flushing one dirty page to the file. Inside a
      *  WPQ drain the boundary fires *mid-page* — after the first half
      *  of the pwrite, before the rest and the checksum trailer — so the
@@ -59,7 +57,7 @@ enum class PersistBoundary
     Sync,
 };
 
-inline constexpr std::size_t kNumPersistBoundaryKinds = 7;
+inline constexpr std::size_t kNumPersistBoundaryKinds = 6;
 
 const char *persistBoundaryName(PersistBoundary kind);
 

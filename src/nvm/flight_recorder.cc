@@ -103,7 +103,7 @@ FlightRecorder::attach(MemoryBackend &device)
     for (std::size_t i = 0; i < num_records_; ++i)
         spans.push_back(WriteSpan{base_ + kHeaderBytes + i * kRecordBytes,
                                   zero, kRecordBytes});
-    device.writevQuiet(spans);
+    device.writev(spans, Durability::Quiet);
     next_seq_ = 0;
 }
 
@@ -128,7 +128,7 @@ FlightRecorder::record(MemoryBackend &device, FlightEventKind kind,
     const Addr slot =
         base_ + kHeaderBytes + (seq % num_records_) * kRecordBytes;
     const WriteSpan span{slot, rec, kRecordBytes};
-    device.writevQuiet(&span, 1);
+    device.writev(&span, 1, Durability::Quiet);
 }
 
 std::uint64_t

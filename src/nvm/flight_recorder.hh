@@ -8,13 +8,13 @@
  * What gets recorded — and why it is oblivious to record it — is
  * strictly limited to events the untrusted memory already observes as
  * NVM traffic shape: ADR round brackets (round ids), drain watermarks
- * and image-checkpoint markers. No
+ * and write-back checkpoint markers. No
  * block addresses, leaf labels, stash contents or payload bytes ever
  * enter a record; the recorder adds a constant-size append per event
  * that is independent of the access pattern (pinned by the
  * transparency differential in tests/test_recovery_obs.cc).
  *
- * Durability model: records are appended through writevQuiet into a
+ * Durability model: records are appended through quiet writev into a
  * reserved side region that never aliases protocol traffic, so the
  * recorder adds **zero** enumerable persist boundaries and cannot
  * perturb the crash-point population. The price is that the tail
@@ -59,7 +59,8 @@ enum class FlightEventKind : std::uint16_t
     DrainWatermark = 3,
     /* 4 was a write-behind retirement batch; the value stays
      * reserved so rings written by older builds decode unchanged. */
-    /** Backend image checkpoint persisted: arg0 = image lines. */
+    /** Backend write-back checkpoint (PagedDiskBackend::persistBarrier),
+     *  stamped before the flush. No arguments. */
     Checkpoint = 5,
     /** Recovery began: arg0 = prior events decoded,
      *  arg1 = torn records skipped. */

@@ -11,6 +11,7 @@
 #include "common/crc32.hh"
 #include "common/log.hh"
 #include "nvm/fault_injector.hh"
+#include "nvm/flight_recorder.hh"
 #include "obs/trace.hh"
 
 namespace psoram {
@@ -77,20 +78,16 @@ PagedDiskBackend::PagedDiskBackend(const NvmTimingParams &params,
                                    unsigned banks_per_channel,
                                    std::uint64_t capacity_bytes,
                                    PagedDiskConfig config)
-    : params_(params), capacity_(capacity_bytes),
+    : MemoryBackend(NvmTiming(params, num_channels, banks_per_channel),
+                    capacity_bytes),
       num_pages_((capacity_bytes + kPageBytes - 1) / kPageBytes),
       config_(std::move(config))
 {
     PSORAM_TRACE_SCOPE("recovery", "disk_open", 0);
-    if (num_channels == 0)
-        PSORAM_FATAL("paged disk backend needs at least one channel");
     if (config_.path.empty())
         PSORAM_FATAL("paged disk backend needs a backing file path");
     if (config_.cache_pages == 0)
         config_.cache_pages = 1;
-    channels_.reserve(num_channels);
-    for (unsigned i = 0; i < num_channels; ++i)
-        channels_.emplace_back(params, banks_per_channel);
 
     fd_ = ::open(config_.path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC,
                  0644);
@@ -108,13 +105,13 @@ PagedDiskBackend::PagedDiskBackend(const NvmTimingParams &params,
             unpackU64(header + 24) != kRecordBytes)
             PSORAM_FATAL("'", config_.path,
                          "' is not a paged disk tree (bad header)");
-        if (unpackU64(header + 8) != capacity_)
+        if (unpackU64(header + 8) != capacity())
             PSORAM_FATAL("disk tree '", config_.path, "' capacity ",
                          unpackU64(header + 8),
-                         " does not match configured ", capacity_);
+                         " does not match configured ", capacity());
     } else {
         packU64(header, kHeaderMagic);
-        packU64(header + 8, capacity_);
+        packU64(header + 8, capacity());
         packU64(header + 16, kPageBytes);
         packU64(header + 24, kRecordBytes);
         pwriteFully(header, kHeaderBytes, 0);
@@ -338,7 +335,7 @@ PagedDiskBackend::readBytes(Addr addr, std::uint8_t *out,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.scalar_reads;
-    if (addr > capacity_ || len > capacity_ - addr)
+    if (addr > capacity() || len > capacity() - addr)
         PSORAM_PANIC("disk read past capacity: addr=", addr,
                      " len=", len);
     std::size_t off = 0;
@@ -362,7 +359,7 @@ PagedDiskBackend::readv(const ReadSpan *spans, std::size_t n) const
     stats_.spans_read += n;
     for (std::size_t i = 0; i < n; ++i) {
         const ReadSpan &span = spans[i];
-        if (span.addr > capacity_ || span.len > capacity_ - span.addr)
+        if (span.addr > capacity() || span.len > capacity() - span.addr)
             PSORAM_PANIC("disk readv past capacity: addr=", span.addr,
                          " len=", span.len);
         std::size_t off = 0;
@@ -385,7 +382,7 @@ PagedDiskBackend::applySpan(Addr addr, const std::uint8_t *in,
                             std::size_t len,
                             std::vector<std::uint64_t> &touched)
 {
-    if (addr > capacity_ || len > capacity_ - addr)
+    if (addr > capacity() || len > capacity() - addr)
         PSORAM_PANIC("disk write past capacity: addr=", addr,
                      " len=", len);
     std::size_t off = 0;
@@ -404,9 +401,14 @@ PagedDiskBackend::applySpan(Addr addr, const std::uint8_t *in,
 }
 
 void
-PagedDiskBackend::writevLocked(const WriteSpan *spans, std::size_t n,
-                               bool noisy)
+PagedDiskBackend::writev(const WriteSpan *spans, std::size_t n,
+                         Durability durability)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const bool noisy = durability == Durability::Noisy;
+    ++(noisy ? stats_.writev_calls : stats_.writev_quiet_calls);
+    stats_.spans_written += n;
+
     // Stage 1: land every span in the page cache. Noisy spans report
     // their DrainWrite/DirectWrite boundary *before* applying, exactly
     // like NvmDevice — a fault here leaves this span (and the rest of
@@ -427,8 +429,10 @@ PagedDiskBackend::writevLocked(const WriteSpan *spans, std::size_t n,
                                           : PersistBoundary::DirectWrite);
         applySpan(spans[i].addr, spans[i].data, spans[i].len, touched);
     }
-    if (!noisy)
+    if (!noisy) {
+        write_back_pending_ = true;
         return;
+    }
 
     // Stage 2 (noisy only — write-through): flush each touched page
     // once, then fsync. Inside a drain the page flush is tearable (the
@@ -444,58 +448,38 @@ PagedDiskBackend::writevLocked(const WriteSpan *spans, std::size_t n,
                   /*noisy=*/true);
         it->second.dirty = false;
     }
-    if (config_.fsync_noisy) {
-        if (fault_injector_)
-            fault_injector_->boundary(PersistBoundary::Sync);
-        fsyncFile();
-    }
+    // The quiet write-back rides the same fsync: pages only quiet
+    // writes dirtied (Merkle nodes, flight-recorder appends) become
+    // durable at the next protocol durability point, as they are at
+    // once on NVM. A crash then loses only the quiet writes since the
+    // last noisy one, so the black box keeps its ring. No boundary:
+    // quiet bytes order against nothing.
+    if (write_back_pending_)
+        writeBackDirty();
+    if (fault_injector_)
+        fault_injector_->boundary(PersistBoundary::Sync);
+    fsyncFile();
 }
 
 void
-PagedDiskBackend::writeBytes(Addr addr, const std::uint8_t *in,
-                             std::size_t len)
+PagedDiskBackend::writeBackDirty()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.scalar_writes;
-    const WriteSpan span{addr, in, len};
-    writevLocked(&span, 1, /*noisy=*/true);
-}
-
-void
-PagedDiskBackend::writeBytesQuiet(Addr addr, const std::uint8_t *in,
-                                  std::size_t len)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.scalar_writes;
-    const WriteSpan span{addr, in, len};
-    writevLocked(&span, 1, /*noisy=*/false);
-}
-
-void
-PagedDiskBackend::writev(const WriteSpan *spans, std::size_t n)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.writev_calls;
-    stats_.spans_written += n;
-    writevLocked(spans, n, /*noisy=*/true);
-}
-
-void
-PagedDiskBackend::writevQuiet(const WriteSpan *spans, std::size_t n)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.writev_quiet_calls;
-    stats_.spans_written += n;
-    writevLocked(spans, n, /*noisy=*/false);
+    for (auto &[page, frame] : frames_)
+        if (frame.dirty)
+            flushFrameQuiet(page, frame);
+    write_back_pending_ = false;
 }
 
 void
 PagedDiskBackend::persistBarrier()
 {
+    // Black-box the checkpoint *before* the flush, so the quiet marker
+    // is part of what this barrier makes durable (a reopen finds it as
+    // the ring's tail).
+    if (flight_recorder_)
+        flight_recorder_->record(*this, FlightEventKind::Checkpoint);
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &[page, frame] : frames_)
-        if (frame.dirty)
-            flushFrameQuiet(page, frame);
+    writeBackDirty();
     fsyncFile();
 }
 
@@ -506,66 +490,13 @@ PagedDiskBackend::dropVolatile()
     frames_.clear();
     lru_.clear();
     unpinned_resident_ = 0;
-}
-
-Cycle
-PagedDiskBackend::access(Addr addr, std::size_t len, bool is_write,
-                         Cycle earliest)
-{
-    const Addr first_line = addr / kBlockDataBytes;
-    const Addr last_line = (addr + len - 1) / kBlockDataBytes;
-    Cycle done = earliest;
-    for (Addr line = first_line; line <= last_line; ++line) {
-        unsigned channel, bank;
-        decode(line, channel, bank);
-        done = std::max(done, channels_[channel].access(bank, earliest,
-                                                        is_write));
-    }
-    return done;
-}
-
-Cycle
-PagedDiskBackend::accessOne(Addr addr, bool is_write, Cycle earliest)
-{
-    unsigned channel, bank;
-    decode(addr / kBlockDataBytes, channel, bank);
-    return channels_[channel].access(bank, earliest, is_write);
-}
-
-void
-PagedDiskBackend::decode(Addr line_addr, unsigned &channel,
-                         unsigned &bank) const
-{
-    constexpr Addr kLinesPerRow = 64; // 4 KiB rows, as NvmDevice
-    channel = static_cast<unsigned>((line_addr / kLinesPerRow) %
-                                    channels_.size());
-    bank = static_cast<unsigned>(line_addr %
-                                 channels_[channel].numBanks());
-}
-
-std::uint64_t
-PagedDiskBackend::totalReads() const
-{
-    std::uint64_t total = 0;
-    for (const auto &channel : channels_)
-        total += channel.readCount();
-    return total;
-}
-
-std::uint64_t
-PagedDiskBackend::totalWrites() const
-{
-    std::uint64_t total = 0;
-    for (const auto &channel : channels_)
-        total += channel.writeCount();
-    return total;
+    write_back_pending_ = false;
 }
 
 void
 PagedDiskBackend::resetStats()
 {
-    for (auto &channel : channels_)
-        channel.resetStats();
+    MemoryBackend::resetStats();
     std::lock_guard<std::mutex> lock(mutex_);
     stats_ = IoStats{};
 }
@@ -616,7 +547,7 @@ PagedDiskBackend::restoreImage(const MemoryImage &img)
         const std::uint64_t page = line / kLinesPerPage;
         if (page >= num_pages_)
             PSORAM_FATAL("image line ", line, " beyond disk capacity ",
-                         capacity_);
+                         capacity());
         auto &bytes = pages[page];
         if (bytes.empty())
             bytes.resize(kPageBytes, 0);

@@ -25,22 +25,30 @@
  * made fatal via `strict_torn`) rather than failing the load.
  *
  * Durability model at the seam:
- *   - noisy writes (writeBytes/writev — the protocol's enumerable
- *     persist points) are write-through: each span reports its
- *     DrainWrite/DirectWrite boundary exactly like NvmDevice, the
+ *   - noisy writes (writev with Durability::Noisy, the protocol's
+ *     enumerable persist points) are write-through: each span reports
+ *     its DrainWrite/DirectWrite boundary exactly like NvmDevice, the
  *     touched pages flush with a PageWrite boundary each (fired
  *     mid-pwrite inside a WPQ drain — the torn-page crash point), and
  *     the call ends with a Sync boundary + fsync;
  *   - quiet writes (lazily streamed Merkle nodes, flight-recorder
  *     appends) are write-back: they dirty cached pages and reach the
- *     file on eviction, on persistBarrier() or at destruction;
+ *     file on eviction, with the next noisy write's flush (before its
+ *     fsync, with no boundary of their own), on persistBarrier() or at
+ *     destruction;
+ *   - persistBarrier() stamps a flight-recorder Checkpoint (when one is
+ *     attached), then flushes every dirty page and fsyncs;
  *   - dropVolatile() discards the whole cache un-flushed — the crash
  *     framework's model of losing RAM — so post-crash reads observe
  *     only what pwrite actually landed.
  *
+ * With cache_pages at least the tree's page count nothing is ever
+ * evicted: the tree is in core, and the file is its durable image
+ * across process restarts.
+ *
  * Thread safety: functional ops and the cache are guarded by one
- * internal mutex. The timing model (access/accessOne) keeps NvmDevice's
- * drive-thread-only contract.
+ * internal mutex. The timing model keeps its drive-thread-only
+ * contract.
  */
 
 #ifndef PSORAM_NVM_PAGED_DISK_HH
@@ -56,7 +64,6 @@
 
 #include "common/types.hh"
 #include "mem/backend.hh"
-#include "nvm/channel.hh"
 #include "nvm/timing.hh"
 
 namespace psoram {
@@ -70,9 +77,6 @@ struct PagedDiskConfig
     /** Lowest-addressed pages (top tree levels + metadata head) held
      *  resident for the backend's lifetime, outside the cache budget. */
     std::size_t pinned_pages = 64;
-    /** fsync after every noisy write call (the protocol durability
-     *  points). persistBarrier() always fsyncs regardless. */
-    bool fsync_noisy = true;
     /** Fail hard (PSORAM_FATAL) when a torn/corrupt page is loaded
      *  instead of counting it and trusting ADR redelivery. */
     bool strict_torn = false;
@@ -86,47 +90,22 @@ class PagedDiskBackend final : public MemoryBackend
                      std::uint64_t capacity_bytes, PagedDiskConfig config);
     ~PagedDiskBackend() override;
 
-    PagedDiskBackend(const PagedDiskBackend &) = delete;
-    PagedDiskBackend &operator=(const PagedDiskBackend &) = delete;
-
     /** @{ Functional access (thread-safe). */
     void readBytes(Addr addr, std::uint8_t *out,
                    std::size_t len) const override;
-    void writeBytes(Addr addr, const std::uint8_t *in,
-                    std::size_t len) override;
-    void writeBytesQuiet(Addr addr, const std::uint8_t *in,
-                         std::size_t len) override;
     using MemoryBackend::readv;
     using MemoryBackend::writev;
-    using MemoryBackend::writevQuiet;
     void readv(const ReadSpan *spans, std::size_t n) const override;
-    void writev(const WriteSpan *spans, std::size_t n) override;
-    void writevQuiet(const WriteSpan *spans, std::size_t n) override;
+    void writev(const WriteSpan *spans, std::size_t n,
+                Durability durability) override;
     /** @} */
 
-    /** Flush every dirty page and fsync (no persist boundaries). */
+    /** Stamp a Checkpoint, flush every dirty page and fsync (no
+     *  persist boundaries). */
     void persistBarrier() override;
 
     /** Discard the page cache without flushing (crash model). */
     void dropVolatile() override;
-
-    /** @{ Timing model: identical channel/bank scheduling to NvmDevice
-     *  (the simulated cycle cost models the NVM-tier protocol; the
-     *  disk tier's cost shows up as host time and IO counters). */
-    Cycle access(Addr addr, std::size_t len, bool is_write,
-                 Cycle earliest) override;
-    Cycle accessOne(Addr addr, bool is_write, Cycle earliest) override;
-    /** @} */
-
-    std::uint64_t capacity() const override { return capacity_; }
-    std::uint64_t totalReads() const override;
-    std::uint64_t totalWrites() const override;
-
-    /** Wear is an NVM-cell lifetime proxy; a disk tier has no
-     *  per-line wear model, so these report zero. */
-    std::uint64_t distinctLinesWritten() const override { return 0; }
-    std::uint64_t maxLineWrites() const override { return 0; }
-    double meanLineWrites() const override { return 0.0; }
 
     void resetStats() override;
 
@@ -147,9 +126,13 @@ class PagedDiskBackend final : public MemoryBackend
     struct IoStats
     {
         std::uint64_t readv_calls = 0;
+        /** @{ writev calls by Durability (a writeBytes is a one-span
+         *  writev). */
         std::uint64_t writev_calls = 0;
         std::uint64_t writev_quiet_calls = 0;
+        /** @} */
         std::uint64_t scalar_reads = 0;
+        /** Always 0: every write crosses the seam as a writev. */
         std::uint64_t scalar_writes = 0;
         std::uint64_t spans_read = 0;
         std::uint64_t spans_written = 0;
@@ -215,15 +198,12 @@ class PagedDiskBackend final : public MemoryBackend
 
     void applySpan(Addr addr, const std::uint8_t *in, std::size_t len,
                    std::vector<std::uint64_t> &touched);
-    void writevLocked(const WriteSpan *spans, std::size_t n, bool noisy);
 
-    void decode(Addr line_addr, unsigned &channel, unsigned &bank) const;
+    /** Flush every dirty frame quietly (callers hold mutex_). */
+    void writeBackDirty();
 
-    NvmTimingParams params_;
-    std::uint64_t capacity_;
     std::uint64_t num_pages_;
     PagedDiskConfig config_;
-    std::vector<Channel> channels_;
 
     int fd_ = -1;
 
@@ -233,6 +213,8 @@ class PagedDiskBackend final : public MemoryBackend
     mutable std::unordered_map<std::uint64_t, Frame> frames_;
     mutable std::list<std::uint64_t> lru_;
     mutable std::size_t unpinned_resident_ = 0;
+    /** A quiet write may have left dirty pages for the next fsync. */
+    bool write_back_pending_ = false;
 
     mutable IoStats stats_;
 };

@@ -1,6 +1,7 @@
 /**
  * @file
- * NVM device timing parameters (NVMain-2.0 style).
+ * NVM timing (NVMain-2.0 style): the device parameters and the one
+ * channel/bank model that turns line transfers into completion cycles.
  *
  * All values are in NVM controller clock cycles at 400 MHz, matching
  * Table 3(c) of the paper:
@@ -13,10 +14,13 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 
 namespace psoram {
+
+class Channel;
 
 /** Memory technology selector. */
 enum class NvmTech { PCM, STTRAM };
@@ -57,6 +61,60 @@ NvmTimingParams sttramTimings();
 
 /** Preset lookup by technology. */
 NvmTimingParams timingsFor(NvmTech tech);
+
+/**
+ * The timing model NVMain 2.0 supplies for the paper: decodes a line
+ * address to (channel, bank), schedules the transfer through that
+ * channel's bank model and counts reads and writes. It holds no bytes.
+ * Every storage backend carries one (MemoryBackend::timing()) so the
+ * protocol times the traffic it moves; the FullNVM on-chip stash
+ * buffer is one on its own.
+ *
+ * Not thread-safe: the thread that drives the controller is its only
+ * caller.
+ */
+class NvmTiming
+{
+  public:
+    /**
+     * @param params device timing preset (PCM or STT-RAM)
+     * @param num_channels independent channels (Fig. 7 sweeps 1/2/4)
+     * @param banks_per_channel banks sharing each channel bus
+     */
+    NvmTiming(const NvmTimingParams &params, unsigned num_channels,
+              unsigned banks_per_channel);
+    NvmTiming(const NvmTiming &other);
+    NvmTiming &operator=(const NvmTiming &other);
+    ~NvmTiming();
+
+    /**
+     * Schedule @p len bytes starting at @p addr as 64-byte line
+     * transfers across the channels.
+     *
+     * @param earliest cycle the request arrives at the memory controller
+     * @return completion cycle of the last line transfer
+     */
+    Cycle access(Addr addr, std::size_t len, bool is_write,
+                 Cycle earliest);
+
+    /**
+     * Schedule exactly one transaction (one burst) at the line
+     * containing @p addr. ORAM block slots are a little larger than a
+     * cache line (data + header + IV); the paper counts each block as
+     * one read/write, which this models.
+     */
+    Cycle accessOne(Addr addr, bool is_write, Cycle earliest);
+
+    /** @{ Line transfers scheduled across all channels. */
+    std::uint64_t totalReads() const;
+    std::uint64_t totalWrites() const;
+    /** @} */
+
+    void resetStats();
+
+  private:
+    std::vector<Channel> channels_;
+};
 
 } // namespace psoram
 

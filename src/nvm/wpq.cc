@@ -67,7 +67,8 @@ Wpq::drainTo(MemoryBackend &device, Cycle earliest)
         const WpqEntry &entry = entries_.front();
         // Each entry is one NVM transaction (a block or a PosMap entry).
         done = std::max(done,
-                        device.accessOne(entry.addr, true, earliest));
+                        device.timing().accessOne(entry.addr, true,
+                                                  earliest));
         PSORAM_TRACE_INSTANT_ARG("nvm", "wpq.drain_entry", 0, "addr",
                                  static_cast<std::int64_t>(entry.addr));
         ++drained_;

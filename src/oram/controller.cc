@@ -100,8 +100,8 @@ PathOramController::loadPath(PathId leaf, Cycle start)
             const Addr slot_addr = params_.layout.slotAddr(bucket, slot);
             SlotBytes raw{};
             device_.readBytes(slot_addr, raw.data(), kSlotBytes);
-            done = std::max(done, device_.accessOne(slot_addr, false,
-                                                    start));
+            done = std::max(done, device_.timing().accessOne(
+                                      slot_addr, false, start));
             const PlainBlock block = codec_.decode(raw);
             if (block.isDummy())
                 continue;
@@ -162,8 +162,8 @@ PathOramController::evictPath(PathId leaf, Cycle start)
             const SlotBytes raw = codec_.encode(block);
             const Addr slot_addr = params_.layout.slotAddr(bucket, slot);
             device_.writeBytes(slot_addr, raw.data(), kSlotBytes);
-            done = std::max(done, device_.accessOne(slot_addr, true,
-                                                    issue));
+            done = std::max(done, device_.timing().accessOne(
+                                      slot_addr, true, issue));
         }
     }
     return done;

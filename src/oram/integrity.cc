@@ -360,8 +360,9 @@ IntegrityManager::streamDirtyNodes(MemoryBackend &device)
     if (mode_ != IntegrityMode::Tree || dirty_nodes_.empty())
         return;
     for (const BucketId node : dirty_nodes_)
-        device.writeBytesQuiet(merkle_region_base_ + node * kHashBytes,
-                               node_hash_[node].data(), kHashBytes);
+        device.writeBytes(merkle_region_base_ + node * kHashBytes,
+                          node_hash_[node].data(), kHashBytes,
+                          Durability::Quiet);
     dirty_nodes_.clear();
 }
 
@@ -466,9 +467,9 @@ IntegrityManager::recoverFromDevice(MemoryBackend &device)
                              stored, sizeof(stored));
             if (std::memcmp(stored, node_hash_[b].data(), kHashBytes) !=
                 0) {
-                device.writeBytesQuiet(
+                device.writeBytes(
                     merkle_region_base_ + b * kHashBytes,
-                    node_hash_[b].data(), kHashBytes);
+                    node_hash_[b].data(), kHashBytes, Durability::Quiet);
                 ++stats.nodes_repaired;
             }
         }

@@ -284,17 +284,18 @@ Evictor::run(AccessContext &ctx)
         for (const WpqEntry &write : sc.data_writes)
             spans.push_back({write.addr, write.data.data(),
                              write.data.size()});
-        env_.device.writev(spans.data(), half);
+        env_.device.writev(spans.data(), half, Durability::Noisy);
         if (half > 0)
             env_.crashCheck(CrashSite::DuringDirectEviction);
-        env_.device.writev(spans.data() + half, spans.size() - half);
+        env_.device.writev(spans.data() + half, spans.size() - half,
+                           Durability::Noisy);
 
         Cycle proc = issue;
         Cycle done = issue;
         for (const WpqEntry &write : sc.data_writes) {
             proc += env_.params.controller_block_cycles;
-            done = std::max(done, env_.device.accessOne(write.addr,
-                                                        true, proc));
+            done = std::max(done, env_.device.timing().accessOne(
+                                      write.addr, true, proc));
         }
         ctx.t = done;
         return;

@@ -126,8 +126,8 @@ PathLoader::run(AccessContext &ctx)
             for (unsigned s = 0; s < geo.bucket_slots; ++s) {
                 const unsigned i = count;
                 const Addr slot_addr = slot_addrs_[i];
-                const Cycle rd = env_.device.accessOne(slot_addr, false,
-                                                       start);
+                const Cycle rd = env_.device.timing().accessOne(
+                    slot_addr, false, start);
                 proc = std::max(rd, proc) +
                        env_.params.controller_block_cycles;
 
@@ -164,8 +164,8 @@ PathLoader::run(AccessContext &ctx)
                     env_.device.readBytes(slot_addr, raw.data(),
                                           kSlotBytes);
                 }
-                const Cycle rd = env_.device.accessOne(slot_addr, false,
-                                                       start);
+                const Cycle rd = env_.device.timing().accessOne(
+                    slot_addr, false, start);
                 proc = std::max(rd, proc) +
                        env_.params.controller_block_cycles;
 

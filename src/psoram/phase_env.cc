@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "nvm/device.hh"
+#include "nvm/timing.hh"
 
 namespace psoram {
 

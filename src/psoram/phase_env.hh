@@ -33,8 +33,6 @@
 
 namespace psoram {
 
-class NvmDevice;
-
 /** Protocol statistics the phases maintain (owned by the controller). */
 struct ProtocolCounters
 {
@@ -89,8 +87,8 @@ struct PhaseEnv
     ShadowStashRegion *shadow_pom = nullptr;
     PersistentPosMap *pom_pos_region = nullptr;
     Drainer *drainer = nullptr;
-    /** On-chip NVM buffer (FullNVM designs). */
-    NvmDevice *onchip = nullptr;
+    /** On-chip NVM buffer timing (FullNVM designs). */
+    NvmTiming *onchip = nullptr;
     /** @} */
 
     /** @{ Controller callbacks (empty-safe). */

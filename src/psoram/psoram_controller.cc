@@ -114,9 +114,9 @@ PsOramController::PsOramController(const PsOramParams &params,
         const NvmTimingParams tech =
             params_.design.stash_tech == StashTech::PCM ? pcmTimings()
                                                         : sttramTimings();
-        // On-chip buffer: one channel, a few banks, small capacity.
-        onchip_ = std::make_unique<NvmDevice>(
-            tech, 1, params_.onchip_banks, 16ULL << 20);
+        // On-chip buffer: one channel, a few banks.
+        onchip_ = std::make_unique<NvmTiming>(tech, 1,
+                                              params_.onchip_banks);
     }
 
     // Wire the phase components over the assembled subsystems.
@@ -431,8 +431,8 @@ TrafficCounts
 PsOramController::traffic() const
 {
     TrafficCounts counts;
-    counts.reads = device_.totalReads();
-    counts.writes = device_.totalWrites();
+    counts.reads = device_.timing().totalReads();
+    counts.writes = device_.timing().totalWrites();
     if (onchip_)
         counts.writes += onchip_->totalWrites();
     return counts;

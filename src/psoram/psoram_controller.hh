@@ -44,7 +44,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/backend.hh"
-#include "nvm/device.hh"
+#include "nvm/timing.hh"
 #include "oram/block.hh"
 #include "oram/controller.hh"
 #include "oram/integrity.hh"
@@ -180,7 +180,6 @@ class PsOramController
         return integrity_.get();
     }
     const PosMapTreeLevel *pomLevel() const { return pom_.get(); }
-    NvmDevice *onChipDevice() { return onchip_.get(); }
 
     std::uint64_t accessCount() const { return accesses_.value(); }
     std::uint64_t stashHits() const
@@ -287,8 +286,9 @@ class PsOramController
     std::unique_ptr<Drainer> drainer_;
     /** Authenticated records + Merkle tree (params.integrity != Off). */
     std::unique_ptr<IntegrityManager> integrity_;
-    /** On-chip NVM buffer for FullNVM stash/PosMap. */
-    std::unique_ptr<NvmDevice> onchip_;
+    /** On-chip NVM buffer for the FullNVM stash/PosMap: timing only,
+     *  the stash contents live in stash_. */
+    std::unique_ptr<NvmTiming> onchip_;
 
     CrashPolicy *crash_policy_ = nullptr;
     PathObserver observer_;

@@ -43,7 +43,7 @@ RecoveryManager::recover(std::unique_ptr<PsOramController> crashed,
     if (onchip_nv)
         nv_state = crashed->exportOnChipNvState();
 
-    const std::uint64_t reads_before = device.totalReads();
+    const std::uint64_t reads_before = device.timing().totalReads();
     std::unique_ptr<PsOramController> recovered;
     {
         PSORAM_TRACE_SCOPE("recovery", "image_reload", 0);
@@ -64,7 +64,7 @@ RecoveryManager::recover(std::unique_ptr<PsOramController> crashed,
         recovered->importOnChipNvState(nv_state);
 
     if (report) {
-        report->nvm_reads = device.totalReads() - reads_before;
+        report->nvm_reads = device.timing().totalReads() - reads_before;
         report->stash_restored = recovered->stash().size();
         if (recovered->pomLevel())
             report->pom_stash_restored =

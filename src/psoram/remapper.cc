@@ -44,7 +44,7 @@ Remapper::run(AccessContext &ctx)
     Cycle read_chain = ctx.t;
     const auto read_hook = [&](Addr a) {
         read_chain = std::max(
-            env_.device.accessOne(a, false, ctx.t),
+            env_.device.timing().accessOne(a, false, ctx.t),
             read_chain + env_.params.controller_block_cycles);
     };
     const std::uint32_t new_word =
@@ -82,8 +82,8 @@ Remapper::run(AccessContext &ctx)
         for (const auto &write : outcome.writes) {
             env_.device.writeBytes(write.addr, write.data.data(),
                                    write.data.size());
-            wdone = std::max(
-                wdone, env_.device.accessOne(write.addr, true, ctx.t));
+            wdone = std::max(wdone, env_.device.timing().accessOne(
+                                        write.addr, true, ctx.t));
         }
         ctx.t = wdone;
     }

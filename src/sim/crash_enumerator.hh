@@ -4,8 +4,8 @@
  *
  * For a fixed (config, trace) pair the persist-boundary sequence is
  * deterministic: every WPQ round start/commit, every drained or direct
- * functional write, and every image checkpoint fires in the same order
- * on every run. The enumerator exploits this:
+ * functional write, and every disk page write and fsync fires in the
+ * same order on every run. The enumerator exploits this:
  *
  *   1. *Probe*: run the trace once with an unarmed FaultInjector and
  *      count the boundaries, B.

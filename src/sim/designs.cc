@@ -69,13 +69,13 @@ configFromOverrides(const Config &overrides, DesignKind design)
     const std::string backend = overrides.getString("backend", "memory");
     if (backend == "memory")
         config.backend = BackendKind::Memory;
-    else if (backend == "file")
-        config.backend = BackendKind::File;
     else if (backend == "disk")
         config.backend = BackendKind::Disk;
+    else if (backend == "file")
+        PSORAM_FATAL("backend=file is gone: use backend=disk (a disk "
+                     "tree whose cachepages covers the tree is in core)");
     else
-        PSORAM_FATAL("unknown backend '", backend,
-                     "' (memory|file|disk)");
+        PSORAM_FATAL("unknown backend '", backend, "' (memory|disk)");
     config.backing_file = overrides.getString("backingfile", "");
     config.disk_cache_pages = static_cast<std::size_t>(
         overrides.getUint("cachepages", config.disk_cache_pages));

@@ -71,9 +71,9 @@ runWorkloadNoOram(const SystemConfig &config,
                   const WorkloadSpec &workload,
                   const GeneratorParams &gen)
 {
-    // A plain NVM main memory with the same device model.
-    NvmDevice device(timingsFor(config.main_tech), config.channels,
-                     config.banks_per_channel, 8ULL << 30);
+    // A plain NVM main memory with the same timing model.
+    NvmTiming timing(timingsFor(config.main_tech), config.channels,
+                     config.banks_per_channel);
 
     GeneratorParams gen_params = gen;
     SyntheticTrace trace(workload, gen_params);
@@ -83,7 +83,7 @@ runWorkloadNoOram(const SystemConfig &config,
     Cycle now = 0;
     const MemRequestHandler handler =
         [&](const MemRequest &request) -> CpuCycle {
-        const Cycle done = device.accessOne(request.line * 64,
+        const Cycle done = timing.accessOne(request.line * 64,
                                             request.is_write, now);
         const Cycle latency = done > now ? done - now : 0;
         now = done;
@@ -94,8 +94,8 @@ runWorkloadNoOram(const SystemConfig &config,
     result.workload = workload.name;
     result.design = "No-ORAM";
     result.core = core.run(trace, handler);
-    result.traffic.reads = device.totalReads();
-    result.traffic.writes = device.totalWrites();
+    result.traffic.reads = timing.totalReads();
+    result.traffic.writes = timing.totalWrites();
     return result;
 }
 

@@ -3,7 +3,6 @@
 #include "common/bitops.hh"
 #include "common/log.hh"
 #include "nvm/device.hh"
-#include "nvm/file_backed.hh"
 #include "nvm/paged_disk.hh"
 #include "psoram/recovery.hh"
 
@@ -26,8 +25,6 @@ backendName(BackendKind kind)
     switch (kind) {
       case BackendKind::Memory:
         return "memory";
-      case BackendKind::File:
-        return "file";
       case BackendKind::Disk:
         return "disk";
     }
@@ -179,7 +176,7 @@ buildSystem(const SystemConfig &config)
                FlightRecorder::regionBytes(
                    system.params.flight_recorder_records);
     const std::uint64_t capacity = alignUp(last) + (1ULL << 20);
-    switch (config.effectiveBackend()) {
+    switch (config.backend) {
       case BackendKind::Disk: {
         if (config.backing_file.empty())
             PSORAM_FATAL("backend=disk needs a backing_file path");
@@ -192,12 +189,11 @@ buildSystem(const SystemConfig &config)
             config.banks_per_channel, capacity, std::move(disk));
         break;
       }
-      case BackendKind::File:
-        system.device = std::make_unique<FileBackedNvm>(
-            timingsFor(config.main_tech), config.channels,
-            config.banks_per_channel, capacity, config.backing_file);
-        break;
       case BackendKind::Memory:
+        if (!config.backing_file.empty())
+            PSORAM_FATAL("backing_file '", config.backing_file,
+                         "' needs backend=disk (the memory backend "
+                         "keeps no file)");
         system.device = std::make_unique<NvmDevice>(
             timingsFor(config.main_tech), config.channels,
             config.banks_per_channel, capacity);

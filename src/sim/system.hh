@@ -27,9 +27,8 @@ enum class BackendKind
 {
     /** In-memory NvmDevice (the default golden-digest model). */
     Memory,
-    /** FileBackedNvm: in-memory model, image persisted at checkpoints. */
-    File,
-    /** PagedDiskBackend: out-of-core page-cached tree on a real file. */
+    /** PagedDiskBackend: the tree in a real file behind a page cache
+     *  (in core when disk_cache_pages covers the tree). */
     Disk,
 };
 
@@ -78,7 +77,7 @@ struct SystemConfig
     /**
      * Persistent flight recorder ("black box", nvm/flight_recorder.hh):
      * reserve a CRC-stamped event ring at the end of the NVM layout and
-     * wire it through the drainer and the file-image checkpoints. Off
+     * wire it through the drainer and the disk checkpoints. Off
      * by default: the ring appends are quiet writes, which the golden
      * traffic digests DO count — every byte-pinned configuration runs
      * without it. The reserved region is
@@ -96,34 +95,18 @@ struct SystemConfig
      */
     bool disable_backup_blocks = false;
 
-    /**
-     * Storage backend. For back-compat, Memory (the default) combined
-     * with a non-empty backing_file still builds FileBackedNvm, exactly
-     * as before the flag existed; Disk requires a backing_file.
-     */
+    /** Storage backend. Disk requires a backing_file; Memory refuses
+     *  one. */
     BackendKind backend = BackendKind::Memory;
 
-    /**
-     * Non-empty: back the NVM image with this file (FileBackedNvm), so
-     * the persistent state survives process restarts — or, with
-     * backend == Disk, the paged on-disk tree itself. Empty: in-memory
-     * NvmDevice.
-     */
+    /** The paged disk tree's file (backend == Disk only): the
+     *  persistent state survives process restarts in it. */
     std::string backing_file;
 
     /** @{ PagedDiskBackend tuning (backend == Disk only). */
     std::size_t disk_cache_pages = 1024;
     std::size_t disk_pinned_pages = 64;
     /** @} */
-
-    /** The backend buildSystem will actually construct, with the
-     *  Memory+backing_file → File inference applied. */
-    BackendKind effectiveBackend() const
-    {
-        if (backend == BackendKind::Memory && !backing_file.empty())
-            return BackendKind::File;
-        return backend;
-    }
 };
 
 /** A wired device + controller pair. */
@@ -141,9 +124,9 @@ struct System
     PsOramParams params;
     /**
      * Black box + recovery stats. Declared BEFORE the device: members
-     * destroy in reverse order, so the recorder outlives the backend's
-     * destructor-time image persist (which stamps a final checkpoint
-     * marker through its raw recorder pointer). Null when
+     * destroy in reverse order, so the recorder outlives the disk
+     * backend's destructor-time persistBarrier (which stamps a final
+     * checkpoint marker through its raw recorder pointer). Null when
      * config.flight_recorder is off (recovery_stats always exists).
      */
     std::unique_ptr<FlightRecorder> flight_recorder;
@@ -170,8 +153,8 @@ struct System
 
     /**
      * Wire @p injector through the whole persist path: the device's
-     * functional writes, the controller's WPQ start/end signals, and —
-     * when file-backed — the image checkpoints. Null detaches.
+     * functional writes (and, on disk, its page writes and fsyncs) and
+     * the controller's WPQ start/end signals. Null detaches.
      */
     void attachFaultInjector(FaultInjector *injector);
 };

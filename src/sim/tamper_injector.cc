@@ -60,29 +60,33 @@ TamperInjector::apply(TamperKind kind, BucketId bucket, unsigned slot)
     case TamperKind::FlipCipherByte:
         device_.readBytes(record_addr, buf.data(), record_bytes);
         buf[0] ^= 0x01;
-        device_.writeBytesQuiet(record_addr, buf.data(), record_bytes);
+        device_.writeBytes(record_addr, buf.data(), record_bytes,
+                           Durability::Quiet);
         return record_addr;
     case TamperKind::FlipTagByte:
         device_.readBytes(record_addr, buf.data(), record_bytes);
         buf[kRecordTagOffset] ^= 0x01;
-        device_.writeBytesQuiet(record_addr, buf.data(), record_bytes);
+        device_.writeBytes(record_addr, buf.data(), record_bytes,
+                           Durability::Quiet);
         return record_addr;
     case TamperKind::TruncateTag:
         device_.readBytes(record_addr, buf.data(), record_bytes);
         std::memset(buf.data() + kRecordTagOffset + Gcm::kTagBytes / 2,
                     0, Gcm::kTagBytes / 2);
-        device_.writeBytesQuiet(record_addr, buf.data(), record_bytes);
+        device_.writeBytes(record_addr, buf.data(), record_bytes,
+                           Durability::Quiet);
         return record_addr;
     case TamperKind::ReplayRecord:
         if (!have_snapshot_)
             PSORAM_PANIC("ReplayRecord tamper without a prior "
                          "snapshotRecord()");
-        device_.writeBytesQuiet(snapshot_addr_, snapshot_.data(),
-                                snapshot_.size());
+        device_.writeBytes(snapshot_addr_, snapshot_.data(),
+                           snapshot_.size(), Durability::Quiet);
         return snapshot_addr_;
     case TamperKind::WipeRecord:
         std::fill(buf.begin(), buf.end(), std::uint8_t{0});
-        device_.writeBytesQuiet(record_addr, buf.data(), record_bytes);
+        device_.writeBytes(record_addr, buf.data(), record_bytes,
+                           Durability::Quiet);
         return record_addr;
     case TamperKind::FlipMerkleNode: {
         const Addr node_addr =
@@ -91,7 +95,8 @@ TamperInjector::apply(TamperKind kind, BucketId bucket, unsigned slot)
         std::uint8_t hash[IntegrityManager::kHashBytes];
         device_.readBytes(node_addr, hash, sizeof(hash));
         hash[0] ^= 0x01;
-        device_.writeBytesQuiet(node_addr, hash, sizeof(hash));
+        device_.writeBytes(node_addr, hash, sizeof(hash),
+                           Durability::Quiet);
         return node_addr;
     }
     case TamperKind::FlipRootRecord: {
@@ -99,7 +104,8 @@ TamperInjector::apply(TamperKind kind, BucketId bucket, unsigned slot)
         device_.readBytes(root_record_base_, root, sizeof(root));
         // Hit the Merkle-root field: the most load-bearing bytes.
         root[32] ^= 0x01;
-        device_.writeBytesQuiet(root_record_base_, root, sizeof(root));
+        device_.writeBytes(root_record_base_, root, sizeof(root),
+                           Durability::Quiet);
         return root_record_base_;
     }
     }

@@ -111,8 +111,10 @@ TEST(OramEngine, CoalescedRunCostsOnePhysicalAccess)
     System twin = buildSystem(engineConfig());
     std::uint8_t buf[kBlockDataBytes];
     twin.controller->read(11, buf);
-    EXPECT_EQ(system.device->totalReads(), twin.device->totalReads());
-    EXPECT_EQ(system.device->totalWrites(), twin.device->totalWrites());
+    EXPECT_EQ(system.device->timing().totalReads(),
+              twin.device->timing().totalReads());
+    EXPECT_EQ(system.device->timing().totalWrites(),
+              twin.device->timing().totalWrites());
 }
 
 TEST(OramEngine, CoalescingOffIssuesEveryAccess)

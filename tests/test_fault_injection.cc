@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/crash_enumerator.hh"
 
 namespace psoram {
@@ -73,6 +75,17 @@ struct EnumCase
     std::size_t wpq;
     const char *name;
 };
+
+/**
+ * Print a case by name. gtest's default byte dump would include the
+ * name pointer, so the listed test names (and the ctest names
+ * discovered from them) would change from build to build.
+ */
+void
+PrintTo(const EnumCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class ExhaustiveCrashPoints : public ::testing::TestWithParam<EnumCase>
 {

@@ -28,12 +28,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "nvm/file_backed.hh"
+#include "nvm/paged_disk.hh"
 #include "oram/block.hh"
 #include "oram/integrity.hh"
 #include "sim/crash_enumerator.hh"
@@ -611,7 +612,7 @@ tmpTree(const std::string &name)
 
 /**
  * Sampled enumeration with a fresh backing file per replay: each armed
- * replay rebuilds the System, and a file/disk backend would otherwise
+ * replay rebuilds the System, and a disk backend would otherwise
  * reopen the previous replay's tree.
  */
 void
@@ -651,12 +652,24 @@ runSampledEnum(CrashEnumConfig config, const std::string &path,
     std::remove(path.c_str());
 }
 
+/** Page-cache budget that holds every page of these small trees. */
+constexpr std::size_t kInCorePages = 4096;
+
+/** A file-backed system: a paged disk tree that stays in core. */
+void
+fileBacked(SystemConfig &config, const std::string &path)
+{
+    config.backend = BackendKind::Disk;
+    config.backing_file = path;
+    config.disk_cache_pages = kInCorePages;
+}
+
 TEST(IntegrityCrashEnum, FileBackedTreeModeSampledBoundaries)
 {
     const std::string path = tmpTree("integrity_file_enum.img");
     CrashEnumConfig config;
     config.system = integrityConfig(IntegrityMode::Tree);
-    config.system.backing_file = path; // Memory + file => FileBackedNvm
+    fileBacked(config.system, path);
     config.system.wpq_entries = 8;
     config.trace = makeCrashTrace(/*seed=*/5, /*ops=*/8,
                                   config.system.num_blocks);
@@ -683,12 +696,28 @@ TEST(IntegrityCrashEnum, DiskTreeModeSampledBoundaries)
 /* Sharded deployments killed mid-WPQ, integrity=tree.                */
 /* ------------------------------------------------------------------ */
 
-FileBackedNvm *
+/** The shard's disk tree, asserted to be in core. */
+PagedDiskBackend *
 fileNvm(System &system)
 {
-    auto *nvm = dynamic_cast<FileBackedNvm *>(system.device.get());
+    auto *nvm = dynamic_cast<PagedDiskBackend *>(system.device.get());
     EXPECT_NE(nvm, nullptr);
+    if (nvm != nullptr) {
+        EXPECT_LE(nvm->numPages(), nvm->config().cache_pages)
+            << "cache smaller than the tree: not in core";
+    }
     return nvm;
+}
+
+/** Bytes of page records in the tree file @p path (0 when missing). */
+std::uintmax_t
+treeFilePageBytes(const std::string &path)
+{
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec || size < PagedDiskBackend::kHeaderBytes)
+        return 0;
+    return size - PagedDiskBackend::kHeaderBytes;
 }
 
 void
@@ -701,7 +730,7 @@ runShardedIntegrityKill(unsigned num_shards)
     config.base.tree_height = 5;
     config.base.num_blocks = 48;
     config.base.seed = 31;
-    config.base.backing_file = backing;
+    fileBacked(config.base, backing);
     config.sharding.num_shards = num_shards;
 
     constexpr BlockAddr kBlocks = 48;
@@ -747,7 +776,7 @@ runShardedIntegrityKill(unsigned num_shards)
 
         for (unsigned k = 0; k < num_shards; ++k) {
             system.controller(k).powerFailureFlush();
-            ASSERT_TRUE(fileNvm(system.shards[k])->persist());
+            fileNvm(system.shards[k])->persistBarrier();
         }
     }
 
@@ -755,11 +784,17 @@ runShardedIntegrityKill(unsigned num_shards)
     // integrity recovery must accept its committed prefix (the victim
     // included — a torn round never committed a root record) and the
     // verified reads must hold the crash guarantee.
+    for (unsigned k = 0; k < num_shards; ++k) {
+        const std::string file = num_shards == 1
+            ? backing
+            : backing + ".shard" + std::to_string(k);
+        EXPECT_GT(treeFilePageBytes(file), 0u)
+            << "shard " << k << " image missing";
+    }
     {
         ShardedSystem system = buildShardedSystem(config);
         for (unsigned k = 0; k < num_shards; ++k) {
-            EXPECT_GT(fileNvm(system.shards[k])->linesLoaded(), 0u)
-                << "shard " << k << " image missing";
+            fileNvm(system.shards[k]);
             const auto outcome = integrityOutcome(
                 [&] { system.controller(k).recoverFromNvm(); });
             ASSERT_FALSE(outcome.has_value())
@@ -795,10 +830,9 @@ runShardedIntegrityKill(unsigned num_shards)
             EXPECT_EQ(payloadVersion(buf), version)
                 << "post-recovery shard " << slot.shard << " broken";
         }
-
-        for (unsigned k = 0; k < num_shards; ++k)
-            fileNvm(system.shards[k])->discardBackingFile();
     }
+    tmpTree("integrity_sharded_" + std::to_string(num_shards) +
+            ".img"); // scrubs the trees
 }
 
 TEST(IntegrityShardedCrash, OneShardKillRecoversVerified)

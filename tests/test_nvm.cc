@@ -135,18 +135,18 @@ TEST(Device, PartialLineWritePreservesNeighbors)
 TEST(Device, AccessCountsTraffic)
 {
     NvmDevice device(pcmTimings(), 1, 8, 1 << 20);
-    device.accessOne(0, false, 0);
-    device.accessOne(64, false, 0);
-    device.accessOne(128, true, 0);
-    EXPECT_EQ(device.totalReads(), 2u);
-    EXPECT_EQ(device.totalWrites(), 1u);
+    device.timing().accessOne(0, false, 0);
+    device.timing().accessOne(64, false, 0);
+    device.timing().accessOne(128, true, 0);
+    EXPECT_EQ(device.timing().totalReads(), 2u);
+    EXPECT_EQ(device.timing().totalWrites(), 1u);
 }
 
 TEST(Device, MultiLineAccessCountsPerLine)
 {
     NvmDevice device(pcmTimings(), 1, 8, 1 << 20);
-    device.access(0, 256, true, 0); // 4 lines
-    EXPECT_EQ(device.totalWrites(), 4u);
+    device.timing().access(0, 256, true, 0); // 4 lines
+    EXPECT_EQ(device.timing().totalWrites(), 4u);
 }
 
 TEST(Device, MoreChannelsFinishSooner)
@@ -155,8 +155,8 @@ TEST(Device, MoreChannelsFinishSooner)
         NvmDevice device(pcmTimings(), channels, 8, 1 << 24);
         Cycle last = 0;
         for (Addr line = 0; line < 96; ++line)
-            last = std::max(last,
-                            device.accessOne(line * 64, false, 0));
+            last = std::max(last, device.timing().accessOne(line * 64,
+                                                            false, 0));
         return last;
     };
     const Cycle one = run(1);
@@ -183,7 +183,7 @@ TEST(Device, SnapshotRestoreRoundTrip)
     NvmDevice device(pcmTimings(), 1, 8, 1 << 20);
     const std::uint8_t v1 = 0xAB;
     device.writeBytes(100, &v1, 1);
-    const NvmDevice::Image snapshot = device.image();
+    const MemoryImage snapshot = device.image();
 
     const std::uint8_t v2 = 0xCD;
     device.writeBytes(100, &v2, 1);
@@ -226,9 +226,9 @@ TEST(Device, ResetStatsClearsCountersAndWear)
     NvmDevice device(pcmTimings(), 1, 8, 1 << 20);
     std::uint8_t byte = 1;
     device.writeBytes(0, &byte, 1);
-    device.accessOne(0, true, 0);
+    device.timing().accessOne(0, true, 0);
     device.resetStats();
-    EXPECT_EQ(device.totalWrites(), 0u);
+    EXPECT_EQ(device.timing().totalWrites(), 0u);
     EXPECT_EQ(device.distinctLinesWritten(), 0u);
 }
 

@@ -77,14 +77,16 @@ TEST(PagedDisk, MatchesInMemoryModelOnMixedTraffic)
         const auto &bytes = payloads.back();
         if (i % 3 == 0) {
             const WriteSpan span{addr, bytes.data(), bytes.size()};
-            disk.writev(&span, 1);
-            reference.writev(&span, 1);
+            disk.writev(&span, 1, Durability::Noisy);
+            reference.writev(&span, 1, Durability::Noisy);
         } else if (i % 3 == 1) {
             disk.writeBytes(addr, bytes.data(), bytes.size());
             reference.writeBytes(addr, bytes.data(), bytes.size());
         } else {
-            disk.writeBytesQuiet(addr, bytes.data(), bytes.size());
-            reference.writeBytesQuiet(addr, bytes.data(), bytes.size());
+            disk.writeBytes(addr, bytes.data(), bytes.size(),
+                            Durability::Quiet);
+            reference.writeBytes(addr, bytes.data(), bytes.size(),
+                                 Durability::Quiet);
         }
     }
 
@@ -129,7 +131,7 @@ TEST(PagedDisk, DropVolatileLosesUnbarrieredQuietWrites)
     const auto payload = pattern(96, 11);
 
     // Quiet write-back without a barrier: cache-only, a crash loses it.
-    disk.writeBytesQuiet(2048, payload.data(), payload.size());
+    disk.writeBytes(2048, payload.data(), payload.size(), Durability::Quiet);
     disk.dropVolatile();
     std::vector<std::uint8_t> got(96);
     disk.readBytes(2048, got.data(), got.size());
@@ -137,7 +139,7 @@ TEST(PagedDisk, DropVolatileLosesUnbarrieredQuietWrites)
         << "unbarriered quiet write must not survive the crash model";
 
     // Quiet write + persistBarrier: durable.
-    disk.writeBytesQuiet(2048, payload.data(), payload.size());
+    disk.writeBytes(2048, payload.data(), payload.size(), Durability::Quiet);
     disk.persistBarrier();
     disk.dropVolatile();
     disk.readBytes(2048, got.data(), got.size());
@@ -147,6 +149,34 @@ TEST(PagedDisk, DropVolatileLosesUnbarrieredQuietWrites)
     const auto noisy = pattern(96, 12);
     disk.writeBytes(4096 * 3, noisy.data(), noisy.size());
     disk.dropVolatile();
+    disk.readBytes(4096 * 3, got.data(), got.size());
+    EXPECT_EQ(got, noisy);
+    std::remove(path.c_str());
+}
+
+TEST(PagedDisk, NoisyWriteCarriesQuietWriteBack)
+{
+    const std::string path = tmpTree("paged_disk_carry.tree");
+    PagedDiskBackend disk(pcmTimings(), 1, 8, kCapacity,
+                          diskConfig(path));
+    FaultInjector injector;
+    disk.setFaultInjector(&injector);
+    const auto quiet = pattern(96, 31);
+    const auto noisy = pattern(96, 32);
+
+    // A quiet page reaches the file with the next noisy write's flush,
+    // without a boundary of its own: one DirectWrite, one PageWrite
+    // (the noisy page), one Sync.
+    disk.writeBytes(2048, quiet.data(), quiet.size(), Durability::Quiet);
+    disk.writeBytes(4096 * 3, noisy.data(), noisy.size());
+    EXPECT_EQ(injector.boundariesSeen(), 3u);
+    EXPECT_EQ(injector.kindCount(PersistBoundary::PageWrite), 1u);
+    disk.setFaultInjector(nullptr);
+
+    disk.dropVolatile();
+    std::vector<std::uint8_t> got(96);
+    disk.readBytes(2048, got.data(), got.size());
+    EXPECT_EQ(got, quiet);
     disk.readBytes(4096 * 3, got.data(), got.size());
     EXPECT_EQ(got, noisy);
     std::remove(path.c_str());
@@ -164,8 +194,8 @@ TEST(PagedDisk, EvictionWritesBackDirtyPages)
     // but eviction write-back can make them durable).
     const auto payload = pattern(64, 21);
     for (std::uint64_t page = 0; page < 64; ++page)
-        disk.writeBytesQuiet(page * PagedDiskBackend::kPageBytes,
-                             payload.data(), payload.size());
+        disk.writeBytes(page * PagedDiskBackend::kPageBytes,
+                        payload.data(), payload.size(), Durability::Quiet);
     const PagedDiskBackend::IoStats io = disk.ioStats();
     EXPECT_GT(io.cache_evictions, 0u);
     EXPECT_LE(disk.residentPages(), 5u);
@@ -214,7 +244,7 @@ TEST(PagedDisk, ImageSnapshotRestoreRoundtrips)
     const auto p1 = pattern(96, 31);
     const auto p2 = pattern(96, 32);
     a.writeBytes(100, p1.data(), p1.size());
-    a.writeBytesQuiet(40000, p2.data(), p2.size());
+    a.writeBytes(40000, p2.data(), p2.size(), Durability::Quiet);
 
     const MemoryImage img = a.image();
     PagedDiskBackend b(pcmTimings(), 1, 8, kCapacity, diskConfig(path_b));
@@ -290,7 +320,8 @@ TEST(PagedDisk, InjectedCrashMidPageWriteLeavesDetectableTorn)
         // PageWrite mid-pwrite (2), Sync (3). Arm the PageWrite.
         injector.armAt(2);
         const WriteSpan span{0, payload.data(), payload.size()};
-        EXPECT_THROW(disk.writev(&span, 1), InjectedFault);
+        EXPECT_THROW(disk.writev(&span, 1, Durability::Noisy),
+                     InjectedFault);
         EXPECT_EQ(injector.firedKind(), PersistBoundary::PageWrite);
         disk.dropVolatile(); // power gone: the cached copy is lost
     }
@@ -349,8 +380,8 @@ TEST(PagedDisk, ConcurrentReadsAndQuietWritesAreSafe)
     PagedDiskBackend disk(pcmTimings(), 1, 8, kCapacity, config);
     const auto payload = pattern(96, 71);
     for (std::uint64_t page = 0; page < 32; ++page)
-        disk.writeBytesQuiet(page * PagedDiskBackend::kPageBytes,
-                             payload.data(), payload.size());
+        disk.writeBytes(page * PagedDiskBackend::kPageBytes,
+                        payload.data(), payload.size(), Durability::Quiet);
 
     std::vector<std::thread> threads;
     for (int t = 0; t < 3; ++t) {
@@ -375,10 +406,10 @@ TEST(PagedDisk, ConcurrentReadsAndQuietWritesAreSafe)
     }
     threads.emplace_back([&disk, &payload] {
         for (int i = 0; i < 100; ++i)
-            disk.writeBytesQuiet(
+            disk.writeBytes(
                 (static_cast<std::uint64_t>(i) % 32) *
                     PagedDiskBackend::kPageBytes,
-                payload.data(), payload.size());
+                payload.data(), payload.size(), Durability::Quiet);
         disk.persistBarrier();
     });
     for (std::thread &thread : threads)

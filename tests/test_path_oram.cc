@@ -162,10 +162,11 @@ TEST(PathOram, StashHitSkipsMemory)
         oram.write(addr, buf);
         if (!oram.stash().find(addr))
             continue;
-        const std::uint64_t reads_before = device.totalReads();
+        const std::uint64_t reads_before =
+            device.timing().totalReads();
         const OramAccessInfo info = oram.read(addr, buf);
         EXPECT_TRUE(info.stash_hit);
-        EXPECT_EQ(device.totalReads(), reads_before);
+        EXPECT_EQ(device.timing().totalReads(), reads_before);
         EXPECT_GE(oram.stashHits(), 1u);
         return;
     }
@@ -188,10 +189,10 @@ TEST(PathOram, PathAccessTrafficIsConstant)
         if (oram.stash().find(addr))
             continue; // stash hit: no memory traffic by design
         oram.write(addr, buf);
-        EXPECT_EQ(device.totalReads() - last_reads, per_path);
-        EXPECT_EQ(device.totalWrites() - last_writes, per_path);
-        last_reads = device.totalReads();
-        last_writes = device.totalWrites();
+        EXPECT_EQ(device.timing().totalReads() - last_reads, per_path);
+        EXPECT_EQ(device.timing().totalWrites() - last_writes, per_path);
+        last_reads = device.timing().totalReads();
+        last_writes = device.timing().totalWrites();
     }
 }
 

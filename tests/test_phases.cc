@@ -198,7 +198,7 @@ TEST(EvictorPhase, EveryPathSlotIsRewrittenObliviously)
     // per slot (obliviousness — the adversary learns nothing from which
     // slots change).
     const TreeGeometry &geo = rig.params.data_layout.geometry;
-    EXPECT_GE(rig.device.totalWrites(), geo.blocksPerPath());
+    EXPECT_GE(rig.device.timing().totalWrites(), geo.blocksPerPath());
 }
 
 TEST(EvictorPhase, NonPersistentDesignWritesBackDirectly)
@@ -219,7 +219,7 @@ TEST(EvictorPhase, NonPersistentDesignWritesBackDirectly)
 
     // Greedy write-back without any WPQ bracket.
     EXPECT_EQ(rig.stash.find(2), nullptr);
-    EXPECT_GT(rig.device.totalWrites(), 0u);
+    EXPECT_GT(rig.device.timing().totalWrites(), 0u);
 }
 
 } // namespace

@@ -253,8 +253,8 @@ TEST(FlightRecorder, TornTailIsSkippedAndRecoveryStillPasses)
         (tail_seq % rec.numRecords()) * FlightRecorder::kRecordBytes;
     const std::uint8_t garbage[8] = {0xde, 0xad, 0xbe, 0xef,
                                      0xde, 0xad, 0xbe, 0xef};
-    system.device->writeBytesQuiet(tail_slot + 16, garbage,
-                                   sizeof(garbage));
+    system.device->writeBytes(tail_slot + 16, garbage,
+                                   sizeof(garbage), Durability::Quiet);
 
     const FlightRecorder::Decoded torn = rec.decode(*system.device);
     ASSERT_TRUE(torn.header_valid);
@@ -279,7 +279,10 @@ TEST(FlightRecorder, SequenceResumesAcrossFileBackedReopen)
     std::remove(path.c_str());
     SystemConfig config = smallConfig();
     config.flight_recorder = true;
+    // File-backed: a disk tree whose page cache holds the whole tree.
+    config.backend = BackendKind::Disk;
     config.backing_file = path;
+    config.disk_cache_pages = 4096;
 
     std::uint64_t first_run_seq = 0;
     {
@@ -289,7 +292,7 @@ TEST(FlightRecorder, SequenceResumesAcrossFileBackedReopen)
         driveTrace(system, oracle, 24);
         first_run_seq = system.flight_recorder->nextSeq();
         EXPECT_GT(first_run_seq, 0u);
-    } // destructor persists the image, stamping a Checkpoint marker
+    } // the destructor's persistBarrier stamps a Checkpoint marker
 
     {
         System reopened = buildSystem(config);
@@ -304,6 +307,32 @@ TEST(FlightRecorder, SequenceResumesAcrossFileBackedReopen)
         for (const FlightEvent &ev : box.events)
             saw_checkpoint |= ev.kind == FlightEventKind::Checkpoint;
         EXPECT_TRUE(saw_checkpoint);
+    }
+    std::remove(path.c_str());
+}
+
+/** On the disk backend the ring is write-back; it reaches the file
+ *  with the protocol's noisy flushes, so a crash keeps it. */
+TEST(FlightRecorder, RingSurvivesDiskCrash)
+{
+    const std::string path =
+        ::testing::TempDir() + "flight_disk_crash.tree";
+    std::remove(path.c_str());
+    SystemConfig config = smallConfig();
+    config.flight_recorder = true;
+    config.backend = BackendKind::Disk;
+    config.backing_file = path;
+    {
+        System system = buildSystem(config);
+        RecoveryOracle oracle;
+        wireOracle(system, oracle);
+        driveTrace(system, oracle, 24);
+
+        system.recoverController(); // drops the page cache first
+        EXPECT_EQ(checkRecoveryInvariants(system, oracle),
+                  std::vector<std::string>{});
+        EXPECT_GT(system.recovery_stats->blackbox_events.value(), 0u);
+        EXPECT_EQ(system.recovery_stats->blackbox_torn.value(), 0u);
     }
     std::remove(path.c_str());
 }
@@ -353,7 +382,8 @@ class RegionDigestBackend final : public MemoryBackend
 {
   public:
     RegionDigestBackend(MemoryBackend &inner, Addr limit)
-        : inner_(inner), limit_(limit)
+        : MemoryBackend(inner.timing(), inner.capacity()), inner_(inner),
+          limit_(limit)
     {
     }
 
@@ -367,50 +397,19 @@ class RegionDigestBackend final : public MemoryBackend
     }
 
     void
-    writeBytes(Addr addr, const std::uint8_t *in,
-               std::size_t len) override
+    writev(const WriteSpan *spans, std::size_t n,
+           Durability durability) override
     {
-        if (addr < limit_) {
-            mixOp('W', addr, len);
-            for (std::size_t i = 0; i < len; ++i)
-                mixByte(in[i]);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (spans[i].addr >= limit_)
+                continue;
+            mixOp('W', spans[i].addr, spans[i].len);
+            for (std::size_t b = 0; b < spans[i].len; ++b)
+                mixByte(spans[i].data[b]);
         }
-        inner_.writeBytes(addr, in, len);
+        inner_.writev(spans, n, durability);
     }
 
-    Cycle
-    access(Addr addr, std::size_t len, bool is_write,
-           Cycle earliest) override
-    {
-        return inner_.access(addr, len, is_write, earliest);
-    }
-    Cycle
-    accessOne(Addr addr, bool is_write, Cycle earliest) override
-    {
-        return inner_.accessOne(addr, is_write, earliest);
-    }
-    std::uint64_t capacity() const override { return inner_.capacity(); }
-    std::uint64_t totalReads() const override
-    {
-        return inner_.totalReads();
-    }
-    std::uint64_t totalWrites() const override
-    {
-        return inner_.totalWrites();
-    }
-    std::uint64_t distinctLinesWritten() const override
-    {
-        return inner_.distinctLinesWritten();
-    }
-    std::uint64_t maxLineWrites() const override
-    {
-        return inner_.maxLineWrites();
-    }
-    double meanLineWrites() const override
-    {
-        return inner_.meanLineWrites();
-    }
-    void resetStats() override { inner_.resetStats(); }
     MemoryImage image() const override { return inner_.image(); }
     void
     restoreImage(const MemoryImage &img) override

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/random.hh"
+#include "nvm/device.hh"
 #include "oram/controller.hh"
 #include "sim/sharded_system.hh"
 #include "sim/system.hh"

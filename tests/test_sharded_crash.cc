@@ -1,8 +1,12 @@
 /**
  * @file
- * Sharded crash consistency over FileBackedNvm: the PS-ORAM
+ * Sharded crash consistency over file-backed shards: the PS-ORAM
  * crash-recovery guarantee must hold *per shard* when a multi-shard
- * deployment dies at an inconvenient moment.
+ * deployment dies at an inconvenient moment. Every shard is a paged
+ * disk tree whose page cache covers the whole tree (in core: nothing is
+ * evicted, so the file changes only at noisy write-throughs and
+ * barriers) — the in-core counterpart of the out-of-core DiskCrash*
+ * tests.
  *
  * Headline scenario (ISSUE satellite): the process is killed after
  * shard 0's eviction has fully persisted but while shard 1 is mid-WPQ
@@ -19,6 +23,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -27,7 +32,7 @@
 
 #include "common/random.hh"
 #include "nvm/fault_injector.hh"
-#include "nvm/file_backed.hh"
+#include "nvm/paged_disk.hh"
 #include "sim/crash_enumerator.hh"
 #include "sim/engine.hh"
 #include "sim/recovery_invariants.hh"
@@ -35,6 +40,18 @@
 
 namespace psoram {
 namespace {
+
+/** Page-cache budget that holds every page of these small trees. */
+constexpr std::size_t kInCorePages = 4096;
+
+/** A file-backed shard: a paged disk tree that stays in core. */
+void
+fileBacked(SystemConfig &config, const std::string &backing)
+{
+    config.backend = BackendKind::Disk;
+    config.backing_file = backing;
+    config.disk_cache_pages = kInCorePages;
+}
 
 ShardedSystemConfig
 crashConfig(const std::string &backing, unsigned shards)
@@ -45,7 +62,7 @@ crashConfig(const std::string &backing, unsigned shards)
     config.base.num_blocks = 96;
     config.base.stash_capacity = 64;
     config.base.seed = 23;
-    config.base.backing_file = backing;
+    fileBacked(config.base, backing);
     config.sharding.num_shards = shards;
     return config;
 }
@@ -93,12 +110,28 @@ struct ShardOracle
     }
 };
 
-FileBackedNvm *
+/** The shard's disk tree, asserted to be in core. */
+PagedDiskBackend *
 fileNvm(System &system)
 {
-    auto *nvm = dynamic_cast<FileBackedNvm *>(system.device.get());
+    auto *nvm = dynamic_cast<PagedDiskBackend *>(system.device.get());
     EXPECT_NE(nvm, nullptr);
+    if (nvm != nullptr) {
+        EXPECT_LE(nvm->numPages(), nvm->config().cache_pages)
+            << "cache smaller than the tree: not in core";
+    }
     return nvm;
+}
+
+/** Bytes of page records in the tree file @p path (0 when missing). */
+std::uintmax_t
+treeFilePageBytes(const std::string &path)
+{
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec || size < PagedDiskBackend::kHeaderBytes)
+        return 0;
+    return size - PagedDiskBackend::kHeaderBytes;
 }
 
 TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
@@ -131,9 +164,9 @@ TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
             oracle[slot.shard].latest[slot.local] = 1;
         }
 
-        // Shard 0: every eviction committed; ADR flush + persist.
+        // Shard 0: every eviction committed; ADR flush + barrier.
         system.controller(0).powerFailureFlush();
-        ASSERT_TRUE(fileNvm(system.shards[0])->persist());
+        fileNvm(system.shards[0])->persistBarrier();
 
         // Shard 1: arm a crash inside the WPQ bracket (entries pushed,
         // commit record not yet written) and trip it with a v2 write.
@@ -159,9 +192,9 @@ TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
         ASSERT_NE(in_flight, kDummyBlockAddr);
 
         // Power fails now: committed WPQ rounds flush, the torn tail
-        // does not; persist shard 1's image and drop every object.
+        // does not; barrier shard 1's tree and drop every object.
         system.controller(1).powerFailureFlush();
-        ASSERT_TRUE(fileNvm(system.shards[1])->persist());
+        fileNvm(system.shards[1])->persistBarrier();
     }
 
     // The scenario must be non-vacuous: the bulk of both shards' writes
@@ -177,11 +210,15 @@ TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
     }
 
     // "Process 2": rebuild both shards from their backing files alone.
+    for (unsigned k = 0; k < 2; ++k)
+        EXPECT_GT(treeFilePageBytes(backing + ".shard" +
+                                    std::to_string(k)),
+                  0u)
+            << "shard " << k << " image missing";
     {
         ShardedSystem system = buildShardedSystem(config);
         for (unsigned k = 0; k < 2; ++k) {
-            EXPECT_GT(fileNvm(system.shards[k])->linesLoaded(), 0u)
-                << "shard " << k << " image missing";
+            fileNvm(system.shards[k]);
             system.controller(k).recoverFromNvm();
         }
 
@@ -225,10 +262,9 @@ TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
             EXPECT_EQ(versionOf(buf), version)
                 << "post-recovery shard " << slot.shard << " broken";
         }
-
-        for (unsigned k = 0; k < 2; ++k)
-            fileNvm(system.shards[k])->discardBackingFile();
     }
+    for (unsigned k = 0; k < 2; ++k)
+        std::remove((backing + ".shard" + std::to_string(k)).c_str());
 }
 
 /** Per-shard backing files must not collide across shards. */
@@ -250,11 +286,12 @@ TEST(ShardedCrash, ShardBackingFilesAreDistinct)
 }
 
 /**
- * Engine-driven kill of one file-backed shard in the middle of a WPQ
- * drain: every shard runs its own OramEngine over a shared trace, the
- * victim shard's injector fires at a fixed boundary inside a drain,
- * the victim recovers, and every shard must satisfy the recovery
- * invariants and keep serving verified traffic through fresh engines.
+ * Engine-driven kill of one file-backed (in-core disk) shard in the
+ * middle of a WPQ drain: every shard runs its own OramEngine over a
+ * shared trace, the victim shard's injector fires at a fixed boundary
+ * inside a drain, the victim recovers, and every shard must satisfy
+ * the recovery invariants and keep serving verified traffic through
+ * fresh engines.
  */
 void
 engineKillMidDrain(unsigned num_shards)
@@ -269,20 +306,19 @@ engineKillMidDrain(unsigned num_shards)
     config.base.stash_capacity = 64;
     config.base.seed = 17;
     config.base.wpq_entries = 8;
-    config.base.backing_file = backing;
+    fileBacked(config.base, backing);
     config.sharding.num_shards = num_shards;
     const auto scrub = [&] {
         std::remove(backing.c_str());
-        std::remove((backing + ".tmp").c_str());
-        for (unsigned s = 0; s < num_shards; ++s) {
-            const std::string f = backing + ".shard" + std::to_string(s);
-            std::remove(f.c_str());
-            std::remove((f + ".tmp").c_str());
-        }
+        for (unsigned s = 0; s < num_shards; ++s)
+            std::remove(
+                (backing + ".shard" + std::to_string(s)).c_str());
     };
     scrub();
 
     ShardedSystem sharded = buildShardedSystem(config);
+    for (System &shard : sharded.shards)
+        fileNvm(shard);
     std::vector<RecoveryOracle> oracles(sharded.numShards());
     for (unsigned s = 0; s < sharded.numShards(); ++s) {
         sharded.controller(s).setCommitObserver(oracles[s].observer());

@@ -187,6 +187,26 @@ TEST(Designs, PipelineDepthOtherThanOneIsFatal)
                 "pipeline_depth must be 1");
 }
 
+/** The flat file-image backend is gone: asking for it names the disk
+ *  backend instead of building something else. */
+TEST(Designs, FileBackendIsFatal)
+{
+    Config overrides;
+    overrides.parseAssignment("backend=file");
+    EXPECT_EXIT(configFromOverrides(overrides, DesignKind::PsOram),
+                ::testing::ExitedWithCode(1), "backend=disk");
+}
+
+/** A backing file only means something to the disk backend; the
+ *  memory backend refuses one rather than silently ignoring it. */
+TEST(Designs, BackingFileOnMemoryBackendIsFatal)
+{
+    SystemConfig config = tinyConfig(DesignKind::PsOram);
+    config.backing_file = ::testing::TempDir() + "memory_backing.img";
+    EXPECT_EXIT(buildSystem(config), ::testing::ExitedWithCode(1),
+                "backend=disk");
+}
+
 /** Config large enough that the miss stream exceeds the L2 reach. */
 SystemConfig
 expConfig(DesignKind design, unsigned channels = 1)

@@ -37,11 +37,17 @@
 namespace psoram {
 namespace {
 
-/** Forwards to an inner backend, digesting the functional traffic. */
+/**
+ * Forwards to an inner backend, digesting the functional traffic. It
+ * times traffic on its own copy of the inner backend's timing model.
+ */
 class HashingBackend final : public MemoryBackend
 {
   public:
-    explicit HashingBackend(MemoryBackend &inner) : inner_(inner) {}
+    explicit HashingBackend(MemoryBackend &inner)
+        : MemoryBackend(inner.timing(), inner.capacity()), inner_(inner)
+    {
+    }
 
     void
     readBytes(Addr addr, std::uint8_t *out,
@@ -52,50 +58,17 @@ class HashingBackend final : public MemoryBackend
     }
 
     void
-    writeBytes(Addr addr, const std::uint8_t *in,
-               std::size_t len) override
+    writev(const WriteSpan *spans, std::size_t n,
+           Durability durability) override
     {
-        mixOp('W', addr, len);
-        for (std::size_t i = 0; i < len; ++i)
-            mixByte(in[i]);
-        inner_.writeBytes(addr, in, len);
+        for (std::size_t i = 0; i < n; ++i) {
+            mixOp('W', spans[i].addr, spans[i].len);
+            for (std::size_t b = 0; b < spans[i].len; ++b)
+                mixByte(spans[i].data[b]);
+        }
+        inner_.writev(spans, n, durability);
     }
 
-    Cycle
-    access(Addr addr, std::size_t len, bool is_write,
-           Cycle earliest) override
-    {
-        return inner_.access(addr, len, is_write, earliest);
-    }
-
-    Cycle
-    accessOne(Addr addr, bool is_write, Cycle earliest) override
-    {
-        return inner_.accessOne(addr, is_write, earliest);
-    }
-
-    std::uint64_t capacity() const override { return inner_.capacity(); }
-    std::uint64_t totalReads() const override
-    {
-        return inner_.totalReads();
-    }
-    std::uint64_t totalWrites() const override
-    {
-        return inner_.totalWrites();
-    }
-    std::uint64_t distinctLinesWritten() const override
-    {
-        return inner_.distinctLinesWritten();
-    }
-    std::uint64_t maxLineWrites() const override
-    {
-        return inner_.maxLineWrites();
-    }
-    double meanLineWrites() const override
-    {
-        return inner_.meanLineWrites();
-    }
-    void resetStats() override { inner_.resetStats(); }
     MemoryImage image() const override { return inner_.image(); }
     void
     restoreImage(const MemoryImage &img) override

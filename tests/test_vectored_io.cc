@@ -1,18 +1,23 @@
 /**
  * @file
- * The vectored seam contract (mem/backend.hh): the default readv/writev
- * forwarding is byte- and boundary-equivalent to scalar loops, noisy
- * batches keep per-span persist-boundary granularity.
+ * The vectored seam contract (mem/backend.hh), on both backends: the
+ * default readv forwarding is byte-equivalent to scalar reads, a Noisy
+ * writev reports one persist boundary per span before that span
+ * applies, and a Quiet writev reports none.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/backend.hh"
 #include "nvm/device.hh"
 #include "nvm/fault_injector.hh"
+#include "nvm/paged_disk.hh"
 
 namespace psoram {
 namespace {
@@ -27,6 +32,45 @@ pattern(std::size_t len, std::uint8_t salt)
         bytes[i] = static_cast<std::uint8_t>(salt + i * 7);
     return bytes;
 }
+
+/** One fresh instance of each backend; the disk tree file is
+ *  removed when the fixture goes out of scope. */
+struct Backends
+{
+    explicit Backends(const char *name)
+        : path(::testing::TempDir() + name)
+    {
+        std::remove(path.c_str());
+        PagedDiskConfig config;
+        config.path = path;
+        all.push_back(
+            std::make_unique<NvmDevice>(pcmTimings(), 1, 8, kCapacity));
+        all.push_back(std::make_unique<PagedDiskBackend>(
+            pcmTimings(), 1, 8, kCapacity, config));
+    }
+    ~Backends()
+    {
+        all.clear();
+        std::remove(path.c_str());
+    }
+
+    std::string path;
+    std::vector<std::unique_ptr<MemoryBackend>> all;
+};
+
+const char *
+nameOf(const MemoryBackend &backend)
+{
+    return dynamic_cast<const PagedDiskBackend *>(&backend) ? "disk"
+                                                            : "memory";
+}
+
+const std::vector<std::uint8_t> kPayload = pattern(64, 9);
+const std::vector<WriteSpan> kSpans{
+    {0, kPayload.data(), kPayload.size()},
+    {128, kPayload.data(), kPayload.size()},
+    {256, kPayload.data(), kPayload.size()},
+};
 
 TEST(VectoredIo, DefaultForwardingMatchesScalarOps)
 {
@@ -62,56 +106,75 @@ TEST(VectoredIo, DefaultForwardingMatchesScalarOps)
 
 TEST(VectoredIo, NoisyWritevReportsOneBoundaryPerSpan)
 {
-    NvmDevice device(pcmTimings(), 1, 8, kCapacity);
-    FaultInjector injector;
-    device.setFaultInjector(&injector);
+    Backends backends("vectored_noisy.tree");
+    for (const auto &device : backends.all) {
+        SCOPED_TRACE(nameOf(*device));
+        FaultInjector injector;
+        device->setFaultInjector(&injector);
 
-    const auto payload = pattern(64, 9);
-    const std::vector<WriteSpan> spans{
-        {0, payload.data(), payload.size()},
-        {128, payload.data(), payload.size()},
-        {256, payload.data(), payload.size()},
-    };
-    device.writev(spans);
-    EXPECT_EQ(injector.boundariesSeen(), 3u);
-    EXPECT_EQ(injector.kindCount(PersistBoundary::DirectWrite), 3u);
-
-    {
-        const FaultInjector::ScopedDrain drain(&injector);
-        device.writev(spans);
+        // One boundary per span. The disk backend then flushes the one
+        // page the spans share (PageWrite) and fsyncs (Sync).
+        const bool disk = std::strcmp(nameOf(*device), "disk") == 0;
+        device->writev(kSpans);
+        EXPECT_EQ(injector.kindCount(PersistBoundary::DirectWrite), 3u);
+        EXPECT_EQ(injector.boundariesSeen(), disk ? 5u : 3u);
+        {
+            const FaultInjector::ScopedDrain drain(&injector);
+            device->writev(kSpans);
+        }
+        EXPECT_EQ(injector.kindCount(PersistBoundary::DrainWrite), 3u);
+        device->setFaultInjector(nullptr);
     }
-    EXPECT_EQ(injector.kindCount(PersistBoundary::DrainWrite), 3u);
+}
 
-    // Quiet batches are not enumerable crash points.
-    const std::uint64_t before = injector.boundariesSeen();
-    device.writevQuiet(spans);
-    EXPECT_EQ(injector.boundariesSeen(), before);
+TEST(VectoredIo, QuietWritevReportsNoBoundaries)
+{
+    Backends backends("vectored_quiet.tree");
+    for (const auto &device : backends.all) {
+        SCOPED_TRACE(nameOf(*device));
+        FaultInjector injector;
+        device->setFaultInjector(&injector);
+
+        // Quiet batches are not enumerable crash points, in a drain or
+        // out of one.
+        device->writev(kSpans, Durability::Quiet);
+        {
+            const FaultInjector::ScopedDrain drain(&injector);
+            device->writev(kSpans, Durability::Quiet);
+        }
+        device->writeBytes(512, kPayload.data(), kPayload.size(),
+                           Durability::Quiet);
+        EXPECT_EQ(injector.boundariesSeen(), 0u);
+
+        std::vector<std::uint8_t> got(64);
+        device->readBytes(512, got.data(), got.size());
+        EXPECT_EQ(got, kPayload);
+        device->setFaultInjector(nullptr);
+    }
 }
 
 TEST(VectoredIo, FaultMidWritevAppliesEarlierSpansOnly)
 {
-    NvmDevice device(pcmTimings(), 1, 8, kCapacity);
-    FaultInjector injector;
-    device.setFaultInjector(&injector);
-    injector.armAt(2); // second span's boundary fires before its write
+    Backends backends("vectored_fault.tree");
+    for (const auto &device : backends.all) {
+        SCOPED_TRACE(nameOf(*device));
+        FaultInjector injector;
+        device->setFaultInjector(&injector);
+        injector.armAt(2); // second span's boundary fires before its write
 
-    const auto payload = pattern(64, 5);
-    const std::vector<WriteSpan> spans{
-        {0, payload.data(), payload.size()},
-        {128, payload.data(), payload.size()},
-        {256, payload.data(), payload.size()},
-    };
-    EXPECT_THROW(device.writev(spans), InjectedFault);
+        EXPECT_THROW(device->writev(kSpans), InjectedFault);
+        device->setFaultInjector(nullptr);
 
-    std::vector<std::uint8_t> got(64);
-    device.readBytes(0, got.data(), got.size());
-    EXPECT_EQ(got, payload) << "span before the fault must be applied";
-    device.readBytes(128, got.data(), got.size());
-    EXPECT_EQ(got, std::vector<std::uint8_t>(64, 0))
-        << "faulting span must not be applied";
-    device.readBytes(256, got.data(), got.size());
-    EXPECT_EQ(got, std::vector<std::uint8_t>(64, 0))
-        << "span after the fault must not be applied";
+        std::vector<std::uint8_t> got(64);
+        device->readBytes(0, got.data(), got.size());
+        EXPECT_EQ(got, kPayload) << "span before the fault must be applied";
+        device->readBytes(128, got.data(), got.size());
+        EXPECT_EQ(got, std::vector<std::uint8_t>(64, 0))
+            << "faulting span must not be applied";
+        device->readBytes(256, got.data(), got.size());
+        EXPECT_EQ(got, std::vector<std::uint8_t>(64, 0))
+            << "span after the fault must not be applied";
+    }
 }
 
 } // namespace

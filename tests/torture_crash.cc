@@ -94,7 +94,7 @@ struct TortureCase
             << system.tree_height << " blocks " << system.num_blocks
             << " wpq " << system.wpq_entries << " shards " << num_shards
             << " backend "
-            << backendName(system.effectiveBackend())
+            << backendName(system.backend)
             << " integrity " << integrityModeName(system.integrity)
             << " flightrec "
             << (system.flight_recorder ? system.flight_records : 0)
@@ -146,11 +146,13 @@ drawCase(Rng &rng, std::uint64_t iteration)
     tc.system.cipher = CipherKind::FastStream;
     tc.system.seed = mix(iteration * 3 + 1);
 
-    // Occasional non-memory backend: a flat file-backed image, or the
-    // out-of-core paged disk tree behind a small write-back page cache.
+    // Occasional disk backend: an in-core tree (the default page cache
+    // holds the whole tree), or out of core behind a small write-back
+    // page cache.
     const unsigned backend_roll =
         static_cast<unsigned>(rng.nextBelow(8));
     if (backend_roll == 0) {
+        tc.system.backend = BackendKind::Disk;
         tc.system.backing_file =
             "torture_nvm_" + std::to_string(iteration) + ".img";
     } else if (backend_roll == 1) {
@@ -198,13 +200,10 @@ scrubBackingFiles(const TortureCase &tc)
     if (tc.system.backing_file.empty())
         return;
     std::remove(tc.system.backing_file.c_str());
-    std::remove((tc.system.backing_file + ".tmp").c_str());
-    for (unsigned s = 0; s < tc.num_shards; ++s) {
-        const std::string shard_file =
-            tc.system.backing_file + ".shard" + std::to_string(s);
-        std::remove(shard_file.c_str());
-        std::remove((shard_file + ".tmp").c_str());
-    }
+    for (unsigned s = 0; s < tc.num_shards; ++s)
+        std::remove((tc.system.backing_file + ".shard" +
+                     std::to_string(s))
+                        .c_str());
 }
 
 /** Run counters (common/stats.hh Counters so the metrics exporter can
