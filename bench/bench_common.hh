@@ -261,9 +261,14 @@ removeBackingTree(const std::string &path, unsigned max_shards = 64)
 {
     if (path.empty())
         return;
-    std::remove(path.c_str());
+    // Each tree has a redo-log sidecar (<tree>.wal).
+    const auto remove = [](const std::string &tree) {
+        std::remove(tree.c_str());
+        std::remove((tree + ".wal").c_str());
+    };
+    remove(path);
     for (unsigned shard = 0; shard < max_shards; ++shard)
-        std::remove((path + ".shard" + std::to_string(shard)).c_str());
+        remove(path + ".shard" + std::to_string(shard));
 }
 
 /** @{ Exit-time scrub of bench-generated backing trees (same leaked-

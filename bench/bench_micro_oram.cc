@@ -25,8 +25,8 @@
  * "--disk-curve P[,P...]" (with --json) runs the out-of-core mode: the
  * PS-ORAM design on the PagedDiskBackend at each listed page-cache size
  * (BENCH_disk.json), reporting throughput plus the backend's physical
- * IO counters — vectored calls, preads/pwrites/fsyncs, cache hit rate —
- * per access. The default sweep spans in-core down to a cache ~50x
+ * IO counters — vectored calls, preads/pwrites/fsyncs, redo-log
+ * appends/bytes/syncs and checkpoints, cache hit rate — per access. The default sweep spans in-core down to a cache ~50x
  * smaller than the tree. height= / accesses= ride along.
  */
 
@@ -507,6 +507,10 @@ runDiskJsonMode(const psoram::bench::BenchContext &ctx,
                                                    io.cache_misses)
                          : 0.0)
                 .count("cache_evictions", io.cache_evictions)
+                .num("log_appends_per_access", per_access(io.log_appends))
+                .num("log_bytes_per_access", per_access(io.log_bytes))
+                .num("log_syncs_per_access", per_access(io.log_syncs))
+                .count("checkpoints", io.checkpoints)
                 .count("torn_pages_detected", io.torn_pages_detected);
             std::cout << " (tree/cache " << tree_bytes / cache_bytes
                       << "x, readv/access "

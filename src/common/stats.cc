@@ -394,7 +394,7 @@ RecoveryStats::registerWith(StatGroup &group,
                             const std::string &prefix) const
 {
     group.addDistribution(prefix + ".wpq_replay_ns", &wpq_replay,
-                          "empty window before the ADR redelivery");
+                          "device redo-log replay after the ADR flush");
     group.addDistribution(prefix + ".adr_redeliver_ns", &adr_redeliver,
                           "ADR crashFlush of the in-flight WPQ rounds");
     group.addDistribution(prefix + ".image_reload_ns", &image_reload,

@@ -264,13 +264,14 @@ struct PhaseLatencyStats
  *   wpq_replay + adr_redeliver + image_reload + posmap_rebuild
  *     + integrity_verify + node_repair == total   exactly.
  * Phases a recovery does not run (integrity off, ...) sample 0 so the
- * identity still holds. wpq_replay has no work left in it (no queue
- * holds committed rounds outside the WPQs); it stays because the
- * repository benchmark reports it.
+ * identity still holds. In time order the windows run adr_redeliver
+ * (the ADR flush), wpq_replay (the device comes back up: a disk tree
+ * replays its durable redo log — the WPQ rounds it logged — and
+ * checkpoints; near zero on the memory backend), then the rest.
  */
 struct RecoveryStats
 {
-    Distribution wpq_replay;       ///< empty; see above
+    Distribution wpq_replay;       ///< device log replay (disk)
     Distribution adr_redeliver;    ///< ADR crashFlush of in-flight WPQs
     Distribution image_reload;     ///< controller/device image rebuild
     Distribution posmap_rebuild;   ///< volatile PosMap/stash/shadow redo

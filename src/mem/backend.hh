@@ -14,8 +14,10 @@
  *     a direct write, §4.2 step 5) or a write outside the protocol
  *     sequence (Quiet: streamed Merkle nodes, flight-recorder appends,
  *     tamper injection). writeBytes is the one-span form;
- *   - durability: persistBarrier makes quiet writes durable and
- *     dropVolatile models losing RAM at a power failure;
+ *   - durability: sync makes every noisy write so far durable (a
+ *     no-op where writes are durable at once), persistBarrier makes
+ *     quiet writes durable too, and dropVolatile models losing RAM at
+ *     a power failure;
  *   - a snapshot/restore image for the crash-injection framework.
  *
  * Timing is not a backend concern: each backend carries one NvmTiming
@@ -24,8 +26,10 @@
  *
  * Contract for writev: the same bytes land in span order, and a Noisy
  * call reports exactly one persist boundary per span, before that span
- * applies (the span is the durability atom, so the crash-point
- * enumeration keeps per-entry granularity). A Quiet call reports none.
+ * applies (the crash-point enumeration keeps per-entry granularity).
+ * NvmDevice applies span by span; PagedDiskBackend reports all of a
+ * call's span boundaries before sealing the call into one log record,
+ * its durability atom. A Quiet call reports none.
  *
  * Implementations: NvmDevice (in-memory, the default and the model the
  * golden digests pin) and PagedDiskBackend (the tree in a real file
@@ -37,6 +41,7 @@
 #define PSORAM_MEM_BACKEND_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -134,20 +139,44 @@ class MemoryBackend
     /** @} */
 
     /**
+     * Durability point for noisy writes. In-memory backends store
+     * every write durably at once and have nothing to do; a backend
+     * that logs writes first (PagedDiskBackend) syncs its log tail
+     * here. Callers that batch accesses (group commit) call it once
+     * per batch and only then report the batch durable.
+     *
+     * @return whether anything was pending (an unsynced tail existed)
+     */
+    virtual bool sync() { return false; }
+
+    /**
+     * Whether noisy writes are waiting for sync() to become durable.
+     * Never true on a backend whose writes are durable at once, so
+     * callers can defer acknowledgements on exactly this property.
+     */
+    bool
+    holdsUnsyncedTail() const
+    {
+        return unsynced_tail_.load();
+    }
+
+    /**
      * Durability barrier for *quiet* writes. In-memory backends need
-     * nothing here; a write-back backend (PagedDiskBackend) flushes its
-     * dirty page cache and fsyncs so the physical medium catches up.
-     * Never reports persist boundaries.
+     * nothing here; a write-back backend (PagedDiskBackend) takes a
+     * checkpoint: its dirty page cache reaches the file, which is
+     * fsynced. Never reports persist boundaries.
      */
     virtual void persistBarrier() {}
 
     /**
      * Crash model hook: discard any *volatile* state the backend holds
-     * in front of its durable medium (e.g. a RAM page cache). The crash
-     * framework calls this at the simulated power-failure point, before
-     * the ADR flush replays in-flight WPQ entries, so recovery reads
-     * observe only what had physically reached the medium. In-memory
-     * backends, whose whole store models durable NVM, lose nothing.
+     * in front of its durable medium (e.g. a RAM page cache and an
+     * unsynced log tail), then bring the medium back up as a reboot
+     * would (PagedDiskBackend replays its durable log). The crash
+     * framework calls this at the simulated power-failure point, after
+     * the ADR flush, so recovery reads observe only what had
+     * physically reached the medium. In-memory backends, whose whole
+     * store models durable NVM, lose nothing.
      */
     virtual void dropVolatile() {}
 
@@ -208,6 +237,8 @@ class MemoryBackend
 
     FaultInjector *fault_injector_ = nullptr;
     FlightRecorder *flight_recorder_ = nullptr;
+    /** Set by a logging backend while holdsUnsyncedTail() is true. */
+    mutable std::atomic<bool> unsynced_tail_{false};
 
   private:
     NvmTiming timing_;

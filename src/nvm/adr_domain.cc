@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/log.hh"
 #include "obs/trace.hh"
 
 namespace psoram {
@@ -45,17 +46,39 @@ AdrDomain::end()
 Cycle
 AdrDomain::drain(MemoryBackend &device, Cycle earliest)
 {
-    // In-order persistence without coalescing (§4.2.3): the metadata
-    // entries drain strictly after the data blocks of their round.
+    // One round, one device write: the data entries, then the PosMap
+    // entries, as one noisy writev (on disk: one redo-log record, so
+    // the start/end bracket is the record's header and trailer).
+    // Timing keeps the in-order persistence of §4.2.3 without
+    // coalescing: the metadata entries drain strictly after the data
+    // blocks of their round.
     const FaultInjector::ScopedDrain drain_scope(fault_injector_);
-    const Cycle data_done = data_wpq_.drainTo(device, earliest);
-    return posmap_wpq_.drainTo(device, data_done);
+    if (data_wpq_.open() || posmap_wpq_.open())
+        PSORAM_PANIC("ADR drain before end()");
+    std::vector<WriteSpan> spans;
+    spans.reserve(data_wpq_.size() + posmap_wpq_.size());
+    data_wpq_.appendSpans(spans);
+    posmap_wpq_.appendSpans(spans);
+    device.writev(spans);
+    const Cycle data_done = data_wpq_.retire(device.timing(), earliest);
+    return posmap_wpq_.retire(device.timing(), data_done);
 }
 
 std::size_t
 AdrDomain::crashFlush(MemoryBackend &device)
 {
-    return data_wpq_.crashFlush(device) + posmap_wpq_.crashFlush(device);
+    // ADR: a committed round always reaches the medium, as one write
+    // like its drain; an uncommitted one is discarded.
+    std::vector<WriteSpan> spans;
+    if (data_wpq_.committed())
+        data_wpq_.appendSpans(spans);
+    if (posmap_wpq_.committed())
+        posmap_wpq_.appendSpans(spans);
+    if (!spans.empty())
+        device.writev(spans);
+    data_wpq_.clear();
+    posmap_wpq_.clear();
+    return spans.size();
 }
 
 } // namespace psoram

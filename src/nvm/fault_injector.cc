@@ -20,6 +20,10 @@ persistBoundaryName(PersistBoundary kind)
         return "page-write";
       case PersistBoundary::Sync:
         return "sync";
+      case PersistBoundary::LogAppend:
+        return "log-append";
+      case PersistBoundary::LogSync:
+        return "log-sync";
     }
     PSORAM_PANIC("unknown persist boundary kind");
 }

@@ -6,7 +6,8 @@
  * state is about to change: a WPQ round opening ("start" signal), a WPQ
  * round committing ("end" signal — the ADR durability point), an
  * individual entry draining out of a committed round, a direct
- * (non-WPQ) functional write, or a disk page write or fsync. The
+ * (non-WPQ) functional write, or, on the disk backend, a redo-log
+ * append or sync, a checkpoint page write or a tree fsync. The
  * injector counts every boundary it passes; when armed at boundary k it
  * throws InjectedFault the moment the k-th boundary is reached — i.e.
  * *before* that boundary's durable effect applies.
@@ -47,17 +48,26 @@ enum class PersistBoundary
     /** A functional write outside any WPQ drain (non-persistent
      *  designs' eviction writes, recovery-era region writes). */
     DirectWrite,
-    /** PagedDiskBackend flushing one dirty page to the file. Inside a
-     *  WPQ drain the boundary fires *mid-page* — after the first half
-     *  of the pwrite, before the rest and the checksum trailer — so the
-     *  enumerator exercises genuinely torn pages on the medium. */
+    /** PagedDiskBackend writing one dirty page back in place at a
+     *  checkpoint. The boundary fires *mid-page* — after the first
+     *  half of the pwrite, before the rest and the checksum trailer —
+     *  so the enumerator exercises genuinely torn pages, which the
+     *  redo log then heals. */
     PageWrite,
-    /** PagedDiskBackend fsync: the file-durability point that makes
-     *  all preceding page writes survive an OS/power crash. */
+    /** PagedDiskBackend checkpoint fsync of the tree file, before the
+     *  log starts a new epoch. */
     Sync,
+    /** PagedDiskBackend appending one redo-log record. The boundary
+     *  fires *mid-record* — half the bytes land — so the enumerator
+     *  exercises torn records, which replay must discard. */
+    LogAppend,
+    /** PagedDiskBackend fdatasync of the redo log: the disk's
+     *  durability point. A fault here, then dropVolatile(), loses the
+     *  log's unsynced tail (the OS page cache at a power failure). */
+    LogSync,
 };
 
-inline constexpr std::size_t kNumPersistBoundaryKinds = 6;
+inline constexpr std::size_t kNumPersistBoundaryKinds = 8;
 
 const char *persistBoundaryName(PersistBoundary kind);
 

@@ -18,33 +18,49 @@
  * index, CRC32 of the payload). The trailer is what makes *torn pages*
  * detectable: a crash between the two halves of a page pwrite leaves
  * payload bytes that no longer match the stored CRC, which recovery
- * observes when the page is next loaded. Torn lines are healed by the
- * ADR redelivery argument — every line a torn in-drain page could have
- * corrupted is still sitting in the committed WPQ round that the
- * power-failure flush rewrites — so detection is counted (and can be
- * made fatal via `strict_torn`) rather than failing the load.
+ * observes when the page is next loaded. Torn pages are healed by the
+ * redo log (below) — every byte a torn page could have lost changed
+ * since the last checkpoint, so it is in a durable log record — and
+ * detection is counted (and can be made fatal via `strict_torn`)
+ * rather than failing the load.
  *
- * Durability model at the seam:
- *   - noisy writes (writev with Durability::Noisy, the protocol's
- *     enumerable persist points) are write-through: each span reports
- *     its DrainWrite/DirectWrite boundary exactly like NvmDevice, the
- *     touched pages flush with a PageWrite boundary each (fired
- *     mid-pwrite inside a WPQ drain — the torn-page crash point), and
- *     the call ends with a Sync boundary + fsync;
+ * Durability model: a redo log in a sidecar file (`<path>.wal`), the
+ * disk's counterpart of the ADR persistence domain.
+ *   - a noisy writev (one WPQ round, or a direct write) is appended to
+ *     the log as ONE CRC-sealed record — header (epoch, sequence, span
+ *     count, length), the spans, trailer — and then applied to the page
+ *     cache. Each span reports its DrainWrite/DirectWrite boundary
+ *     before the append, like NvmDevice; the append reports LogAppend
+ *     half-way through the record (the torn-record crash point);
+ *   - sync() is the durability point: one fdatasync of the log (a
+ *     LogSync boundary first) makes every record so far durable.
+ *     holdsUnsyncedTail() is true between an append and its sync;
  *   - quiet writes (lazily streamed Merkle nodes, flight-recorder
- *     appends) are write-back: they dirty cached pages and reach the
- *     file on eviction, with the next noisy write's flush (before its
- *     fsync, with no boundary of their own), on persistBarrier() or at
- *     destruction;
- *   - persistBarrier() stamps a flight-recorder Checkpoint (when one is
- *     attached), then flushes every dirty page and fsyncs;
- *   - dropVolatile() discards the whole cache un-flushed — the crash
- *     framework's model of losing RAM — so post-crash reads observe
- *     only what pwrite actually landed.
+ *     appends) dirty cached pages and ride in the next record, adding
+ *     no boundary of their own;
+ *   - in-place page writes are write-back and obey the write-ahead
+ *     rule: a frame reaches the tree file only after the record with
+ *     its newest change is synced (evicting a newer frame syncs the
+ *     log first, quietly);
+ *   - a checkpoint — when the next record does not fit the log, at
+ *     persistBarrier(), after replay and at destruction — logs pending
+ *     quiet spans, syncs, writes every dirty frame back (inside a
+ *     noisy write the PageWrite boundary fires mid-page: the torn-page
+ *     point), fsyncs the tree (a Sync boundary first) and starts a new
+ *     log epoch. Each one stamps a flight-recorder Checkpoint;
+ *   - at open, and in dropVolatile() after the page cache and the
+ *     log's unsynced tail are discarded (the crash framework's model of
+ *     losing RAM and the OS page cache), the log is replayed up to the
+ *     first bad CRC, torn trailer or stale epoch, then checkpointed.
+ * The log's size is derived from the cache geometry: four times the
+ * resident page budget, so a checkpoint's write-back (at most the
+ * resident frames) stays small against the log bytes it retires, and
+ * replay touches at most a few cache-fulls. A record larger than the
+ * whole log grows it.
  *
  * With cache_pages at least the tree's page count nothing is ever
- * evicted: the tree is in core, and the file is its durable image
- * across process restarts.
+ * evicted: the tree is in core, and the file plus its log are its
+ * durable image across process restarts.
  *
  * Thread safety: functional ops and the cache are guarded by one
  * internal mutex. The timing model keeps its drive-thread-only
@@ -100,11 +116,15 @@ class PagedDiskBackend final : public MemoryBackend
                 Durability durability) override;
     /** @} */
 
-    /** Stamp a Checkpoint, flush every dirty page and fsync (no
-     *  persist boundaries). */
+    /** fdatasync the log if it holds unsynced records; @return whether
+     *  it did. */
+    bool sync() override;
+
+    /** Checkpoint (no persist boundaries). */
     void persistBarrier() override;
 
-    /** Discard the page cache without flushing (crash model). */
+    /** Discard the page cache and the log's unsynced tail without
+     *  flushing (crash model), then replay the log and checkpoint. */
     void dropVolatile() override;
 
     void resetStats() override;
@@ -120,6 +140,13 @@ class PagedDiskBackend final : public MemoryBackend
     static constexpr std::size_t kRecordBytes =
         kPageBytes + kTrailerBytes;
     static constexpr std::size_t kHeaderBytes = 4096;
+    /** Redo-log file header; records start right after it. */
+    static constexpr std::size_t kLogHeaderBytes = 4096;
+    /** Per-record framing: header and trailer around the spans. */
+    static constexpr std::size_t kLogRecordHeaderBytes = 32;
+    static constexpr std::size_t kLogRecordTrailerBytes = 16;
+    /** Per-span framing inside a record (address, length). */
+    static constexpr std::size_t kLogSpanHeaderBytes = 16;
     /** @} */
 
     /** @{ IO / cache observability (thread-safe). */
@@ -137,8 +164,17 @@ class PagedDiskBackend final : public MemoryBackend
         std::uint64_t spans_read = 0;
         std::uint64_t spans_written = 0;
         std::uint64_t preads = 0;
+        /** Every pwrite syscall, log appends included. */
         std::uint64_t pwrites = 0;
+        /** Every fsync/fdatasync syscall, log syncs included. */
         std::uint64_t fsyncs = 0;
+        /** @{ Redo log: records appended, their bytes, log syncs, and
+         *  checkpoints taken. */
+        std::uint64_t log_appends = 0;
+        std::uint64_t log_bytes = 0;
+        std::uint64_t log_syncs = 0;
+        std::uint64_t checkpoints = 0;
+        /** @} */
         std::uint64_t cache_hits = 0;
         std::uint64_t cache_misses = 0;
         std::uint64_t cache_evictions = 0;
@@ -150,6 +186,8 @@ class PagedDiskBackend final : public MemoryBackend
     /** @} */
 
     std::uint64_t numPages() const { return num_pages_; }
+    /** The redo log's sidecar file. */
+    const std::string &logPath() const { return log_path_; }
     std::size_t residentPages() const;
     const PagedDiskConfig &config() const { return config_; }
 
@@ -163,16 +201,19 @@ class PagedDiskBackend final : public MemoryBackend
         std::vector<std::uint8_t> bytes; // kPageBytes
         bool dirty = false;
         bool pinned = false;
+        /** Sequence number of the log record holding the newest change
+         *  (write-ahead rule; 0 = durable in the log already). */
+        std::uint64_t lsn = 0;
         /** Position in lru_ (unpinned frames only). */
         std::list<std::uint64_t>::iterator lru_pos;
     };
 
     /** @{ File IO (no locking — callers hold mutex_). */
-    void preadFully(std::uint8_t *buf, std::size_t len,
+    void preadFully(int fd, std::uint8_t *buf, std::size_t len,
                     std::uint64_t offset, bool &hit_eof) const;
-    void pwriteFully(const std::uint8_t *buf, std::size_t len,
+    void pwriteFully(int fd, const std::uint8_t *buf, std::size_t len,
                      std::uint64_t offset) const;
-    void fsyncFile() const;
+    void fsyncFile(int fd, bool data_only) const;
     /** @} */
 
     /** Load a page record from disk into @p out, verifying the
@@ -181,11 +222,9 @@ class PagedDiskBackend final : public MemoryBackend
 
     /** Write one page record (payload + fresh trailer). When
      *  @p tearable, the PageWrite boundary fires between the two
-     *  halves of the payload pwrite (the torn-page crash point);
-     *  otherwise it fires before any byte lands. Quiet flushes pass a
-     *  null injector. */
+     *  halves of the payload pwrite (the torn-page crash point). */
     void storePage(std::uint64_t page, const std::uint8_t *bytes,
-                   bool tearable, bool noisy);
+                   bool tearable) const;
 
     /** Get (load if absent) the frame for @p page, evicting if needed. */
     Frame &frameFor(std::uint64_t page) const;
@@ -193,19 +232,56 @@ class PagedDiskBackend final : public MemoryBackend
     /** Evict LRU unpinned frames until the cache fits its budget. */
     void enforceCapacity() const;
 
-    /** Flush one dirty frame quietly (eviction / barrier path). */
-    void flushFrameQuiet(std::uint64_t page, Frame &frame) const;
+    /** Write one dirty frame back in place, syncing the log first when
+     *  the frame is newer than it (write-ahead rule). */
+    void writeBackFrame(std::uint64_t page, Frame &frame) const;
 
+    /** Copy @p len bytes into the cache, dirtying frames with @p lsn. */
     void applySpan(Addr addr, const std::uint8_t *in, std::size_t len,
-                   std::vector<std::uint64_t> &touched);
+                   std::uint64_t lsn) const;
 
-    /** Flush every dirty frame quietly (callers hold mutex_). */
-    void writeBackDirty();
+    /** @{ Redo log (callers hold mutex_). */
+    /** Create (or reset) the log for a fresh epoch of this tree. */
+    void initLog();
+    /** Open an existing log and replay it; false when it is missing
+     *  or belongs to another tree. */
+    bool openLog();
+    /** Replay the current epoch's complete records into the cache;
+     *  @return records replayed. */
+    std::uint64_t replayLog();
+    /** Write the log header for the current epoch and sync it. */
+    void writeLogHeader();
+    /** Zero-fill the log file from @p from up to its capacity. */
+    void preallocateLog(std::uint64_t from) const;
+    /** Seal record_ (pending quiet spans + @p n noisy spans) and
+     *  append it; @p noisy reports the LogAppend boundary mid-record. */
+    void appendRecord(const WriteSpan *spans, std::size_t n,
+                      bool noisy) const;
+    /** Append pending quiet spans as their own record (no boundary). */
+    void appendPendingQuiet() const;
+    /** fdatasync the log if anything is unsynced. */
+    bool syncLog(bool noisy) const;
+    /** Log pending quiet spans, sync, write every dirty frame back,
+     *  fsync the tree and start a new log epoch. */
+    void checkpoint(bool noisy);
+    /** Bytes a record of these spans (plus pending quiet) takes. */
+    std::size_t recordBytes(const WriteSpan *spans, std::size_t n) const;
+    /** dropVolatile()'s work under the lock. */
+    void dropAndReplay();
+    /** @} */
+
+    /** Record a flight-recorder Checkpoint (callers do not hold
+     *  mutex_). */
+    void stampCheckpoint();
 
     std::uint64_t num_pages_;
     PagedDiskConfig config_;
+    std::string log_path_;
 
     int fd_ = -1;
+    int log_fd_ = -1;
+    /** Binds the log to its tree (stored in both headers). */
+    std::uint64_t tree_id_ = 0;
 
     mutable std::mutex mutex_;
     /** Page -> frame; pinned frames never leave, unpinned ones cycle
@@ -213,8 +289,26 @@ class PagedDiskBackend final : public MemoryBackend
     mutable std::unordered_map<std::uint64_t, Frame> frames_;
     mutable std::list<std::uint64_t> lru_;
     mutable std::size_t unpinned_resident_ = 0;
-    /** A quiet write may have left dirty pages for the next fsync. */
-    bool write_back_pending_ = false;
+
+    /** @{ Redo-log state (offsets are log-file offsets). */
+    mutable std::uint64_t log_capacity_ = 0;
+    std::uint64_t log_epoch_ = 0;
+    mutable std::uint64_t log_tail_ = kLogHeaderBytes;
+    mutable std::uint64_t synced_tail_ = kLogHeaderBytes;
+    /** Sequence numbers of the last appended / last synced record. */
+    mutable std::uint64_t appended_seq_ = 0;
+    mutable std::uint64_t synced_seq_ = 0;
+    /** The landed half of a record whose append a fault cut short
+     *  (empty otherwise): the crash model keeps it on the medium. */
+    mutable std::uint64_t torn_begin_ = 0;
+    mutable std::uint64_t torn_end_ = 0;
+    /** Quiet spans applied to the cache but not yet in a record,
+     *  serialized in record span format. */
+    mutable std::vector<std::uint8_t> pending_quiet_;
+    mutable std::uint32_t pending_quiet_spans_ = 0;
+    /** Reused record buffer. */
+    mutable std::vector<std::uint8_t> record_;
+    /** @} */
 
     mutable IoStats stats_;
 };

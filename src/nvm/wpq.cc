@@ -52,30 +52,11 @@ Wpq::drainTo(MemoryBackend &device, Cycle earliest)
 {
     if (open_)
         PSORAM_PANIC("WPQ '", name_, "': drain before end()");
-    // One vectored write carries the whole round; each entry is still
-    // its own span (the ADR durability atom), so a fault mid-writev
-    // leaves every entry queued and the power-failure flush redelivers
-    // the full round — same final bytes, write idempotency intact.
     std::vector<WriteSpan> spans;
     spans.reserve(entries_.size());
-    for (const WpqEntry &entry : entries_)
-        spans.push_back({entry.addr, entry.data.data(),
-                         entry.data.size()});
+    appendSpans(spans);
     device.writev(spans);
-    Cycle done = earliest;
-    while (!entries_.empty()) {
-        const WpqEntry &entry = entries_.front();
-        // Each entry is one NVM transaction (a block or a PosMap entry).
-        done = std::max(done,
-                        device.timing().accessOne(entry.addr, true,
-                                                  earliest));
-        PSORAM_TRACE_INSTANT_ARG("nvm", "wpq.drain_entry", 0, "addr",
-                                 static_cast<std::int64_t>(entry.addr));
-        ++drained_;
-        entries_.pop_front();
-    }
-    committed_ = false;
-    return done;
+    return retire(device.timing(), earliest);
 }
 
 std::size_t
@@ -86,16 +67,51 @@ Wpq::crashFlush(MemoryBackend &device)
         // ADR: a committed round always reaches the NVM.
         std::vector<WriteSpan> spans;
         spans.reserve(entries_.size());
-        for (const WpqEntry &entry : entries_)
-            spans.push_back({entry.addr, entry.data.data(),
-                             entry.data.size()});
+        appendSpans(spans);
         device.writev(spans);
-        flushed = entries_.size();
+        flushed = spans.size();
     }
+    clear();
+    return flushed;
+}
+
+void
+Wpq::appendSpans(std::vector<WriteSpan> &spans) const
+{
+    // Each entry is its own span (the ADR durability atom), so a fault
+    // mid-writev leaves every entry queued and the power-failure flush
+    // redelivers the full round — same final bytes, write idempotency
+    // intact.
+    for (const WpqEntry &entry : entries_)
+        spans.push_back({entry.addr, entry.data.data(),
+                         entry.data.size()});
+}
+
+Cycle
+Wpq::retire(NvmTiming &timing, Cycle earliest)
+{
+    if (open_)
+        PSORAM_PANIC("WPQ '", name_, "': drain before end()");
+    Cycle done = earliest;
+    while (!entries_.empty()) {
+        const WpqEntry &entry = entries_.front();
+        // Each entry is one NVM transaction (a block or a PosMap entry).
+        done = std::max(done, timing.accessOne(entry.addr, true, earliest));
+        PSORAM_TRACE_INSTANT_ARG("nvm", "wpq.drain_entry", 0, "addr",
+                                 static_cast<std::int64_t>(entry.addr));
+        ++drained_;
+        entries_.pop_front();
+    }
+    committed_ = false;
+    return done;
+}
+
+void
+Wpq::clear()
+{
     entries_.clear();
     open_ = false;
     committed_ = false;
-    return flushed;
 }
 
 std::size_t

@@ -146,6 +146,19 @@ class Wpq
      */
     std::size_t crashFlush(MemoryBackend &device);
 
+    /**
+     * @{ The two halves of a drain, for callers that write several
+     * queues' rounds in one writev (AdrDomain): appendSpans() adds the
+     * queued entries in order, retire() then schedules one NVM write
+     * per entry from @p earliest and leaves the queue empty and closed.
+     */
+    void appendSpans(std::vector<WriteSpan> &spans) const;
+    Cycle retire(NvmTiming &timing, Cycle earliest);
+    /** @} */
+
+    /** Drop every entry and close the queue (crash flush epilogue). */
+    void clear();
+
     bool open() const { return open_; }
     bool committed() const { return committed_; }
     std::size_t size() const { return entries_.size(); }

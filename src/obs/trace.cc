@@ -113,7 +113,8 @@ TraceRecorder::instant(const char *category, const char *name,
 
 void
 TraceRecorder::complete(const char *category, const char *name,
-                        std::uint64_t start_ns, std::uint64_t id)
+                        std::uint64_t start_ns, std::uint64_t id,
+                        const char *arg_name, std::int64_t arg)
 {
     if (!enabled())
         return;
@@ -125,6 +126,8 @@ TraceRecorder::complete(const char *category, const char *name,
     event.ts_ns = start_ns;
     event.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
     event.id = id;
+    event.arg_name = arg_name;
+    event.arg = arg;
     instance().push(event);
 }
 

@@ -110,7 +110,9 @@ class TraceRecorder
                         std::int64_t arg = 0);
     /** Record a complete event spanning [start_ns, now]. */
     static void complete(const char *category, const char *name,
-                         std::uint64_t start_ns, std::uint64_t id = 0);
+                         std::uint64_t start_ns, std::uint64_t id = 0,
+                         const char *arg_name = nullptr,
+                         std::int64_t arg = 0);
     /** @} */
 
     /** Nanoseconds since the recorder epoch. */

@@ -89,8 +89,10 @@ Drainer::persist(const EvictionBundle &bundle, MemoryBackend &device,
             hook(CrashSite::AfterCommit);
 
         done = adr_.drain(device, done);
-        // The drain *is* the durable watermark: every entry of the round
-        // has physically reached the NVM cells.
+        // The drain is the durable watermark on NVM: every entry of the
+        // round has reached the cells. (On disk it is durable at the
+        // next device sync, which the controller issues before it
+        // reports the round.)
         if (flight_)
             flight_->record(*flight_sink_, FlightEventKind::DrainWatermark,
                             round_id, committed_data + committed_pos);

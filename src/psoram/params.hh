@@ -78,12 +78,20 @@ struct TrafficCounts
 /**
  * Observer for durable commits: invoked once a block's data has become
  * crash-recoverable (placed on the tree in a committed round, or written
- * to the shadow region). Test oracles use this to track the expected
+ * to the shadow region) — on a backend that logs writes first, once the
+ * round's record is synced. Test oracles use this to track the expected
  * post-recovery value of every address.
  */
 using CommitObserver =
     std::function<void(BlockAddr, const std::array<std::uint8_t,
                                                    kBlockDataBytes> &)>;
+
+/** A commit notification held until its round is durable. */
+struct DeferredCommit
+{
+    BlockAddr addr;
+    std::array<std::uint8_t, kBlockDataBytes> data;
+};
 
 } // namespace psoram
 

@@ -6,6 +6,19 @@
 
 namespace psoram {
 
+void
+PhaseEnv::reportCommit(
+    BlockAddr addr,
+    const std::array<std::uint8_t, kBlockDataBytes> &data) const
+{
+    if (deferred_commits &&
+        (!deferred_commits->empty() || device.holdsUnsyncedTail())) {
+        deferred_commits->push_back({addr, data});
+        return;
+    }
+    (*commit_observer)(addr, data);
+}
+
 PathId
 PhaseEnv::committedPath(BlockAddr addr) const
 {

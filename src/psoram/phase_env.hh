@@ -16,6 +16,7 @@
 #define PSORAM_PSORAM_PHASE_ENV_HH
 
 #include <functional>
+#include <vector>
 
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -96,6 +97,10 @@ struct PhaseEnv
     /** Points at the controller's observer slot so setCommitObserver()
      *  takes effect without rebuilding the env. */
     const CommitObserver *commit_observer = nullptr;
+    /** Where notifications wait while the device holds an unsynced
+     *  tail (the controller releases them after its sync). Null: the
+     *  observer fires at once. */
+    std::vector<DeferredCommit> *deferred_commits = nullptr;
     /** @} */
 
     /** Rotating line offset for the on-chip buffer's bank spread. */
@@ -122,14 +127,19 @@ struct PhaseEnv
             maybe_crash(site);
     }
 
+    /** Report @p addr durable now, or once the device's log tail is
+     *  synced (notifications keep their order either way). */
     void
     notifyCommit(BlockAddr addr,
                  const std::array<std::uint8_t, kBlockDataBytes> &data)
         const
     {
         if (commit_observer && *commit_observer)
-            (*commit_observer)(addr, data);
+            reportCommit(addr, data);
     }
+    void reportCommit(BlockAddr addr,
+                      const std::array<std::uint8_t, kBlockDataBytes> &data)
+        const;
 
     /** Committed (persistent) position of @p addr. */
     PathId committedPath(BlockAddr addr) const;

@@ -128,6 +128,7 @@ PsOramController::PsOramController(const PsOramParams &params,
         [this](CrashSite site) { maybeCrash(site); }, &commit_observer_,
         0});
     env_->integrity = integrity_.get();
+    env_->deferred_commits = &deferred_commits_;
     remapper_ = std::make_unique<Remapper>(*env_);
     loader_ = std::make_unique<PathLoader>(*env_);
     backup_planner_ = std::make_unique<BackupPlanner>(*env_);
@@ -139,13 +140,43 @@ PsOramController::~PsOramController() = default;
 OramAccessInfo
 PsOramController::read(BlockAddr addr, std::uint8_t *out)
 {
-    return access(addr, false, out, nullptr);
+    const OramAccessInfo info = access(addr, false, out, nullptr);
+    if (!group_open_)
+        commitDurable(1);
+    return info;
 }
 
 OramAccessInfo
 PsOramController::write(BlockAddr addr, const std::uint8_t *in)
 {
-    return access(addr, true, nullptr, in);
+    const OramAccessInfo info = access(addr, true, nullptr, in);
+    if (!group_open_)
+        commitDurable(1);
+    return info;
+}
+
+bool
+PsOramController::endGroup(std::size_t requests)
+{
+    group_open_ = false;
+    return commitDurable(requests);
+}
+
+bool
+PsOramController::commitDurable(std::size_t requests)
+{
+    const bool traced = obs::TraceRecorder::enabled();
+    const std::uint64_t t0 = traced ? obs::TraceRecorder::nowNs() : 0;
+    const bool synced = device_.sync();
+    if (synced && traced)
+        obs::TraceRecorder::complete("disk", "disk.log_sync", t0, 0,
+                                     "group",
+                                     static_cast<std::int64_t>(requests));
+    if (commit_observer_)
+        for (const DeferredCommit &commit : deferred_commits_)
+            commit_observer_(commit.addr, commit.data);
+    deferred_commits_.clear();
+    return synced;
 }
 
 void
@@ -314,19 +345,19 @@ PsOramController::powerFailureFlush(bool timed)
 {
     FlushOutcome outcome;
     {
-        // Nothing queues committed rounds outside the WPQs, so this
-        // span is empty; it keeps the six-window recovery timeline
-        // (RecoveryStats) that benchmark reports read.
-        PSORAM_TRACE_SCOPE("recovery", "wpq_replay", 0);
-    }
-    if (timed)
-        outcome.split_ns = obs::hostNowNs();
-    {
         PSORAM_TRACE_SCOPE("recovery", "adr_redeliver", 0);
         if (drainer_)
             outcome.redelivered_entries =
                 drainer_->domain().crashFlush(device_);
     }
+    if (timed)
+        outcome.split_ns = obs::hostNowNs();
+    {
+        PSORAM_TRACE_SCOPE("recovery", "wpq_replay", 0);
+        device_.dropVolatile();
+    }
+    // Nothing the dying controller deferred became durable.
+    deferred_commits_.clear();
     return outcome;
 }
 

@@ -73,11 +73,32 @@ class PsOramController
     PsOramController(const PsOramParams &params, MemoryBackend &device);
     ~PsOramController();
 
-    /** Read block @p addr into @p out (64 bytes). */
+    /** Read block @p addr into @p out (64 bytes). Outside a commit
+     *  group the access is durable on return. */
     OramAccessInfo read(BlockAddr addr, std::uint8_t *out);
 
-    /** Write 64 bytes from @p in to block @p addr. */
+    /** Write 64 bytes from @p in to block @p addr. Outside a commit
+     *  group the access is durable on return. */
     OramAccessInfo write(BlockAddr addr, const std::uint8_t *in);
+
+    /**
+     * @{ Group commit. Between beginGroup() and endGroup() accesses do
+     * not sync the device; endGroup() syncs once for the whole group
+     * and only then releases the commit notifications the group
+     * deferred. Callers acknowledge a group's requests after endGroup()
+     * — or at once while commitPending() is false, which it always is
+     * on a backend whose writes are durable immediately.
+     */
+    void beginGroup() { group_open_ = true; }
+    /** @param requests requests the group served (trace argument)
+     *  @return whether the device had an unsynced tail to sync */
+    bool endGroup(std::size_t requests);
+    bool
+    commitPending() const
+    {
+        return device_.holdsUnsyncedTail() || !deferred_commits_.empty();
+    }
+    /** @} */
 
     /** @{ Crash-injection plumbing. */
     void setCrashPolicy(CrashPolicy *policy) { crash_policy_ = policy; }
@@ -97,16 +118,25 @@ class PsOramController
     /** What the power-failure flush delivered (recovery accounting). */
     struct FlushOutcome
     {
-        /** WPQ entries the ADR crash flush redelivered to the NVM. */
+        /** WPQ entries the ADR crash flush redelivered to the device. */
         std::size_t redelivered_entries = 0;
-        /** Host timestamp that closes the (empty) wpq_replay window and
-         *  opens the ADR redelivery (phase attribution; 0 when not
-         *  requested). */
+        /** Host timestamp that closes the ADR redelivery window and
+         *  opens the log replay (wpq_replay) window (phase attribution;
+         *  0 when not requested). */
         std::uint64_t split_ns = 0;
     };
 
-    /** ADR semantics at power failure: flush committed WPQ rounds.
-     *  @param timed stamp FlushOutcome::split_ns (recovery stats) */
+    /**
+     * Power failure: the ADR domain flushes the committed WPQ rounds,
+     * then the device loses its volatile state and comes back up
+     * (MemoryBackend::dropVolatile — on disk, the page cache and the
+     * log's unsynced tail are lost and the durable log is replayed).
+     * On disk the WPQs are process RAM: a redelivered round is
+     * appended after every earlier record and is lost with the
+     * unsynced tail, so what survives is a prefix of the round
+     * sequence.
+     * @param timed stamp FlushOutcome::split_ns (recovery stats)
+     */
     FlushOutcome powerFailureFlush(bool timed = false);
 
     /** Adjacent-window timestamps recoverFromNvm() fills for the
@@ -253,6 +283,9 @@ class PsOramController
 
     void maybeCrash(CrashSite site);
 
+    /** Sync the device and release deferred commit notifications. */
+    bool commitDurable(std::size_t requests);
+
     bool persistent() const
     {
         return params_.design.persist != PersistMode::None;
@@ -293,6 +326,9 @@ class PsOramController
     CrashPolicy *crash_policy_ = nullptr;
     PathObserver observer_;
     CommitObserver commit_observer_;
+    /** Notifications waiting for the device's sync (group commit). */
+    std::vector<DeferredCommit> deferred_commits_;
+    bool group_open_ = false;
 
     Cycle now_ = 0;
 

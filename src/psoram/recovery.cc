@@ -15,8 +15,16 @@ RecoveryManager::recover(std::unique_ptr<PsOramController> crashed,
     const bool onchip_nv =
         params.design.stash_tech != StashTech::SRAM;
 
-    // Decode the black box FIRST: the ring still holds exactly what the
-    // dying run recorded, before any recovery-era append lands in it.
+    const std::uint64_t h0 = obs::hostNowNs();
+
+    // The ADR domain flushes committed rounds as the power fails, then
+    // the device comes back up (on disk: the durable log is replayed).
+    const PsOramController::FlushOutcome flush =
+        crashed->powerFailureFlush(/*timed=*/true);
+    const std::uint64_t h2 = obs::hostNowNs();
+
+    // Decode the black box before any recovery-era append: the ring
+    // holds exactly what the dying run made durable.
     FlightRecorder::Decoded box;
     if (flight) {
         box = flight->decode(device);
@@ -31,13 +39,6 @@ RecoveryManager::recover(std::unique_ptr<PsOramController> crashed,
         flight->record(device, FlightEventKind::RecoveryStart,
                        box.events.size(), box.torn_records);
     }
-
-    const std::uint64_t h0 = obs::hostNowNs();
-
-    // The ADR domain drains committed rounds as the power fails.
-    const PsOramController::FlushOutcome flush =
-        crashed->powerFailureFlush(/*timed=*/true);
-    const std::uint64_t h2 = obs::hostNowNs();
 
     PsOramController::OnChipNvState nv_state;
     if (onchip_nv)
@@ -73,13 +74,14 @@ RecoveryManager::recover(std::unique_ptr<PsOramController> crashed,
 
     if (stats) {
         // Adjacent host-ns windows (common/stats.hh RecoveryStats):
-        // posmap_rebuild absorbs the recoverFromNvm volatile rebuild
-        // plus the on-chip-state import/report tail, so the six phases
-        // sum to total exactly.
+        // ADR redelivery, then log replay, then image_reload (black-box
+        // decode included); posmap_rebuild absorbs the recoverFromNvm
+        // volatile rebuild plus the on-chip-state import/report tail,
+        // so the six phases sum to total exactly.
         const std::uint64_t hend = obs::hostNowNs();
         stats->sampleRecovery(
-            static_cast<double>(flush.split_ns - h0),
             static_cast<double>(h2 - flush.split_ns),
+            static_cast<double>(flush.split_ns - h0),
             static_cast<double>(h3 - h2),
             static_cast<double>(t.rebuild_done_ns - h3) +
                 static_cast<double>(hend - t.end_ns),

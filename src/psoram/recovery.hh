@@ -6,7 +6,8 @@
  * The sequence a real system performs on power-up is:
  *
  *   1. ADR drains the committed WPQ rounds to the NVM (this happened at
- *      failure time — powerFailureFlush()).
+ *      failure time — powerFailureFlush()), and the medium comes back
+ *      up: a disk tree replays its durable redo log.
  *   2. A fresh controller attaches to the NVM. Its committed PosMap is
  *      already in the trusted NVM region (non-recursive) or the PosMap
  *      ORAM trees (recursive); nothing volatile survived.
@@ -55,7 +56,8 @@ class RecoveryManager
      *        recovery (IntegrityError) bumps records_refused and
      *        rethrows without sampling the distributions.
      * @param flight when set, the persistent black box is decoded
-     *        BEFORE any recovery write (counters + trace tail), and
+     *        after the power-failure flush and BEFORE any other
+     *        recovery write (counters + trace tail), and
      *        RecoveryStart/RecoveryDone records bracket the rebuild.
      */
     static std::unique_ptr<PsOramController>

@@ -73,12 +73,25 @@ OramEngine::finish(const Pending &request, bool coalesced, Cycle start,
     completion.latency_cycles = ctrl_.nowCycles() - start;
     completion.info = info;
     completion.data = block;
+    // Nothing is acknowledged before it is durable: inside drain()'s
+    // commit group a completion waits for the group's sync while one
+    // is pending (and behind any that already wait, to keep the
+    // order). Outside it each access was durable on return.
+    if (!held_.empty() || ctrl_.commitPending())
+        held_.emplace_back(std::move(completion), request.callback);
+    else
+        complete(std::move(completion), request.callback);
+}
+
+void
+OramEngine::complete(Completion completion, const Callback &callback)
+{
     ++stats_.completed;
-    if (coalesced)
+    if (completion.coalesced)
         ++stats_.coalesced;
     PSORAM_TRACE_INSTANT("engine", "complete", completion.id);
-    if (request.callback)
-        request.callback(completion);
+    if (callback)
+        callback(completion);
     if (config_.record_completions)
         completions_.push_back(std::move(completion));
 }
@@ -148,8 +161,23 @@ std::size_t
 OramEngine::drain()
 {
     std::size_t total = 0;
+    ctrl_.beginGroup();
     while (!queue_.empty())
         total += poll();
+    if (ctrl_.commitPending()) {
+        const std::uint64_t sync0 = obs::hostNowNs();
+        if (ctrl_.endGroup(total)) {
+            stats_.group_size.sample(static_cast<double>(total));
+            stats_.group_sync_ns.sample(
+                static_cast<double>(obs::hostNowNs() - sync0));
+        }
+    } else {
+        ctrl_.endGroup(total);
+    }
+    std::vector<std::pair<Completion, Callback>> held;
+    held.swap(held_);
+    for (auto &[completion, callback] : held)
+        complete(std::move(completion), callback);
     return total;
 }
 
@@ -174,6 +202,11 @@ OramEngine::registerStats(StatGroup &group) const
                      "requests absorbed into an earlier access");
     group.addCounter("backpressure_stalls", &stats_.backpressure_stalls,
                      "submits that hit the max_pending bound");
+    group.addDistribution("group_commit.size", &stats_.group_size,
+                          "completions per commit group that synced "
+                          "the device");
+    group.addDistribution("group_commit.sync_ns", &stats_.group_sync_ns,
+                          "host ns of one commit group's device sync");
 }
 
 } // namespace psoram

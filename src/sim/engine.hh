@@ -9,6 +9,15 @@
  * driven when the caller polls, so submission never blocks on NVM
  * timing.
  *
+ * drain() runs the queue as one commit group (PsOramController::
+ * beginGroup/endGroup): on a backend that logs writes first (the disk
+ * tree) the controller syncs once for the whole queue, and every
+ * completion produced while a sync is pending — reads included, since
+ * one may return a value written earlier in the group — is delivered
+ * only after it. On a backend whose writes are durable at once nothing
+ * waits, and completions flow per access. poll() on its own is a group
+ * of one access run (durable on return).
+ *
  * Back-to-back requests to the same logical block are *coalesced*: a
  * run of duplicate reads (or a write-led run) costs one path
  * load/eviction, and a read-then-write run costs two — the folded
@@ -26,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -110,7 +120,8 @@ class OramEngine
      */
     std::size_t poll();
 
-    /** Process the whole queue. @return total completions delivered. */
+    /** Process the whole queue as one commit group.
+     *  @return total completions delivered. */
     std::size_t drain();
 
     std::size_t pending() const { return queue_.size(); }
@@ -131,6 +142,11 @@ class OramEngine
         /** Submits that found the queue over max_pending and had to
          *  drive the engine inline (saturation signal). */
         Counter backpressure_stalls;
+        /** @{ Per drain() whose group synced the device: completions
+         *  it released, and the sync's host time. */
+        Distribution group_size;
+        Distribution group_sync_ns;
+        /** @} */
     };
     const Stats &stats() const { return stats_; }
 
@@ -162,12 +178,17 @@ class OramEngine
                 const OramAccessInfo &info,
                 const std::array<std::uint8_t, kBlockDataBytes> &block);
 
+    /** Count, trace, call back and record one completion. */
+    void complete(Completion completion, const Callback &callback);
+
     void backpressure();
 
     PsOramController &ctrl_;
     Config config_;
     std::deque<Pending> queue_;
     std::vector<Completion> completions_;
+    /** Completions of the open commit group waiting for its sync. */
+    std::vector<std::pair<Completion, Callback>> held_;
     Stats stats_;
     RequestId next_id_ = 1;
 };

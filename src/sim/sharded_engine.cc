@@ -166,14 +166,14 @@ ShardedOramEngine::workerLoop(Worker &worker)
         worker.space_cv.notify_all();
         // Feed the whole batch into the shard engine so back-to-back
         // same-block requests coalesce exactly as in the single-shard
-        // stack, then run it to completion. Only this thread touches
+        // stack, then run it to completion as one commit group. Only this thread touches
         // the shard's controller, stash and device.
         //
         // Requests with no callback when completion records are off
         // skip the drain thread entirely: nothing would observe the
         // Completion, so copying it through the queue (plus a cv
         // wakeup per request) would be pure overhead. They are counted
-        // in one batched idle update after the engine drains.
+        // in one batched idle update after the group commits.
         std::uint64_t fire_and_forget = 0;
         for (Request &request : batch) {
             const bool silent =
@@ -308,6 +308,9 @@ ShardedOramEngine::shardStats(unsigned shard) const
     snap.controller_accesses = worker.controller->accessCount();
     snap.stash_hits = worker.controller->stashHits();
     snap.backpressure_waits = worker.backpressure_waits.value();
+    const Distribution::Snapshot groups = inner.group_size.snapshot();
+    snap.group_syncs = groups.count;
+    snap.group_requests = static_cast<std::uint64_t>(groups.sum);
     return snap;
 }
 
@@ -354,6 +357,8 @@ ShardedOramEngine::stats() const
         total.controller_accesses += shard.controller_accesses;
         total.stash_hits += shard.stash_hits;
         total.backpressure_waits += shard.backpressure_waits;
+        total.group_syncs += shard.group_syncs;
+        total.group_requests += shard.group_requests;
     }
     return total;
 }

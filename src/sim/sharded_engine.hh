@@ -17,6 +17,13 @@
  * structures are the mailboxes and the completion queue, both
  * mutex-guarded.
  *
+ * Each swapped batch is one commit group (OramEngine::drain): a shard
+ * on a backend that logs writes first (the disk tree) runs the batch's
+ * k accesses, syncs its log once, and only then releases the k
+ * completions — nothing is acknowledged before it is durable. On a
+ * backend whose writes are durable at once nothing waits, and
+ * completions flow per access.
+ *
  * Completion callbacks fire on the drain thread — never on a worker and
  * never on the submitting thread — so user callbacks are serialized and
  * may safely touch shared caller state without locking against each
@@ -143,6 +150,11 @@ class ShardedOramEngine
          *  the engine-side saturation signal the serving harness
          *  reports. */
         std::uint64_t backpressure_waits = 0;
+        /** @{ Commit groups that synced the device, and the
+         *  completions they released (mean group size = ratio). */
+        std::uint64_t group_syncs = 0;
+        std::uint64_t group_requests = 0;
+        /** @} */
     };
 
     /** One shard's counters (safe while workers run). */

@@ -220,12 +220,10 @@ System::recoverController()
 {
     {
         const FaultInjector::ScopedSuspend suspend(fault_injector);
-        // Simulated power failure: any RAM cache in front of the
-        // durable medium is gone BEFORE the ADR flush redelivers the
-        // committed in-flight rounds — so those redeliveries land
-        // durably, and everything else the cache held un-flushed is
-        // genuinely lost to recovery.
-        device->dropVolatile();
+        // Simulated power failure: the ADR flush redelivers the
+        // committed in-flight rounds, then the device loses its
+        // volatile state (powerFailureFlush), so recovery reads only
+        // what had durably reached the medium.
         controller = RecoveryManager::recover(std::move(controller),
                                               *device, nullptr,
                                               recovery_stats.get(),

@@ -2,13 +2,21 @@
  * @file
  * Crash consistency on the PagedDiskBackend: the full PS-ORAM recovery
  * guarantee must hold when the tree lives on a real file behind a
- * write-back page cache — including the crash points the disk tier
- * *adds* (mid-pwrite torn pages, the pre-fsync window).
+ * write-back page cache and a redo log — including the crash points the
+ * disk tier *adds*: a torn log record (LogAppend), the pre-fdatasync
+ * window that loses the log's unsynced tail (LogSync), and a
+ * checkpoint's torn in-place page (PageWrite) and tree fsync (Sync).
  *
- * The enumerator test loops runArmedCrash() directly instead of
- * enumerateCrashPoints(): each armed replay rebuilds the System, and on
- * disk that would reopen the previous replay's tree — the backing file
- * must be wiped between replays to keep them independent.
+ * The enumerations loop over armed replays directly instead of calling
+ * enumerateCrashPoints(): each replay rebuilds the System, and on disk
+ * that would reopen the previous replay's tree — the backing file and
+ * its log must be wiped between replays to keep them independent.
+ *
+ * Group commit gets its own enumeration: the trace runs in commit
+ * groups (PsOramController::beginGroup/endGroup), as a sharded engine
+ * worker runs one mailbox batch, so a crash at the group's LogSync cuts
+ * several accesses at once. The negative control truncates the log
+ * before recovery, which must surface as lost writes.
  *
  * The sharded tests (2 and 4 shards) replay the cross-shard kill
  * scenario from test_sharded_crash.cc on disk trees: shard 0 fully
@@ -18,11 +26,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 
+#include "common/random.hh"
 #include "nvm/paged_disk.hh"
 #include "sim/crash_enumerator.hh"
 #include "sim/sharded_system.hh"
@@ -30,14 +42,21 @@
 namespace psoram {
 namespace {
 
+/** Remove a tree and its redo log. */
+void
+removeTree(const std::string &path)
+{
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+}
+
 std::string
 tmpTree(const std::string &name)
 {
     const std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
+    removeTree(path);
     for (unsigned shard = 0; shard < 8; ++shard)
-        std::remove(
-            (path + ".shard" + std::to_string(shard)).c_str());
+        removeTree(path + ".shard" + std::to_string(shard));
     return path;
 }
 
@@ -57,55 +76,169 @@ diskCrashConfig(const std::string &path)
     return config;
 }
 
-/**
- * Exhaustively sampled crash-point enumeration over the disk backend,
- * with a fresh tree per replay. The stride is co-prime with the
- * DrainWrite/PageWrite/Sync periodicity of a noisy disk write so every
- * boundary kind — including the torn-page PageWrite points — gets hit.
- */
-TEST(DiskCrashEnum, SampledBoundariesAllRecoverOnDisk)
+/** A cache just large enough for the working set (no evictions), so
+ *  its derived log fills every ~50 accesses and a 64-access trace
+ *  crosses a checkpoint (PageWrite and Sync boundaries). */
+SystemConfig
+checkpointingConfig(const std::string &path)
 {
-    const std::string path = tmpTree("disk_crash_enum.tree");
-    CrashEnumConfig config;
-    config.system = diskCrashConfig(path);
-    config.trace = makeCrashTrace(/*seed=*/7, /*ops=*/10,
-                                  config.system.num_blocks);
-    config.post_recovery_ops = 32;
+    SystemConfig config = diskCrashConfig(path);
+    config.disk_cache_pages = 8;
+    config.disk_pinned_pages = 1;
+    return config;
+}
 
-    // Probe: count the boundary population and its kinds.
-    std::uint64_t total = 0;
-    std::array<std::uint64_t, kNumPersistBoundaryKinds> kinds{};
-    {
-        System system = buildSystem(config.system);
-        RecoveryOracle oracle;
-        FaultInjector injector;
-        system.attachFaultInjector(&injector);
-        std::uint8_t buf[kBlockDataBytes];
-        for (const TraceOp &op : config.trace) {
+/**
+ * Drive @p trace in commit groups of @p group accesses (1 = every
+ * access durable on return, the direct-call path).
+ * @return true if an InjectedFault aborted the run
+ */
+bool
+runGrouped(System &system, const std::vector<TraceOp> &trace,
+           std::size_t group, RecoveryOracle &oracle)
+{
+    std::uint8_t buf[kBlockDataBytes];
+    std::size_t in_group = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceOp &op = trace[i];
+        try {
+            if (group > 1 && in_group == 0)
+                system.controller->beginGroup();
             if (op.is_write) {
+                oracle.latest[op.addr] = op.version;
                 stampPayload(op.addr, op.version, buf);
                 system.controller->write(op.addr, buf);
             } else {
                 system.controller->read(op.addr, buf);
             }
+            if (group > 1 &&
+                (++in_group == group || i + 1 == trace.size())) {
+                system.controller->endGroup(in_group);
+                in_group = 0;
+            }
+        } catch (const InjectedFault &) {
+            return true;
         }
-        total = injector.boundariesSeen();
-        for (std::size_t kind = 0; kind < kinds.size(); ++kind)
-            kinds[kind] =
-                injector.kindCount(static_cast<PersistBoundary>(kind));
     }
-    ASSERT_GT(total, 0u);
+    return false;
+}
+
+/** Kind of every boundary (1-based index) of a clean grouped run. */
+std::vector<PersistBoundary>
+probeKinds(const SystemConfig &config, const std::vector<TraceOp> &trace,
+           std::size_t group)
+{
+    removeTree(config.backing_file);
+    std::vector<PersistBoundary> kinds;
+    System system = buildSystem(config);
+    RecoveryOracle oracle;
+    FaultInjector injector;
+    injector.setObserver([&kinds](PersistBoundary kind, std::uint64_t) {
+        kinds.push_back(kind);
+    });
+    system.attachFaultInjector(&injector);
+    runGrouped(system, trace, group, oracle);
+    system.attachFaultInjector(nullptr);
+    return kinds;
+}
+
+/**
+ * One armed replay of a grouped trace: crash at boundary @p k, recover
+ * in process, run the I1-I5 checker and a verified follow-up workload.
+ * With @p lose_log the redo log is truncated before recovery (the
+ * negative control).
+ */
+std::vector<std::string>
+runGroupedCrash(const SystemConfig &config,
+                const std::vector<TraceOp> &trace, std::size_t group,
+                std::uint64_t k, bool lose_log = false)
+{
+    removeTree(config.backing_file);
+    System system = buildSystem(config);
+    RecoveryOracle oracle;
+    system.controller->setCommitObserver(oracle.observer());
+    system.setRebindHook([&oracle](PsOramController &ctrl) {
+        ctrl.setCommitObserver(oracle.observer());
+    });
+    FaultInjector injector;
+    system.attachFaultInjector(&injector);
+    injector.armAt(k);
+
+    const std::string where =
+        "boundary " + std::to_string(k) + " (group " +
+        std::to_string(group) + ")";
+    std::vector<std::string> violations;
+    if (!runGrouped(system, trace, group, oracle)) {
+        violations.push_back(where + ": armed fault never fired");
+        return violations;
+    }
+    const std::string kind = persistBoundaryName(injector.firedKind());
+    if (oracle.non_monotonic)
+        violations.push_back(where + ": durability went backwards");
+    if (lose_log)
+        std::filesystem::resize_file(config.backing_file + ".wal", 0);
+    system.recoverController();
+    for (std::string &v : checkRecoveryInvariants(system, oracle))
+        violations.push_back(where + " " + kind + ": " + std::move(v));
+
+    Rng rng(config.seed ^ k);
+    std::uint8_t buf[kBlockDataBytes];
+    std::map<BlockAddr, std::uint32_t> post;
+    for (unsigned op = 0; op < 16; ++op) {
+        const BlockAddr addr = rng.nextBelow(config.num_blocks);
+        if (rng.nextBool(0.5)) {
+            const auto version = static_cast<std::uint32_t>(1'000'000 + op);
+            stampPayload(addr, version, buf);
+            system.controller->write(addr, buf);
+            post[addr] = version;
+        } else if (post.count(addr)) {
+            system.controller->read(addr, buf);
+            if (payloadVersion(buf) != post[addr])
+                violations.push_back(where + " " + kind +
+                                     ": post-recovery ORAM broken");
+        }
+    }
+    return violations;
+}
+
+std::size_t
+countKind(const std::vector<PersistBoundary> &kinds, PersistBoundary kind)
+{
+    return static_cast<std::size_t>(
+        std::count(kinds.begin(), kinds.end(), kind));
+}
+
+/**
+ * Sampled crash-point enumeration over the disk backend, with a fresh
+ * tree per replay, on a trace that crosses a checkpoint. The stride is
+ * co-prime with the per-access boundary period so every boundary kind
+ * is hit somewhere.
+ */
+TEST(DiskCrashEnum, SampledBoundariesAllRecoverOnDisk)
+{
+    const std::string path = tmpTree("disk_crash_enum.tree");
+    CrashEnumConfig config;
+    config.system = checkpointingConfig(path);
+    config.trace = makeCrashTrace(/*seed=*/7, /*ops=*/64,
+                                  config.system.num_blocks);
+    config.post_recovery_ops = 32;
+
+    const std::vector<PersistBoundary> kinds =
+        probeKinds(config.system, config.trace, 1);
+    ASSERT_FALSE(kinds.empty());
     // The disk tier's own crash points must be in the enumeration
-    // domain, or the torn-page argument is vacuous.
-    EXPECT_GT(kinds[static_cast<std::size_t>(PersistBoundary::PageWrite)],
-              0u)
-        << "no torn-page crash points enumerated";
-    EXPECT_GT(kinds[static_cast<std::size_t>(PersistBoundary::Sync)], 0u)
-        << "no pre-fsync crash points enumerated";
+    // domain, or the torn-record and torn-page arguments are vacuous.
+    for (const PersistBoundary kind :
+         {PersistBoundary::RoundStart, PersistBoundary::RoundCommit,
+          PersistBoundary::DrainWrite, PersistBoundary::LogAppend,
+          PersistBoundary::LogSync, PersistBoundary::PageWrite,
+          PersistBoundary::Sync})
+        EXPECT_GT(countKind(kinds, kind), 0u)
+            << "no " << persistBoundaryName(kind) << " crash points";
 
     std::uint64_t replays = 0;
-    for (std::uint64_t k = 1; k <= total; k += 13) {
-        std::remove(path.c_str()); // fresh tree per replay
+    for (std::uint64_t k = 1; k <= kinds.size(); k += 11) {
+        removeTree(path); // fresh tree per replay
         const std::vector<std::string> violations =
             runArmedCrash(config, k);
         ++replays;
@@ -115,122 +248,212 @@ TEST(DiskCrashEnum, SampledBoundariesAllRecoverOnDisk)
             break;
     }
     EXPECT_GT(replays, 10u);
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
 /**
- * Crash exactly at the disk-specific boundary kinds — a mid-pwrite
- * PageWrite (the torn-page point) and a pre-fsync Sync — located
- * deterministically, then recovered and checked like any other point.
+ * Every boundary the disk tier adds — each torn record, each log sync,
+ * each torn checkpoint page and each tree fsync — plus the first of
+ * every protocol kind, replayed and checked like any other point.
  */
 TEST(DiskCrashEnum, TornPageAndFsyncBoundariesRecover)
 {
     const std::string path = tmpTree("disk_crash_kinds.tree");
     CrashEnumConfig config;
-    config.system = diskCrashConfig(path);
-    config.trace = makeCrashTrace(/*seed=*/11, /*ops=*/8,
+    config.system = checkpointingConfig(path);
+    config.trace = makeCrashTrace(/*seed=*/11, /*ops=*/64,
                                   config.system.num_blocks);
     config.post_recovery_ops = 24;
 
-    // Locate the first boundaries of each target kind: arm index k on
-    // a fresh system, observe which kind fired. The sequence is
-    // deterministic per (config, trace), so these probes are exact.
-    std::map<PersistBoundary, std::uint64_t> first_of_kind;
-    for (std::uint64_t k = 1; k <= 64 && first_of_kind.size() < 2; ++k) {
-        std::remove(path.c_str());
-        System system = buildSystem(config.system);
-        FaultInjector injector;
-        system.attachFaultInjector(&injector);
-        injector.armAt(k);
-        std::uint8_t buf[kBlockDataBytes];
-        try {
-            for (const TraceOp &op : config.trace) {
-                if (op.is_write) {
-                    stampPayload(op.addr, op.version, buf);
-                    system.controller->write(op.addr, buf);
-                } else {
-                    system.controller->read(op.addr, buf);
-                }
-            }
-        } catch (const InjectedFault &) {
-            const PersistBoundary kind = injector.firedKind();
-            if ((kind == PersistBoundary::PageWrite ||
-                 kind == PersistBoundary::Sync) &&
-                !first_of_kind.count(kind))
-                first_of_kind[kind] = k;
-        }
-    }
-    ASSERT_TRUE(first_of_kind.count(PersistBoundary::PageWrite))
-        << "no torn-page boundary in the first 64";
-    ASSERT_TRUE(first_of_kind.count(PersistBoundary::Sync))
-        << "no fsync boundary in the first 64";
-
-    for (const auto &[kind, k] : first_of_kind) {
-        std::remove(path.c_str());
+    const std::vector<PersistBoundary> kinds =
+        probeKinds(config.system, config.trace, 1);
+    std::set<PersistBoundary> first_seen;
+    std::size_t replayed = 0;
+    for (std::uint64_t k = 1; k <= kinds.size(); ++k) {
+        const PersistBoundary kind = kinds[k - 1];
+        const bool disk_kind = kind == PersistBoundary::PageWrite ||
+                               kind == PersistBoundary::Sync ||
+                               kind == PersistBoundary::LogAppend ||
+                               kind == PersistBoundary::LogSync;
+        if (!disk_kind && !first_seen.insert(kind).second)
+            continue;
+        removeTree(path);
         for (const std::string &violation : runArmedCrash(config, k))
             ADD_FAILURE()
                 << persistBoundaryName(kind) << ": " << violation;
+        ++replayed;
     }
-    std::remove(path.c_str());
+    EXPECT_GT(countKind(kinds, PersistBoundary::PageWrite), 0u);
+    EXPECT_GT(replayed, countKind(kinds, PersistBoundary::LogSync));
+    removeTree(path);
 }
 
 /**
- * Torn pages under the integrity layer: crash exactly at the mid-pwrite
- * PageWrite boundary with integrity=tree and recover. The tear must
- * surface as the page trailer CRC (discarded and re-recovered) or as a
- * typed MAC/hash refusal — never as silently accepted corrupt data.
- * The armed replay's invariant checker (I4 old-or-new + I5 integrity
- * re-verification) is exactly that never-silent guarantee.
+ * Torn pages and torn records under the integrity layer: crash at
+ * every disk-tier boundary (and the first of every protocol kind) with
+ * integrity=tree and recover. A tear must be healed by log replay,
+ * rejected by the record CRC, or surface as a typed MAC/hash refusal —
+ * never as silently accepted corrupt data. The armed replay's
+ * invariant checker (I4 old-or-new + I5 integrity re-verification) is
+ * exactly that never-silent guarantee.
  */
 TEST(DiskCrashEnum, TornPageWithIntegrityTreeNeverSilent)
 {
     const std::string path = tmpTree("disk_crash_integrity.tree");
     CrashEnumConfig config;
-    config.system = diskCrashConfig(path);
+    config.system = checkpointingConfig(path);
     config.system.integrity = IntegrityMode::Tree;
-    config.trace = makeCrashTrace(/*seed=*/11, /*ops=*/8,
+    config.trace = makeCrashTrace(/*seed=*/11, /*ops=*/64,
                                   config.system.num_blocks);
     config.post_recovery_ops = 24;
 
-    // Locate the first torn-page boundary for this (config, trace).
-    std::uint64_t page_write_k = 0;
-    for (std::uint64_t k = 1; k <= 96 && page_write_k == 0; ++k) {
-        std::remove(path.c_str());
-        System system = buildSystem(config.system);
-        FaultInjector injector;
-        system.attachFaultInjector(&injector);
-        injector.armAt(k);
-        std::uint8_t buf[kBlockDataBytes];
-        try {
-            for (const TraceOp &op : config.trace) {
-                if (op.is_write) {
-                    stampPayload(op.addr, op.version, buf);
-                    system.controller->write(op.addr, buf);
-                } else {
-                    system.controller->read(op.addr, buf);
-                }
-            }
-        } catch (const InjectedFault &) {
-            if (injector.firedKind() == PersistBoundary::PageWrite)
-                page_write_k = k;
-        }
+    const std::vector<PersistBoundary> kinds =
+        probeKinds(config.system, config.trace, 1);
+    ASSERT_GT(countKind(kinds, PersistBoundary::PageWrite), 0u)
+        << "trace never checkpointed";
+    std::set<PersistBoundary> first_seen;
+    for (std::uint64_t k = 1; k <= kinds.size(); ++k) {
+        const PersistBoundary kind = kinds[k - 1];
+        const bool disk_kind = kind == PersistBoundary::PageWrite ||
+                               kind == PersistBoundary::Sync ||
+                               kind == PersistBoundary::LogAppend ||
+                               kind == PersistBoundary::LogSync;
+        if (!disk_kind && !first_seen.insert(kind).second)
+            continue;
+        removeTree(path);
+        for (const std::string &violation : runArmedCrash(config, k))
+            ADD_FAILURE()
+                << persistBoundaryName(kind) << ": " << violation;
     }
-    ASSERT_NE(page_write_k, 0u)
-        << "no torn-page boundary in the first 96";
-
-    std::remove(path.c_str());
-    for (const std::string &violation :
-         runArmedCrash(config, page_write_k))
-        ADD_FAILURE() << violation;
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
-PagedDiskBackend *
-diskNvm(System &system)
+/**
+ * Group commit, exhaustively: the trace runs in groups of 3 accesses
+ * (one sync per group, commit notifications released after it), and
+ * every boundary — the group-ending LogSync that cuts three accesses at
+ * once included — recovers under I1-I4 with no observed-durable write
+ * lost.
+ */
+TEST(DiskCrashEnum, GroupCommitEveryBoundaryRecovers)
 {
-    auto *disk = dynamic_cast<PagedDiskBackend *>(system.device.get());
-    EXPECT_NE(disk, nullptr);
-    return disk;
+    const std::string path = tmpTree("disk_crash_group.tree");
+    const SystemConfig config = checkpointingConfig(path);
+    const std::vector<TraceOp> trace =
+        makeCrashTrace(/*seed=*/5, /*ops=*/60, config.num_blocks, 0.7);
+    const std::vector<PersistBoundary> kinds =
+        probeKinds(config, trace, 3);
+    EXPECT_GT(countKind(kinds, PersistBoundary::PageWrite), 0u);
+    EXPECT_EQ(countKind(kinds, PersistBoundary::LogSync), trace.size() / 3)
+        << "one log sync per commit group";
+    for (std::uint64_t k = 1; k <= kinds.size(); ++k)
+        for (const std::string &violation :
+             runGroupedCrash(config, trace, 3, k))
+            ADD_FAILURE() << violation;
+    removeTree(path);
+}
+
+/**
+ * The write-ahead rule under eviction pressure: a two-page cache
+ * evicts frames that later accesses of the same commit group dirtied,
+ * so each eviction must sync the log before the page reaches the tree.
+ * Every boundary of a grouped trace recovers.
+ */
+TEST(DiskCrashEnum, EvictionsInAGroupRespectTheWriteAheadRule)
+{
+    const std::string path = tmpTree("disk_crash_wal_rule.tree");
+    SystemConfig config = diskCrashConfig(path);
+    config.disk_cache_pages = 2;
+    config.disk_pinned_pages = 0;
+    const std::vector<TraceOp> trace =
+        makeCrashTrace(/*seed=*/13, /*ops=*/24, config.num_blocks, 0.7);
+    const std::vector<PersistBoundary> kinds =
+        probeKinds(config, trace, 4);
+    ASSERT_FALSE(kinds.empty());
+    for (std::uint64_t k = 1; k <= kinds.size(); ++k)
+        for (const std::string &violation :
+             runGroupedCrash(config, trace, 4, k))
+            ADD_FAILURE() << violation;
+    removeTree(path);
+}
+
+/**
+ * A group of two writes cut at its LogSync: both records were appended
+ * but never synced, so the crash discards them. The commit observer
+ * must not have reported either (their acks wait for the sync), and the
+ * blocks must read back at their last observed-durable version.
+ */
+TEST(DiskCrashEnum, GroupCutAtLogSyncLosesNoObservedWrite)
+{
+    const std::string path = tmpTree("disk_crash_group_cut.tree");
+    System system = buildSystem(diskCrashConfig(path));
+    RecoveryOracle oracle;
+    system.controller->setCommitObserver(oracle.observer());
+    system.setRebindHook([&oracle](PsOramController &ctrl) {
+        ctrl.setCommitObserver(oracle.observer());
+    });
+    std::uint8_t buf[kBlockDataBytes];
+    for (BlockAddr addr = 0; addr < 4; ++addr) {
+        stampPayload(addr, 1, buf);
+        system.controller->write(addr, buf);
+        oracle.latest[addr] = 1;
+    }
+    ASSERT_EQ(oracle.durableOf(3), 1u) << "direct writes are durable";
+
+    FaultInjector injector;
+    system.attachFaultInjector(&injector);
+    system.controller->beginGroup();
+    for (BlockAddr addr = 0; addr < 2; ++addr) {
+        stampPayload(addr, 2, buf);
+        system.controller->write(addr, buf);
+        oracle.latest[addr] = 2;
+    }
+    EXPECT_TRUE(system.controller->commitPending());
+    EXPECT_EQ(oracle.durableOf(0), 1u) << "reported before its sync";
+    injector.armAt(injector.boundariesSeen() + 1);
+    EXPECT_THROW(system.controller->endGroup(2), InjectedFault);
+    EXPECT_EQ(injector.firedKind(), PersistBoundary::LogSync);
+    EXPECT_EQ(oracle.durableOf(0), 1u) << "reported before its sync";
+
+    system.recoverController();
+    EXPECT_EQ(checkRecoveryInvariants(system, oracle),
+              std::vector<std::string>{});
+    for (BlockAddr addr = 0; addr < 2; ++addr) {
+        system.controller->read(addr, buf);
+        EXPECT_EQ(payloadVersion(buf), 1u)
+            << "the unsynced group survived the power failure";
+    }
+    removeTree(path);
+}
+
+/**
+ * Negative control: with the redo log truncated before recovery, the
+ * same enumeration must report violations — every write since the last
+ * checkpoint lived only in the log. A checker that stays green here is
+ * not checking the log.
+ */
+TEST(DiskCrashEnum, LostLogIsCaughtByTheEnumeration)
+{
+    const std::string path = tmpTree("disk_crash_lost_log.tree");
+    const SystemConfig config = diskCrashConfig(path);
+    const std::vector<TraceOp> trace =
+        makeCrashTrace(/*seed=*/7, /*ops=*/12, config.num_blocks, 0.8);
+    const std::vector<PersistBoundary> kinds =
+        probeKinds(config, trace, 1);
+    std::size_t failing = 0;
+    std::size_t replays = 0;
+    for (std::uint64_t k = kinds.size() / 2; k <= kinds.size(); k += 5) {
+        ++replays;
+        failing += !runGroupedCrash(config, trace, 1, k,
+                                    /*lose_log=*/true)
+                        .empty();
+        EXPECT_TRUE(runGroupedCrash(config, trace, 1, k).empty())
+            << "boundary " << k << " fails even with its log";
+    }
+    EXPECT_GT(replays, 3u);
+    EXPECT_EQ(failing, replays)
+        << "a lost log went unnoticed at some crash points";
+    removeTree(path);
 }
 
 void
@@ -284,13 +507,12 @@ runShardedDiskKill(unsigned num_shards)
         }
         ASSERT_TRUE(crashed) << "WPQ crash site never reached";
 
-        // Power failure: ADR flush lands (write-through + fsync on
-        // disk), then every shard's RAM page cache is gone. No orderly
-        // shutdown flush may save un-persisted state.
-        for (unsigned k = 0; k < num_shards; ++k) {
+        // Power failure: the ADR flush, then every shard's RAM page
+        // cache and unsynced log tail are gone and its log replays
+        // (powerFailureFlush). No orderly shutdown flush may save
+        // un-persisted state.
+        for (unsigned k = 0; k < num_shards; ++k)
             system.controller(k).powerFailureFlush();
-            diskNvm(system.shards[k])->dropVolatile();
-        }
     }
 
     // "Process 2": reopen the trees, recover, check the guarantee.

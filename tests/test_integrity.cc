@@ -603,10 +603,14 @@ std::string
 tmpTree(const std::string &name)
 {
     const std::string path = ::testing::TempDir() + name;
+    // Each disk tree has a redo-log sidecar (<tree>.wal).
     std::remove(path.c_str());
-    for (unsigned shard = 0; shard < 8; ++shard)
-        std::remove(
-            (path + ".shard" + std::to_string(shard)).c_str());
+    std::remove((path + ".wal").c_str());
+    for (unsigned shard = 0; shard < 8; ++shard) {
+        const std::string tree = path + ".shard" + std::to_string(shard);
+        std::remove(tree.c_str());
+        std::remove((tree + ".wal").c_str());
+    }
     return path;
 }
 
@@ -650,6 +654,7 @@ runSampledEnum(CrashEnumConfig config, const std::string &path,
     }
     EXPECT_GT(replays, 8u);
     std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
 }
 
 /** Page-cache budget that holds every page of these small trees. */

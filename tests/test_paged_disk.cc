@@ -1,11 +1,12 @@
 /**
  * @file
  * PagedDiskBackend unit coverage: functional equivalence with the
- * in-memory model, write-back/write-through durability semantics under
- * dropVolatile(), LRU eviction + pinning, image snapshot/restore,
- * reopen persistence, and the torn-page negative control — a partial
- * page write MUST be detected (CRC trailer mismatch) when the page is
- * next loaded.
+ * in-memory model, redo-log durability semantics under dropVolatile()
+ * (synced records survive, the unsynced tail and torn records do not),
+ * LRU eviction + pinning with the write-ahead rule, image
+ * snapshot/restore, reopen persistence, and the torn-page negative
+ * control — a partial page write MUST be detected (CRC trailer
+ * mismatch) when the page is next loaded, and healed by log replay.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,11 +31,19 @@ namespace {
 
 constexpr std::uint64_t kCapacity = 1ULL << 20; // 256 pages
 
+/** Remove a tree and its redo log. */
+void
+removeTree(const std::string &path)
+{
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+}
+
 std::string
 tmpTree(const std::string &name)
 {
     const std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
+    removeTree(path);
     return path;
 }
 
@@ -99,7 +109,7 @@ TEST(PagedDisk, MatchesInMemoryModelOnMixedTraffic)
     }
     EXPECT_EQ(disk.image(), reference.image());
     EXPECT_EQ(disk.tornPagesDetected(), 0u);
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
 TEST(PagedDisk, TreePersistsAcrossReopen)
@@ -120,7 +130,7 @@ TEST(PagedDisk, TreePersistsAcrossReopen)
         EXPECT_EQ(got, payload);
         EXPECT_EQ(disk.tornPagesDetected(), 0u);
     }
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
 TEST(PagedDisk, DropVolatileLosesUnbarrieredQuietWrites)
@@ -145,13 +155,23 @@ TEST(PagedDisk, DropVolatileLosesUnbarrieredQuietWrites)
     disk.readBytes(2048, got.data(), got.size());
     EXPECT_EQ(got, payload);
 
-    // Noisy writes are write-through: durable without any barrier.
+    // A noisy write is a log record: lost while unsynced, durable once
+    // sync() reports it.
     const auto noisy = pattern(96, 12);
     disk.writeBytes(4096 * 3, noisy.data(), noisy.size());
+    EXPECT_TRUE(disk.holdsUnsyncedTail());
+    disk.dropVolatile();
+    disk.readBytes(4096 * 3, got.data(), got.size());
+    EXPECT_EQ(got, std::vector<std::uint8_t>(96, 0))
+        << "an unsynced record must not survive the crash model";
+    disk.writeBytes(4096 * 3, noisy.data(), noisy.size());
+    EXPECT_TRUE(disk.sync());
+    EXPECT_FALSE(disk.holdsUnsyncedTail());
+    EXPECT_FALSE(disk.sync()) << "nothing left to sync";
     disk.dropVolatile();
     disk.readBytes(4096 * 3, got.data(), got.size());
     EXPECT_EQ(got, noisy);
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
 TEST(PagedDisk, NoisyWriteCarriesQuietWriteBack)
@@ -164,13 +184,20 @@ TEST(PagedDisk, NoisyWriteCarriesQuietWriteBack)
     const auto quiet = pattern(96, 31);
     const auto noisy = pattern(96, 32);
 
-    // A quiet page reaches the file with the next noisy write's flush,
-    // without a boundary of its own: one DirectWrite, one PageWrite
-    // (the noisy page), one Sync.
+    // A quiet span rides in the next record, without a boundary of
+    // its own: one DirectWrite, one LogAppend (the record), one
+    // LogSync, and no page is written in place.
     disk.writeBytes(2048, quiet.data(), quiet.size(), Durability::Quiet);
     disk.writeBytes(4096 * 3, noisy.data(), noisy.size());
+    disk.sync();
     EXPECT_EQ(injector.boundariesSeen(), 3u);
-    EXPECT_EQ(injector.kindCount(PersistBoundary::PageWrite), 1u);
+    EXPECT_EQ(injector.kindCount(PersistBoundary::LogAppend), 1u);
+    EXPECT_EQ(injector.kindCount(PersistBoundary::LogSync), 1u);
+    EXPECT_EQ(injector.kindCount(PersistBoundary::PageWrite), 0u);
+    const PagedDiskBackend::IoStats io = disk.ioStats();
+    EXPECT_EQ(io.log_appends, 1u);
+    EXPECT_EQ(io.log_syncs, 1u);
+    EXPECT_EQ(io.pages_flushed, 0u);
     disk.setFaultInjector(nullptr);
 
     disk.dropVolatile();
@@ -179,7 +206,100 @@ TEST(PagedDisk, NoisyWriteCarriesQuietWriteBack)
     EXPECT_EQ(got, quiet);
     disk.readBytes(4096 * 3, got.data(), got.size());
     EXPECT_EQ(got, noisy);
-    std::remove(path.c_str());
+    removeTree(path);
+}
+
+/**
+ * A torn record ends replay: crash half-way through the second append
+ * (the LogAppend boundary), lose RAM, and only the first, synced
+ * record survives — the torn one fails its CRC, not silently applied.
+ */
+TEST(PagedDisk, TornLogRecordIsNotReplayed)
+{
+    const std::string path = tmpTree("paged_disk_torn_record.tree");
+    PagedDiskBackend disk(pcmTimings(), 1, 8, kCapacity,
+                          diskConfig(path));
+    const auto first = pattern(4096, 61);
+    const auto second = pattern(4096, 62);
+    disk.writeBytes(4096 * 5, first.data(), first.size());
+    disk.sync();
+
+    FaultInjector injector;
+    disk.setFaultInjector(&injector);
+    injector.armAt(2); // DirectWrite (1), LogAppend mid-record (2)
+    EXPECT_THROW(disk.writeBytes(4096 * 6, second.data(), second.size()),
+                 InjectedFault);
+    EXPECT_EQ(injector.firedKind(), PersistBoundary::LogAppend);
+    disk.setFaultInjector(nullptr);
+    disk.dropVolatile();
+
+    std::vector<std::uint8_t> got(4096);
+    disk.readBytes(4096 * 5, got.data(), got.size());
+    EXPECT_EQ(got, first);
+    disk.readBytes(4096 * 6, got.data(), got.size());
+    EXPECT_EQ(got, std::vector<std::uint8_t>(4096, 0))
+        << "a torn record was replayed";
+    removeTree(path);
+}
+
+/**
+ * A reopen replays the synced records a crash left in the log, up to
+ * the first one whose CRC fails; without the log it opens the last
+ * checkpoint.
+ */
+TEST(PagedDisk, ReopenReplaysSyncedRecords)
+{
+    const std::string path = tmpTree("paged_disk_replay.tree");
+    const auto first = pattern(96, 71);
+    const auto second = pattern(96, 72);
+    const std::string intact = path + ".intact";
+    const std::string corrupt = path + ".corrupt";
+    const std::string no_log = path + ".nolog";
+    {
+        PagedDiskBackend disk(pcmTimings(), 1, 8, kCapacity,
+                              diskConfig(path));
+        disk.writeBytes(4096 * 7, first.data(), first.size());
+        disk.writeBytes(4096 * 8, second.data(), second.size());
+        disk.sync();
+        // Snapshot the files as a crash would leave them: the records
+        // are only in the log, the tree still holds its checkpoint.
+        for (const std::string &copy : {intact, corrupt, no_log}) {
+            std::filesystem::copy_file(path, copy);
+            std::filesystem::copy_file(path + ".wal", copy + ".wal");
+        }
+    }
+    // Flip one byte inside the second record's spans.
+    const std::size_t record =
+        PagedDiskBackend::kLogRecordHeaderBytes +
+        PagedDiskBackend::kLogSpanHeaderBytes + first.size() +
+        PagedDiskBackend::kLogRecordTrailerBytes;
+    const int fd = ::open((corrupt + ".wal").c_str(), O_RDWR);
+    ASSERT_GE(fd, 0);
+    const std::uint8_t junk = 0xEE;
+    ASSERT_EQ(::pwrite(fd, &junk, 1,
+                       static_cast<off_t>(
+                           PagedDiskBackend::kLogHeaderBytes + record +
+                           PagedDiskBackend::kLogRecordHeaderBytes + 40)),
+              1);
+    ::close(fd);
+    std::remove((no_log + ".wal").c_str());
+
+    const auto readBack = [](const std::string &tree, Addr addr) {
+        PagedDiskBackend disk(pcmTimings(), 1, 8, kCapacity,
+                              diskConfig(tree));
+        std::vector<std::uint8_t> got(96);
+        disk.readBytes(addr, got.data(), got.size());
+        return got;
+    };
+    const std::vector<std::uint8_t> zeros(96, 0);
+    EXPECT_EQ(readBack(intact, 4096 * 7), first);
+    EXPECT_EQ(readBack(intact, 4096 * 8), second);
+    EXPECT_EQ(readBack(corrupt, 4096 * 7), first);
+    EXPECT_EQ(readBack(corrupt, 4096 * 8), zeros)
+        << "a record that fails its CRC was replayed";
+    EXPECT_EQ(readBack(no_log, 4096 * 7), zeros);
+    for (const std::string &tree : {path, intact, corrupt, no_log})
+        removeTree(tree);
 }
 
 TEST(PagedDisk, EvictionWritesBackDirtyPages)
@@ -212,7 +332,7 @@ TEST(PagedDisk, EvictionWritesBackDirtyPages)
             ++durable;
     }
     EXPECT_GE(durable, 64u - 5u);
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
 TEST(PagedDisk, PinnedPagesNeverReloadFromDisk)
@@ -233,7 +353,7 @@ TEST(PagedDisk, PinnedPagesNeverReloadFromDisk)
     disk.readBytes(0, buf.data(), buf.size());
     EXPECT_EQ(disk.ioStats().preads, preads)
         << "pinned page 0 must still be resident";
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
 TEST(PagedDisk, ImageSnapshotRestoreRoundtrips)
@@ -260,8 +380,8 @@ TEST(PagedDisk, ImageSnapshotRestoreRoundtrips)
     b.dropVolatile();
     b.readBytes(100, got.data(), got.size());
     EXPECT_EQ(got, p1);
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
+    removeTree(path_a);
+    removeTree(path_b);
 }
 
 /**
@@ -297,46 +417,59 @@ TEST(PagedDisk, TornPageIsDetectedAtNextLoad)
     disk.readBytes(0, got.data(), got.size());
     EXPECT_GE(disk.tornPagesDetected(), 1u)
         << "partial-pwrite corruption escaped the CRC trailer";
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
 /**
  * The injector's PageWrite boundary really does tear: crash mid-pwrite
- * inside a drain, then verify the next process detects the torn record
- * and still serves the raw bytes (ADR redelivery is what heals them at
- * the protocol layer — here we check detection, not healing).
+ * in a checkpoint's write-back, then verify the torn page is detected
+ * when recovery next loads it — and that log replay heals it, since
+ * every byte it lost is in a synced record.
  */
 TEST(PagedDisk, InjectedCrashMidPageWriteLeavesDetectableTorn)
 {
     const std::string path = tmpTree("paged_disk_torn_inject.tree");
     const auto payload = pattern(4096, 51);
-    {
-        PagedDiskBackend disk(pcmTimings(), 1, 8, kCapacity,
-                              diskConfig(path));
-        FaultInjector injector;
-        disk.setFaultInjector(&injector);
-        const FaultInjector::ScopedDrain drain(&injector);
-        // Boundary sequence for one in-drain span: DrainWrite (1),
-        // PageWrite mid-pwrite (2), Sync (3). Arm the PageWrite.
-        injector.armAt(2);
-        const WriteSpan span{0, payload.data(), payload.size()};
-        EXPECT_THROW(disk.writev(&span, 1, Durability::Noisy),
-                     InjectedFault);
-        EXPECT_EQ(injector.firedKind(), PersistBoundary::PageWrite);
-        disk.dropVolatile(); // power gone: the cached copy is lost
-    }
+    PagedDiskConfig config = diskConfig(path);
+    config.cache_pages = 1;
+    config.pinned_pages = 0;
+    PagedDiskBackend disk(pcmTimings(), 1, 8, kCapacity, config);
+    disk.writeBytes(0, payload.data(), payload.size());
+    disk.sync();
 
-    PagedDiskBackend disk(pcmTimings(), 1, 8, kCapacity,
-                          diskConfig(path));
+    // Fill the log with small rewrites of page 0's tail (same bytes)
+    // until a noisy write checkpoints first; its one dirty page, page
+    // 0, is written back torn.
+    FaultInjector injector;
+    disk.setFaultInjector(&injector);
+    std::uint64_t k = 0;
+    const std::vector<std::uint8_t> filler(payload.end() - 64,
+                                           payload.end());
+    injector.setObserver([&](PersistBoundary kind, std::uint64_t index) {
+        if (kind == PersistBoundary::PageWrite && k == 0) {
+            k = index;
+            throw InjectedFault(kind, index);
+        }
+    });
+    for (unsigned i = 0; i < 4096 && k == 0; ++i) {
+        try {
+            disk.writeBytes(4096 - 64, filler.data(), filler.size());
+            disk.sync();
+        } catch (const InjectedFault &) {
+        }
+    }
+    ASSERT_NE(k, 0u) << "the log never filled";
+    injector.setObserver(nullptr);
+    disk.setFaultInjector(nullptr);
+
+    const std::uint64_t torn_before = disk.tornPagesDetected();
+    disk.dropVolatile(); // power gone: replay loads the torn page
+    EXPECT_GT(disk.tornPagesDetected(), torn_before)
+        << "mid-pwrite crash did not leave a detectable torn page";
     std::vector<std::uint8_t> got(4096);
     disk.readBytes(0, got.data(), got.size());
-    EXPECT_GE(disk.tornPagesDetected(), 1u)
-        << "mid-pwrite crash did not leave a detectable torn page";
-    // First half landed, second half never did.
-    EXPECT_TRUE(std::memcmp(got.data(), payload.data(), 2048) == 0);
-    EXPECT_TRUE(std::all_of(got.begin() + 2048, got.end(),
-                            [](std::uint8_t b) { return b == 0; }));
-    std::remove(path.c_str());
+    EXPECT_EQ(got, payload) << "log replay did not heal the torn page";
+    removeTree(path);
 }
 
 TEST(PagedDiskDeathTest, StrictTornModeRefusesCorruptPages)
@@ -367,7 +500,7 @@ TEST(PagedDiskDeathTest, StrictTornModeRefusesCorruptPages)
             disk.readBytes(0, got.data(), got.size());
         },
         ::testing::ExitedWithCode(1), "torn page");
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
 /** Concurrent functional reads and quiet writes share the internal
@@ -415,7 +548,7 @@ TEST(PagedDisk, ConcurrentReadsAndQuietWritesAreSafe)
     for (std::thread &thread : threads)
         thread.join();
     EXPECT_EQ(disk.tornPagesDetected(), 0u);
-    std::remove(path.c_str());
+    removeTree(path);
 }
 
 } // namespace

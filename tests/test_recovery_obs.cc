@@ -108,6 +108,68 @@ TEST(RecoveryStats, PhaseSumsEqualTotalExactly)
               std::vector<std::string>{});
 }
 
+/**
+ * On disk the wpq_replay window is the redo-log replay: a crash with
+ * records in the log replays them inside that window (the trace shows
+ * the replay marker within the span), the six windows still sum to the
+ * total exactly, and the replay's checkpoint stamps the black box
+ * without tearing it.
+ */
+TEST(RecoveryStats, DiskLogReplayFillsWpqReplayWindow)
+{
+    const std::string path =
+        ::testing::TempDir() + "recovery_stats_disk.tree";
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+    SystemConfig config = smallConfig();
+    config.flight_recorder = true;
+    config.backend = BackendKind::Disk;
+    config.backing_file = path;
+    {
+        System system = buildSystem(config);
+        RecoveryOracle oracle;
+        wireOracle(system, oracle);
+        driveTrace(system, oracle, 48);
+
+        obs::TraceRecorder &recorder = obs::TraceRecorder::instance();
+        recorder.enable();
+        recorder.clear();
+        system.recoverController();
+        const std::vector<obs::TraceEvent> events = recorder.snapshot();
+        recorder.disable();
+
+        const RecoveryStats &s = *system.recovery_stats;
+        EXPECT_EQ(s.phaseSum(), s.total.sum());
+        EXPECT_GT(s.wpq_replay.sum(), 0.0);
+        const obs::TraceEvent *window = nullptr;
+        const obs::TraceEvent *replayed = nullptr;
+        for (const obs::TraceEvent &e : events) {
+            if (e.phase == 'X' && std::strcmp(e.name, "wpq_replay") == 0)
+                window = &e;
+            if (std::strcmp(e.name, "disk.log_replayed") == 0)
+                replayed = &e;
+        }
+        ASSERT_NE(window, nullptr);
+        ASSERT_NE(replayed, nullptr);
+        EXPECT_GT(replayed->arg, 0) << "the log tail was empty";
+        EXPECT_GE(replayed->ts_ns, window->ts_ns);
+        EXPECT_LE(replayed->ts_ns, window->ts_ns + window->dur_ns);
+
+        EXPECT_EQ(s.blackbox_torn.value(), 0u);
+        const FlightRecorder::Decoded box =
+            system.flight_recorder->decode(*system.device);
+        EXPECT_EQ(box.torn_records, 0u);
+        bool saw_checkpoint = false;
+        for (const FlightEvent &ev : box.events)
+            saw_checkpoint |= ev.kind == FlightEventKind::Checkpoint;
+        EXPECT_TRUE(saw_checkpoint) << "replay checkpoint not stamped";
+        EXPECT_EQ(checkRecoveryInvariants(system, oracle),
+                  std::vector<std::string>{});
+    }
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+}
+
 TEST(RecoveryStats, IntegrityPhasesPopulatedUnderTreeMode)
 {
     SystemConfig config = smallConfig();
@@ -277,6 +339,7 @@ TEST(FlightRecorder, SequenceResumesAcrossFileBackedReopen)
 {
     const std::string path = "flight_reopen_test.img";
     std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
     SystemConfig config = smallConfig();
     config.flight_recorder = true;
     // File-backed: a disk tree whose page cache holds the whole tree.
@@ -309,15 +372,17 @@ TEST(FlightRecorder, SequenceResumesAcrossFileBackedReopen)
         EXPECT_TRUE(saw_checkpoint);
     }
     std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
 }
 
-/** On the disk backend the ring is write-back; it reaches the file
- *  with the protocol's noisy flushes, so a crash keeps it. */
+/** On the disk backend the ring is write-back; it rides in the
+ *  protocol's log records, so a crash keeps it. */
 TEST(FlightRecorder, RingSurvivesDiskCrash)
 {
     const std::string path =
         ::testing::TempDir() + "flight_disk_crash.tree";
     std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
     SystemConfig config = smallConfig();
     config.flight_recorder = true;
     config.backend = BackendKind::Disk;
@@ -335,6 +400,7 @@ TEST(FlightRecorder, RingSurvivesDiskCrash)
         EXPECT_EQ(system.recovery_stats->blackbox_torn.value(), 0u);
     }
     std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
 }
 
 TEST(FlightRecorder, ShardedRecoveryMergesStats)

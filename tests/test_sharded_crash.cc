@@ -4,9 +4,9 @@
  * crash-recovery guarantee must hold *per shard* when a multi-shard
  * deployment dies at an inconvenient moment. Every shard is a paged
  * disk tree whose page cache covers the whole tree (in core: nothing is
- * evicted, so the file changes only at noisy write-throughs and
- * barriers) — the in-core counterpart of the out-of-core DiskCrash*
- * tests.
+ * evicted, so the tree file changes only at checkpoints, and every
+ * write in between lives in its redo log) — the in-core counterpart of
+ * the out-of-core DiskCrash* tests.
  *
  * Headline scenario (ISSUE satellite): the process is killed after
  * shard 0's eviction has fully persisted but while shard 1 is mid-WPQ
@@ -139,9 +139,13 @@ TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
     const std::string backing =
         ::testing::TempDir() + "psnvm_sharded_crash.img";
     const ShardedSystemConfig config = crashConfig(backing, 2);
-    // Per-shard backing files (N > 1 appends .shardK).
-    for (unsigned k = 0; k < 2; ++k)
-        std::remove((backing + ".shard" + std::to_string(k)).c_str());
+    // Per-shard backing files (N > 1 appends .shardK), each with its
+    // redo log.
+    for (unsigned k = 0; k < 2; ++k) {
+        const std::string tree = backing + ".shard" + std::to_string(k);
+        std::remove(tree.c_str());
+        std::remove((tree + ".wal").c_str());
+    }
 
     constexpr BlockAddr kBlocks = 96;
     std::uint8_t buf[kBlockDataBytes];
@@ -263,8 +267,11 @@ TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
                 << "post-recovery shard " << slot.shard << " broken";
         }
     }
-    for (unsigned k = 0; k < 2; ++k)
-        std::remove((backing + ".shard" + std::to_string(k)).c_str());
+    for (unsigned k = 0; k < 2; ++k) {
+        const std::string tree = backing + ".shard" + std::to_string(k);
+        std::remove(tree.c_str());
+        std::remove((tree + ".wal").c_str());
+    }
 }
 
 /** Per-shard backing files must not collide across shards. */
@@ -309,10 +316,13 @@ engineKillMidDrain(unsigned num_shards)
     fileBacked(config.base, backing);
     config.sharding.num_shards = num_shards;
     const auto scrub = [&] {
-        std::remove(backing.c_str());
+        const auto remove = [](const std::string &tree) {
+            std::remove(tree.c_str());
+            std::remove((tree + ".wal").c_str());
+        };
+        remove(backing);
         for (unsigned s = 0; s < num_shards; ++s)
-            std::remove(
-                (backing + ".shard" + std::to_string(s)).c_str());
+            remove(backing + ".shard" + std::to_string(s));
     };
     scrub();
 

@@ -31,6 +31,7 @@
  * snapshot of the recovery counters at exit.
  */
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -159,7 +160,10 @@ drawCase(Rng &rng, std::uint64_t iteration)
         tc.system.backend = BackendKind::Disk;
         tc.system.backing_file =
             "torture_disk_" + std::to_string(iteration) + ".tree";
-        tc.system.disk_cache_pages = 16 + rng.nextBelow(49);
+        // Down to 4 pages: the redo log is sized from the cache, so
+        // small caches checkpoint within a trace (torn checkpoint
+        // pages, tree fsyncs) and evict frames newer than the log.
+        tc.system.disk_cache_pages = 4 + rng.nextBelow(61);
         tc.system.disk_pinned_pages = rng.nextBelow(5);
     }
 
@@ -199,11 +203,14 @@ scrubBackingFiles(const TortureCase &tc)
 {
     if (tc.system.backing_file.empty())
         return;
-    std::remove(tc.system.backing_file.c_str());
+    // Each disk tree has a redo-log sidecar next to it.
+    const auto remove = [](const std::string &tree) {
+        std::remove(tree.c_str());
+        std::remove((tree + ".wal").c_str());
+    };
+    remove(tc.system.backing_file);
     for (unsigned s = 0; s < tc.num_shards; ++s)
-        std::remove((tc.system.backing_file + ".shard" +
-                     std::to_string(s))
-                        .c_str());
+        remove(tc.system.backing_file + ".shard" + std::to_string(s));
 }
 
 /** Run counters (common/stats.hh Counters so the metrics exporter can
@@ -213,6 +220,8 @@ struct IterationStats
     Counter fired;
     Counter not_fired;
     Counter boundaries;
+    /** Crashes fired, by the kind of boundary they fired at. */
+    std::array<Counter, kNumPersistBoundaryKinds> fired_kind;
     /** Aggregated over every recovery the torture run performed. */
     RecoveryStats recovery;
 };
@@ -234,10 +243,13 @@ runUnsharded(TortureCase &tc, Rng &rng, IterationStats &stats,
     config.recovery_stats = &stats.recovery;
 
     scrubBackingFiles(tc);
-    std::uint64_t total = 0;
+    std::vector<PersistBoundary> kinds;
     {
         System system = buildSystem(config.system);
         FaultInjector injector;
+        injector.setObserver([&kinds](PersistBoundary kind, std::uint64_t) {
+            kinds.push_back(kind);
+        });
         system.attachFaultInjector(&injector);
         std::uint8_t buf[kBlockDataBytes];
         for (const TraceOp &op : config.trace) {
@@ -248,15 +260,38 @@ runUnsharded(TortureCase &tc, Rng &rng, IterationStats &stats,
                 system.controller->read(op.addr, buf);
             }
         }
-        total = injector.boundariesSeen();
     }
     scrubBackingFiles(tc);
+    const std::uint64_t total = kinds.size();
     if (total == 0)
         return {"probe run crossed no persist boundaries"};
 
     tc.armed_boundary = 1 + rng.nextBelow(total);
+    if (tc.system.backend == BackendKind::Disk && rng.nextBool(0.5)) {
+        // Half the disk draws crash at a point only the disk tier has
+        // (torn record, log sync, torn checkpoint page, tree fsync),
+        // kind first: they are a small share of a disk trace's
+        // boundaries, checkpoint ones rarest of all.
+        std::map<PersistBoundary, std::vector<std::uint64_t>> disk_points;
+        for (std::uint64_t k = 1; k <= total; ++k) {
+            const PersistBoundary kind = kinds[k - 1];
+            if (kind == PersistBoundary::LogAppend ||
+                kind == PersistBoundary::LogSync ||
+                kind == PersistBoundary::PageWrite ||
+                kind == PersistBoundary::Sync)
+                disk_points[kind].push_back(k);
+        }
+        if (!disk_points.empty()) {
+            auto group = disk_points.begin();
+            std::advance(group, rng.nextBelow(disk_points.size()));
+            tc.armed_boundary =
+                group->second[rng.nextBelow(group->second.size())];
+        }
+    }
     stats.boundaries += total;
     ++stats.fired;
+    ++stats.fired_kind[static_cast<std::size_t>(
+        kinds[tc.armed_boundary - 1])];
     std::vector<std::string> violations =
         runArmedCrash(config, tc.armed_boundary);
     // Success: scrub the backing files. Failure: keep them — they are
@@ -338,6 +373,7 @@ runShardedInner(TortureCase &tc, Rng &rng, IterationStats &stats,
     std::vector<std::string> violations;
     if (crashed) {
         ++stats.fired;
+        ++stats.fired_kind[static_cast<std::size_t>(injector.firedKind())];
         sharded.recoverShard(victim);
         stats.recovery.merge(*sharded.shards[victim].recovery_stats);
     } else {
@@ -428,6 +464,12 @@ tortureMain(const Options &options)
                              "iterations run as no-crash audits");
     torture_group.addCounter("boundaries_crossed", &stats.boundaries,
                              "persist boundaries crossed in total");
+    for (std::size_t kind = 0; kind < kNumPersistBoundaryKinds; ++kind)
+        torture_group.addCounter(
+            std::string("fired.") +
+                persistBoundaryName(static_cast<PersistBoundary>(kind)),
+            &stats.fired_kind[kind],
+            "crashes fired at this boundary kind");
     stats.recovery.registerWith(torture_group, "recovery");
     const auto writeMetrics = [&](const std::string &path) {
         if (path.empty())
@@ -506,6 +548,12 @@ tortureMain(const Options &options)
               << stats.boundaries.value()
               << " boundaries crossed in " << elapsed() << " s (seed "
               << options.seed << ")\n";
+    std::cout << "torture: crashes by boundary kind:";
+    for (std::size_t kind = 0; kind < kNumPersistBoundaryKinds; ++kind)
+        std::cout << " "
+                  << persistBoundaryName(static_cast<PersistBoundary>(kind))
+                  << " " << stats.fired_kind[kind].value();
+    std::cout << "\n";
     writeMetrics(options.metrics);
     return 0;
 }
