@@ -18,9 +18,9 @@
  * bench generates a per-process temp path and deletes the tree at exit.
  * Disk tuning rides along as "cachepages=N pinpages=N".
  *
- * Benches additionally accept "--json <path>" (or --json=<path>): the
- * run then also emits a machine-readable report (BENCH_*.json) used by
- * the CI perf-smoke step and the perf trajectory in DESIGN.md §8.
+ * Benches that write a report additionally accept "--json <path>" (or
+ * --json=<path>): the run then also emits a machine-readable report
+ * (BENCH_*.json).
  *
  * Observability flags (DESIGN.md §11), also "--flag <path>" or
  * "--flag=<path>":
@@ -57,8 +57,8 @@ namespace psoram::bench {
 /**
  * Minimal JSON report writer: a flat "meta" object plus one "results"
  * array of flat objects. Field order is preserved, numbers are emitted
- * raw and strings quoted — just enough structure for the perf-smoke CI
- * artifact and for plotting scripts, with no external dependency.
+ * raw and strings quoted — just enough structure for CI artifacts and
+ * plotting scripts, with no external dependency.
  */
 class JsonReport
 {
@@ -193,7 +193,6 @@ struct BenchContext
      *  When the bench generated it (no backingfile= given), the paths
      *  (plus per-shard suffixes) are deleted at exit. */
     std::string backing_file;
-    bool owns_backing_file = false;
     /** Non-empty: also emit a JSON report here (--json <path>). */
     std::string json_path;
     /** Non-empty: record and write a Chrome trace here (--trace). */
@@ -373,7 +372,6 @@ parseContext(int argc, char **argv)
                            std::to_string(static_cast<long>(::getpid())) +
                            ".tree";
         ctx.overrides.set("backingfile", ctx.backing_file);
-        ctx.owns_backing_file = true;
         scrubBackingTreeOnExit(ctx.backing_file);
     }
     ctx.instructions =

@@ -102,9 +102,10 @@ class MemoryBackend
                            std::size_t len) const = 0;
 
     /**
-     * Vectored read: one call carries a whole path load across the
-     * seam. The default forwards span by span to readBytes; backends
-     * with a per-call cost (disk) batch it.
+     * Vectored read: PathLoader issues exactly one per path load, on
+     * every design, with one span per slot (the whole authenticated
+     * record when integrity is on). The default forwards span by span
+     * to readBytes; backends with a per-call cost (disk) batch it.
      */
     virtual void
     readv(const ReadSpan *spans, std::size_t n) const

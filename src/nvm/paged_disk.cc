@@ -531,7 +531,6 @@ PagedDiskBackend::appendRecord(const WriteSpan *spans, std::size_t n,
     pending_quiet_.clear();
     pending_quiet_spans_ = 0;
     ++stats_.log_appends;
-    stats_.log_bytes += record_.size();
 }
 
 void

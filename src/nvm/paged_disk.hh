@@ -168,10 +168,9 @@ class PagedDiskBackend final : public MemoryBackend
         std::uint64_t pwrites = 0;
         /** Every fsync/fdatasync syscall, log syncs included. */
         std::uint64_t fsyncs = 0;
-        /** @{ Redo log: records appended, their bytes, log syncs, and
-         *  checkpoints taken. */
+        /** @{ Redo log: records appended, log syncs, and checkpoints
+         *  taken. */
         std::uint64_t log_appends = 0;
-        std::uint64_t log_bytes = 0;
         std::uint64_t log_syncs = 0;
         std::uint64_t checkpoints = 0;
         /** @} */

@@ -84,13 +84,6 @@ MetricsExporter::addGroup(const StatGroup *group)
         groups_.push_back(group);
 }
 
-void
-MetricsExporter::removeAllGroups()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    groups_.clear();
-}
-
 std::size_t
 MetricsExporter::numGroups() const
 {

@@ -4,10 +4,10 @@
  * or Prometheus text exposition format.
  *
  * Components register their StatGroup (non-owning pointer; the group
- * must outlive its registration — call removeAllGroups() before tearing
- * a registered component down). A snapshot walks every group under the
- * group's own locking, so exporting is safe while engine workers keep
- * mutating the underlying counters and distributions.
+ * must outlive every snapshot the exporter takes). A snapshot walks
+ * every group under the group's own locking, so exporting is safe
+ * while engine workers keep mutating the underlying counters and
+ * distributions.
  *
  * Output selection is by extension: a path ending in ".prom" or ".txt"
  * gets the Prometheus text format, anything else the JSON document
@@ -53,9 +53,6 @@ class MetricsExporter
 
     /** Register @p group (non-owning; must outlive registration). */
     void addGroup(const StatGroup *group);
-
-    /** Drop every registration (before owners are destroyed). */
-    void removeAllGroups();
 
     std::size_t numGroups() const;
 

@@ -94,90 +94,49 @@ PathLoader::run(AccessContext &ctx)
     const unsigned total = geo.blocksPerPath();
     const Cycle start = ctx.t;
     ctx.slots.reserve(total);
+
+    // One vectored read carries the whole path (Path ORAM reads the
+    // path into the stash before it processes any block). With
+    // integrity on each span is the whole authenticated record.
+    const std::size_t span_bytes =
+        env_.integrity ? kIntegrityRecordBytes : kSlotBytes;
+    records_.resize(std::size_t{total} * span_bytes);
+    spans_.clear();
+    for (unsigned level = 0; level <= geo.height; ++level) {
+        const BucketId bucket = geo.bucketAt(ctx.leaf, level);
+        for (unsigned s = 0; s < geo.bucket_slots; ++s)
+            spans_.push_back({env_.params.data_layout.slotAddr(bucket, s),
+                              records_.data() + spans_.size() * span_bytes,
+                              span_bytes});
+    }
+    env_.device.readv(spans_);
+
+    // Refuse a tampered path before a single record is decrypted or
+    // classified, so a refused load leaves the stash untouched.
+    if (env_.integrity) {
+        for (unsigned i = 0; i < total; ++i)
+            env_.integrity->verifyRecord(
+                geo.bucketAt(ctx.leaf, i / geo.bucket_slots),
+                i % geo.bucket_slots, spans_[i].data);
+    }
+
+    // Timing is scheduled slot by slot in path order, independent of
+    // the functional read order above.
     Cycle proc = start;
-    unsigned count = 0;
+    for (unsigned i = 0; i < total; ++i) {
+        const Cycle rd =
+            env_.device.timing().accessOne(spans_[i].addr, false, start);
+        proc = std::max(rd, proc) + env_.params.controller_block_cycles;
 
-    if (!env_.persistent()) {
-        // One vectored read carries the whole path. Classification of
-        // the non-persistent and recursive designs touches only the
-        // stash and the volatile PosMap — no device IO — so hoisting
-        // the slot reads in front of the classify loop leaves the
-        // functional device sequence bit-identical to the old per-slot
-        // interleave (the golden traffic digests pin this). Timing is
-        // unchanged too: the accessOne schedule below runs in the same
-        // slot order against the same channel state.
-        slot_addrs_.clear();
-        raw_.assign(total, SlotBytes{});
-        spans_.clear();
-        spans_.reserve(total);
-        for (unsigned level = 0; level <= geo.height; ++level) {
-            const BucketId bucket = geo.bucketAt(ctx.leaf, level);
-            for (unsigned s = 0; s < geo.bucket_slots; ++s) {
-                const Addr slot_addr =
-                    env_.params.data_layout.slotAddr(bucket, s);
-                slot_addrs_.push_back(slot_addr);
-                spans_.push_back({slot_addr, raw_[spans_.size()].data(),
-                                  kSlotBytes});
-            }
-        }
-        env_.device.readv(spans_);
+        SlotBytes raw;
+        std::memcpy(raw.data(), spans_[i].data, kSlotBytes);
+        LoadedSlot slot_info{i / geo.bucket_slots, i % geo.bucket_slots,
+                             kDummyBlockAddr, false};
+        classify(env_.codec.decode(raw), ctx.addr, ctx.leaf, slot_info);
+        ctx.slots.push_back(slot_info);
 
-        for (unsigned level = 0; level <= geo.height; ++level) {
-            for (unsigned s = 0; s < geo.bucket_slots; ++s) {
-                const unsigned i = count;
-                const Addr slot_addr = slot_addrs_[i];
-                const Cycle rd = env_.device.timing().accessOne(
-                    slot_addr, false, start);
-                proc = std::max(rd, proc) +
-                       env_.params.controller_block_cycles;
-
-                LoadedSlot slot_info{level, s, kDummyBlockAddr, false};
-                classify(env_.codec.decode(raw_[i]), ctx.addr, ctx.leaf,
-                         slot_info);
-                ctx.slots.push_back(slot_info);
-
-                if (++count == total / 2)
-                    env_.crashCheck(CrashSite::DuringLoad);
-            }
-        }
-    } else {
-        // Persistent designs verify each non-dummy slot against the
-        // committed PosMap record *as it is classified*, so the bus
-        // sequence interleaves slot reads with PosMap entry reads.
-        // That interleave is part of the pinned protocol sequence the
-        // golden digests capture, so it stays at per-slot granularity.
-        for (unsigned level = 0; level <= geo.height; ++level) {
-            const BucketId bucket = geo.bucketAt(ctx.leaf, level);
-            for (unsigned s = 0; s < geo.bucket_slots; ++s) {
-                const Addr slot_addr =
-                    env_.params.data_layout.slotAddr(bucket, s);
-                SlotBytes raw{};
-                if (env_.integrity) {
-                    // Read the whole authenticated record and refuse
-                    // it before a single byte is decrypted.
-                    std::uint8_t record[kIntegrityRecordBytes];
-                    env_.device.readBytes(slot_addr, record,
-                                          kIntegrityRecordBytes);
-                    env_.integrity->verifyRecord(bucket, s, record);
-                    std::memcpy(raw.data(), record, kSlotBytes);
-                } else {
-                    env_.device.readBytes(slot_addr, raw.data(),
-                                          kSlotBytes);
-                }
-                const Cycle rd = env_.device.timing().accessOne(
-                    slot_addr, false, start);
-                proc = std::max(rd, proc) +
-                       env_.params.controller_block_cycles;
-
-                LoadedSlot slot_info{level, s, kDummyBlockAddr, false};
-                classify(env_.codec.decode(raw), ctx.addr, ctx.leaf,
-                         slot_info);
-                ctx.slots.push_back(slot_info);
-
-                if (++count == total / 2)
-                    env_.crashCheck(CrashSite::DuringLoad);
-            }
-        }
+        if (i + 1 == total / 2)
+            env_.crashCheck(CrashSite::DuringLoad);
     }
     if (env_.onchip) {
         // FullNVM: every loaded block is written into the on-chip NVM

@@ -1,8 +1,9 @@
 /**
  * @file
- * PathLoader: protocol step 3 — load every slot of the accessed path,
- * decode it, and classify each block (live copy into the stash, backup
- * of a dirty stash resident, or stale/dummy to drop).
+ * PathLoader: protocol step 3 — load every slot of the accessed path
+ * in one vectored read, verify every record (integrity on), then decode
+ * and classify each block (live copy into the stash, backup of a dirty
+ * stash resident, or stale/dummy to drop).
  *
  * The classification realizes the paper's footnote-1 staleness rule: a
  * tree copy is live only if it matches the committed PosMap record
@@ -39,9 +40,8 @@ class PathLoader
 
     PhaseEnv &env_;
 
-    /** @{ run()'s vectored-read scratch. */
-    std::vector<Addr> slot_addrs_;
-    std::vector<SlotBytes> raw_;
+    /** @{ run()'s vectored-read scratch: one record per path slot. */
+    std::vector<std::uint8_t> records_;
     std::vector<ReadSpan> spans_;
     /** @} */
 };

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/log.hh"
-
 namespace psoram::serve {
 
 BatchScheduler::BatchScheduler(ShardedOramEngine &engine, Config config)
@@ -122,75 +120,21 @@ BatchScheduler::submitWrite(BlockAddr addr, const std::uint8_t *data,
         });
 }
 
-namespace {
-
-/** Join state shared by a batch's per-key completions. */
-struct BatchJoin
-{
-    BatchScheduler::BatchResult result;
-    std::atomic<std::uint32_t> remaining;
-    std::atomic<std::uint32_t> coalesced{0};
-    BatchScheduler::BatchCallback callback;
-};
-
-} // namespace
-
-void
-BatchScheduler::submitBatch(const std::vector<BlockAddr> &keys,
-                            BatchCallback callback)
-{
-    if (keys.empty())
-        PSORAM_PANIC("submitBatch with no keys");
-    ++stats_.batches;
-    stats_.batch_keys += keys.size();
-
-    auto join = std::make_shared<BatchJoin>();
-    join->result.keys = keys;
-    join->result.values.resize(keys.size());
-    join->remaining.store(static_cast<std::uint32_t>(keys.size()),
-                          std::memory_order_relaxed);
-    join->callback = std::move(callback);
-
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        // Each key runs the normal read path, so batch keys dedupe
-        // against point reads, other batches, and duplicates within
-        // this batch. Distinct slots make the per-key value writes
-        // race-free; the joiner's acq_rel decrement publishes them.
-        submitRead(keys[i], [join, i](const Result &r) {
-            join->result.values[i] = r.data;
-            if (r.coalesced)
-                join->coalesced.fetch_add(1, std::memory_order_relaxed);
-            if (join->remaining.fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-                join->result.coalesced_keys =
-                    join->coalesced.load(std::memory_order_relaxed);
-                if (join->callback)
-                    join->callback(join->result);
-            }
-        });
-    }
-}
-
 void
 BatchScheduler::drain()
 {
     // Forwarded reads complete inline at submit; everything else is an
-    // engine request whose scheduler-side fan-out (waiters, batch
-    // joins) runs inside the engine callback — by the time the engine
-    // is idle every scheduler callback has fired too.
+    // engine request whose scheduler-side fan-out (waiters) runs inside
+    // the engine callback — by the time the engine is idle every
+    // scheduler callback has fired too.
     engine_.drain();
 }
 
 void
 BatchScheduler::registerStats(StatGroup &group) const
 {
-    group.addCounter("reads", &stats_.reads,
-                     "reads admitted (point + batch keys)");
+    group.addCounter("reads", &stats_.reads, "reads admitted");
     group.addCounter("writes", &stats_.writes, "writes admitted");
-    group.addCounter("batches", &stats_.batches,
-                     "multi-key batches admitted");
-    group.addCounter("batch_keys", &stats_.batch_keys,
-                     "keys across all multi-key batches");
     group.addCounter("engine_reads", &stats_.engine_reads,
                      "leader reads submitted to the engine");
     group.addCounter("deduped_reads", &stats_.deduped_reads,

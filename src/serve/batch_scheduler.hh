@@ -5,8 +5,7 @@
  * The per-shard OramEngine already coalesces *back-to-back* same-block
  * requests inside one mailbox batch; this scheduler generalizes that to
  * requests that are merely *concurrent* — submitted by different
- * threads, interleaved with other keys, or spread across a multi-key
- * batch:
+ * threads or interleaved with other keys:
  *
  *  - **Read dedup.** The first read of a key becomes the leader and is
  *    submitted to the engine; reads of the same key arriving while the
@@ -21,12 +20,6 @@
  *    engine orders same-key requests per shard). These complete inline
  *    on the *submitting* thread.
  *
- *  - **Multi-key batches.** submitBatch() admits a recsys-style
- *    embedding lookup: the keys are routed through the normal read
- *    path (so batch keys dedupe against point reads and against each
- *    other), fan out across shards, and a join delivers one completion
- *    carrying every value in key order once the last key lands.
- *
  * Obliviousness: dedup only elides *duplicate* accesses to one hidden
  * address, exactly like the engine's run coalescing — the adversary
  * observes fewer accesses, never which addresses were equal (the
@@ -36,8 +29,7 @@
  * Threading: submit* may be called from any thread. Leader/write
  * completions fire on the engine's drain thread; deduped waiters fire
  * on the drain thread inside the leader's completion; forwarded reads
- * fire inline on the submitter; a batch join fires on whichever thread
- * delivers the batch's last key. Callbacks must not call back into the
+ * fire inline on the submitter. Callbacks must not call back into the
  * scheduler while drain() is waiting (same rule as the engine).
  */
 
@@ -45,10 +37,8 @@
 #define PSORAM_SERVE_BATCH_SCHEDULER_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -83,17 +73,7 @@ class BatchScheduler
         std::array<std::uint8_t, kBlockDataBytes> data{};
     };
 
-    /** Outcome of one multi-key batch: values in submitted key order. */
-    struct BatchResult
-    {
-        std::vector<BlockAddr> keys;
-        std::vector<std::array<std::uint8_t, kBlockDataBytes>> values;
-        /** Keys served by dedup/forwarding instead of own accesses. */
-        std::uint32_t coalesced_keys = 0;
-    };
-
     using Callback = std::function<void(const Result &)>;
-    using BatchCallback = std::function<void(const BatchResult &)>;
 
     BatchScheduler(ShardedOramEngine &engine, Config config = Config());
 
@@ -107,22 +87,15 @@ class BatchScheduler
                      Callback callback = nullptr);
     /** @} */
 
-    /** Admit a multi-key read batch; @p callback fires once, after the
-     *  last key completes. @pre !keys.empty() */
-    void submitBatch(const std::vector<BlockAddr> &keys,
-                     BatchCallback callback);
-
     /** Block until everything admitted so far has completed (all
-     *  fan-out and join callbacks included). */
+     *  fan-out callbacks included). */
     void drain();
 
     /** Scheduler counters (relaxed; safe to read mid-run). */
     struct Stats
     {
-        Counter reads;          ///< point + batch keys admitted as reads
+        Counter reads;          ///< reads admitted
         Counter writes;         ///< writes admitted
-        Counter batches;        ///< multi-key batches admitted
-        Counter batch_keys;     ///< keys across all batches
         Counter engine_reads;   ///< reads actually submitted (leaders)
         Counter deduped_reads;  ///< reads attached to an in-flight leader
         Counter forwarded_reads; ///< reads served from a pending write
@@ -135,7 +108,7 @@ class BatchScheduler
     const ShardedOramEngine &engine() const { return engine_; }
 
   private:
-    /** A parked duplicate read (or batch key) awaiting the leader. */
+    /** A parked duplicate read awaiting the leader. */
     struct Waiter
     {
         Callback callback;

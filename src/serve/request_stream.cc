@@ -8,26 +8,6 @@
 
 namespace psoram::serve {
 
-const char *
-arrivalModeName(ArrivalMode mode)
-{
-    return mode == ArrivalMode::OpenLoop ? "open" : "closed";
-}
-
-const char *
-keyDistName(KeyDist dist)
-{
-    switch (dist) {
-    case KeyDist::Uniform:
-        return "uniform";
-    case KeyDist::Zipfian:
-        return "zipfian";
-    case KeyDist::HotSet:
-        return "hotset";
-    }
-    return "?";
-}
-
 ZipfianSampler::ZipfianSampler(std::uint64_t num_keys, double s)
 {
     if (num_keys == 0)

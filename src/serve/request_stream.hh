@@ -1,13 +1,14 @@
 /**
  * @file
- * Load generation for the serving harness: deterministic request
- * streams with production-shaped key popularity and arrival processes.
+ * Load generation: deterministic request streams with
+ * production-shaped key popularity and arrival processes (perfbench's
+ * open and closed loops draw from them).
  *
  * A RequestStream yields Request records — arrival time (open-loop), a
  * key set (1 for point requests, batch_size for recsys-style multi-key
  * lookups) and a read/write flag. Everything is derived from one seed,
  * so the same StreamConfig always produces the identical sequence of
- * arrival times and keys; multi-submitter harnesses derive per-stream
+ * arrival times and keys; multi-submitter loads derive per-stream
  * seeds (deriveStreamSeed) and split the offered rate, exploiting that
  * a superposition of independent Poisson processes is Poisson.
  *
@@ -49,9 +50,6 @@ enum class KeyDist
     Zipfian,
     HotSet,
 };
-
-const char *arrivalModeName(ArrivalMode mode);
-const char *keyDistName(KeyDist dist);
 
 struct StreamConfig
 {

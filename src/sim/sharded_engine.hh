@@ -147,8 +147,8 @@ class ShardedOramEngine
         std::uint64_t controller_accesses = 0;
         std::uint64_t stash_hits = 0;
         /** Submits that parked on a full mailbox (max_mailbox bound) —
-         *  the engine-side saturation signal the serving harness
-         *  reports. */
+         *  the engine-side saturation signal (perfbench's
+         *  engine.backpressure_waits). */
         std::uint64_t backpressure_waits = 0;
         /** @{ Commit groups that synced the device, and the
          *  completions they released (mean group size = ratio). */

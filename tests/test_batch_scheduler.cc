@@ -3,9 +3,8 @@
  * BatchScheduler tests: read dedup (one physical access fans out the
  * same value to every waiter), read-after-write forwarding (a read of
  * a key with an in-flight write completes inline with the pending
- * payload), multi-key batch joins (values delivered in key order, with
- * intra-batch dedup), drain semantics, and the config switches that
- * disable each optimization.
+ * payload), drain semantics, and the config switches that disable each
+ * optimization.
  *
  * The engine runs real worker threads, so "concurrent" is made
  * deterministic by queueing filler requests on the target shard first:
@@ -183,69 +182,6 @@ TEST(BatchScheduler, LatestWriteWinsForForwarding)
     EXPECT_EQ(observed, payload(kKey, 2))
         << "forwarding must serve the latest pending write";
     scheduler.drain();
-}
-
-TEST(BatchScheduler, BatchDeliversValuesInKeyOrder)
-{
-    ShardedSystem system = buildShardedSystem(shardedConfig(3));
-    ShardedOramEngine engine(system);
-    BatchScheduler scheduler(engine);
-
-    const std::vector<BlockAddr> keys = {30, 3, 77, 14, 59};
-    for (const BlockAddr key : keys)
-        scheduler.submitWrite(key, payload(key, 4).data());
-    scheduler.drain();
-
-    BatchScheduler::BatchResult observed;
-    std::atomic<int> fired{0};
-    scheduler.submitBatch(keys,
-                          [&](const BatchScheduler::BatchResult &result) {
-                              observed = result;
-                              fired.fetch_add(1);
-                          });
-    scheduler.drain();
-
-    EXPECT_EQ(fired.load(), 1) << "join must fire exactly once";
-    ASSERT_EQ(observed.keys, keys);
-    ASSERT_EQ(observed.values.size(), keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        EXPECT_EQ(observed.values[i], payload(keys[i], 4))
-            << "slot " << i << " (key " << keys[i] << ")";
-    EXPECT_EQ(scheduler.stats().batches.value(), 1u);
-    EXPECT_EQ(scheduler.stats().batch_keys.value(), keys.size());
-}
-
-TEST(BatchScheduler, DuplicateKeysInsideBatchDedupe)
-{
-    ShardedSystem system = buildShardedSystem(shardedConfig(2));
-    ShardRouter router(system.config.sharding,
-                       system.config.base.num_blocks);
-    ShardedOramEngine engine(system);
-    BatchScheduler scheduler(engine);
-
-    constexpr BlockAddr kHot = 21;
-    scheduler.submitWrite(kHot, payload(kHot, 8).data());
-    scheduler.submitWrite(22, payload(22, 8).data());
-    scheduler.drain();
-
-    stallShardOf(scheduler, router, kHot, 16,
-                 system.config.base.num_blocks);
-    const std::vector<BlockAddr> keys = {kHot, 22, kHot, kHot};
-    BatchScheduler::BatchResult observed;
-    scheduler.submitBatch(keys,
-                          [&](const BatchScheduler::BatchResult &result) {
-                              observed = result;
-                          });
-    scheduler.drain();
-
-    ASSERT_EQ(observed.values.size(), 4u);
-    EXPECT_EQ(observed.values[0], payload(kHot, 8));
-    EXPECT_EQ(observed.values[1], payload(22, 8));
-    EXPECT_EQ(observed.values[2], payload(kHot, 8));
-    EXPECT_EQ(observed.values[3], payload(kHot, 8));
-    EXPECT_EQ(observed.coalesced_keys, 2u)
-        << "second and third kHot must attach to the first";
-    EXPECT_EQ(scheduler.stats().deduped_reads.value(), 2u);
 }
 
 TEST(BatchScheduler, ConcurrentSubmittersSeeConsistentValues)

@@ -276,6 +276,43 @@ TEST(Integrity, ReadPathDetectsRecordTampering)
     }
 }
 
+// The path load verifies every record of the path before it decodes
+// or classifies any of them, so a refused load changes no stash state:
+// no block from the path's untampered upper levels may enter the stash
+// ahead of the refusal.
+TEST(Integrity, RefusedPathLoadLeavesStashUntouched)
+{
+    for (const IntegrityMode mode :
+         {IntegrityMode::Mac, IntegrityMode::Tree}) {
+        SCOPED_TRACE(integrityModeName(mode));
+        System system = buildSystem(integrityConfig(mode));
+        runWorkload(system);
+
+        // Every path ends in a leaf bucket: tamper all of them.
+        const TreeGeometry &geo = system.params.data_layout.geometry;
+        TamperInjector tamper = makeTamper(system);
+        for (PathId leaf = 0; leaf < geo.numLeaves(); ++leaf)
+            for (unsigned s = 0; s < geo.bucket_slots; ++s)
+                tamper.apply(TamperKind::FlipCipherByte,
+                             geo.bucketAt(leaf, geo.height), s);
+
+        // A stash-resident target never loads a path.
+        const Stash &stash = system.controller->stash();
+        BlockAddr target = 0;
+        while (target < system.params.num_blocks && stash.find(target))
+            ++target;
+        ASSERT_LT(target, system.params.num_blocks);
+
+        const std::size_t before = stash.size();
+        std::uint8_t buf[kBlockDataBytes];
+        const auto outcome = integrityOutcome(
+            [&] { system.controller->read(target, buf); });
+        ASSERT_TRUE(outcome.has_value()) << "tampered leaf accepted";
+        EXPECT_EQ(stash.size(), before)
+            << "the refused path load classified blocks into the stash";
+    }
+}
+
 TEST(Integrity, ReadPathDetectsReplayInTreeMode)
 {
     System system = buildSystem(integrityConfig(IntegrityMode::Tree));

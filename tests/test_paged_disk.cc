@@ -6,7 +6,8 @@
  * LRU eviction + pinning with the write-ahead rule, image
  * snapshot/restore, reopen persistence, and the torn-page negative
  * control — a partial page write MUST be detected (CRC trailer
- * mismatch) when the page is next loaded, and healed by log replay.
+ * mismatch) when the page is next loaded, and healed by log replay —
+ * and the IO shape of a PS-ORAM stack on an out-of-core tree.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,8 @@
 #include "nvm/device.hh"
 #include "nvm/fault_injector.hh"
 #include "nvm/paged_disk.hh"
+#include "sim/engine.hh"
+#include "sim/system.hh"
 
 namespace psoram {
 namespace {
@@ -548,6 +551,70 @@ TEST(PagedDisk, ConcurrentReadsAndQuietWritesAreSafe)
     for (std::thread &thread : threads)
         thread.join();
     EXPECT_EQ(disk.tornPagesDetected(), 0u);
+    removeTree(path);
+}
+
+/**
+ * A PS-ORAM engine on a tree at least 8x its page cache, drained in
+ * batches: every controller access that touches the tree loads its
+ * path with exactly one vectored read and writes it back with a few
+ * vectored writes, writes reach the file, group commit holds fsyncs to
+ * at most one per access, and a clean run leaves no torn pages.
+ */
+TEST(PagedDisk, OutOfCorePathIoShape)
+{
+    const std::string path = tmpTree("paged_disk_io_shape.tree");
+    SystemConfig config;
+    config.design = DesignKind::PsOram;
+    config.tree_height = 11;
+    config.backend = BackendKind::Disk;
+    config.backing_file = path;
+    config.disk_cache_pages = 32;
+    config.disk_pinned_pages = 4;
+    {
+        System system = buildSystem(config);
+        auto *disk = dynamic_cast<PagedDiskBackend *>(system.device.get());
+        ASSERT_NE(disk, nullptr);
+        ASSERT_GE(disk->numPages(), 8 * config.disk_cache_pages)
+            << "tree is not out of core";
+
+        EngineConfig engine_config;
+        engine_config.record_completions = false;
+        OramEngine engine(*system.controller, engine_config);
+        std::uint8_t buf[kBlockDataBytes] = {};
+        BlockAddr addr = 0;
+        const auto writeBatch = [&](unsigned count) {
+            for (unsigned i = 0; i < count; ++i) {
+                engine.submitWrite(addr, buf, nullptr);
+                addr = (addr + 97) % system.params.num_blocks;
+            }
+            engine.drain();
+        };
+        writeBatch(256); // warm tree, stash and page cache
+        disk->resetStats();
+        const std::uint64_t physical_before =
+            engine.stats().physical_accesses.value();
+        for (int batch = 0; batch < 4; ++batch)
+            writeBatch(128);
+
+        const PagedDiskBackend::IoStats io = disk->ioStats();
+        const std::uint64_t accesses =
+            engine.stats().physical_accesses.value() - physical_before;
+        ASSERT_GT(accesses, 0u);
+        const auto perAccess = [&](std::uint64_t count) {
+            return static_cast<double>(count) /
+                   static_cast<double>(accesses);
+        };
+        EXPECT_EQ(io.readv_calls, accesses)
+            << "path loads are not one vectored read each";
+        EXPECT_LE(perAccess(io.writev_calls + io.writev_quiet_calls), 3.0)
+            << "path writes are not vectored";
+        EXPECT_GT(io.pwrites, 0u) << "writes never reached the file";
+        EXPECT_GT(io.fsyncs, 0u) << "no fsync boundaries";
+        EXPECT_LE(perAccess(io.fsyncs), 1.0)
+            << "more than one fsync per access";
+        EXPECT_EQ(io.torn_pages_detected, 0u) << "torn pages in a clean run";
+    }
     removeTree(path);
 }
 
