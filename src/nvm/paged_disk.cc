@@ -78,12 +78,6 @@ unpackU32(const std::uint8_t *in)
 
 } // namespace
 
-std::uint32_t
-PagedDiskBackend::crc32(const std::uint8_t *data, std::size_t len)
-{
-    return psoram::crc32(data, len);
-}
-
 PagedDiskBackend::PagedDiskBackend(const NvmTimingParams &params,
                                    unsigned num_channels,
                                    unsigned banks_per_channel,

@@ -9,8 +9,9 @@
  * memory or time materializing 2^25 entries up front.
  *
  * PersistentPosMap wraps the *trusted NVM region* copy used by the
- * non-recursive designs: entries are 4-byte records (31-bit path + valid
- * bit) at base + addr * 4, written through the PosMap WPQ.
+ * non-recursive designs: entries are 8-byte records (a 4-byte word of
+ * 31-bit path + valid bit, then a 4-byte remap epoch) at
+ * base + addr * kEntryBytes, written through the PosMap WPQ.
  */
 
 #ifndef PSORAM_ORAM_POSMAP_HH

@@ -1,19 +1,26 @@
 /**
  * @file
  * Unit tests for the common infrastructure: RNG, bit utilities, config
- * store, statistics, and the table printer.
+ * store, statistics, the table printer, and CRC-32.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/config.hh"
+#include "common/crc32.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "nvm/flight_recorder.hh"
+#include "nvm/paged_disk.hh"
+#include "oram/block.hh"
+#include "sim/system.hh"
 
 namespace psoram {
 namespace {
@@ -230,6 +237,71 @@ TEST(Table, NumFormatsPrecision)
 {
     EXPECT_EQ(TextTable::num(1.2345, 2), "1.23");
     EXPECT_EQ(TextTable::num(2.0, 0), "2");
+}
+
+std::vector<std::uint8_t>
+crcInput(std::size_t len)
+{
+    Rng rng(0xc5c32);
+    std::vector<std::uint8_t> bytes(len);
+    for (auto &b : bytes)
+        b = static_cast<std::uint8_t>(rng.next());
+    return bytes;
+}
+
+TEST(Crc32, KnownAnswers)
+{
+    const std::string_view check = "123456789";
+    const auto *digits = reinterpret_cast<const std::uint8_t *>(
+        check.data());
+    EXPECT_EQ(crc32(digits, check.size()), 0xcbf43926u);
+    EXPECT_EQ(crc32Scalar(digits, check.size()), 0xcbf43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+    EXPECT_EQ(crc32Scalar(nullptr, 0), 0u);
+
+    // A page-sized input takes the folded path where the CPU has one;
+    // the expected value is zlib's crc32() of the same bytes.
+    std::vector<std::uint8_t> page(4096);
+    for (std::size_t i = 0; i < page.size(); ++i)
+        page[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    EXPECT_EQ(crc32(page.data(), page.size()), 0x5d1c4ee3u);
+    EXPECT_EQ(crc32Scalar(page.data(), page.size()), 0x5d1c4ee3u);
+}
+
+TEST(Crc32, MatchesScalarAtEveryLengthAndOffset)
+{
+    constexpr std::size_t kMaxLen = 4224;
+    const auto bytes = crcInput(kMaxLen + 16);
+    std::size_t mismatches = 0;
+    for (std::size_t offset = 0; offset < 16; ++offset)
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            const std::uint8_t *data = bytes.data() + offset;
+            if (crc32(data, len) != crc32Scalar(data, len) &&
+                mismatches++ == 0)
+                ADD_FAILURE() << "first mismatch at offset " << offset
+                              << ", length " << len;
+        }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Crc32, MatchesScalarAtProductionSizes)
+{
+    const std::size_t sizes[] = {
+        PagedDiskBackend::kPageBytes,   // page trailer payload
+        PagedDiskBackend::kRecordBytes, // a whole page record
+        32,                             // log-header fields
+        FlightRecorder::kCrcCoverBytes - 4, // flight-recorder cover
+        // A full WPQ round as one redo-log record: header plus one
+        // slot span per entry.
+        PagedDiskBackend::kLogRecordHeaderBytes +
+            SystemConfig{}.wpq_entries *
+                (PagedDiskBackend::kLogSpanHeaderBytes + kSlotBytes),
+    };
+    for (const std::size_t len : sizes) {
+        const auto bytes = crcInput(len);
+        EXPECT_EQ(crc32(bytes.data(), len), crc32Scalar(bytes.data(), len))
+            << "length " << len;
+    }
 }
 
 } // namespace

@@ -7,7 +7,8 @@
  * snapshot/restore, reopen persistence, and the torn-page negative
  * control — a partial page write MUST be detected (CRC trailer
  * mismatch) when the page is next loaded, and healed by log replay —
- * and the IO shape of a PS-ORAM stack on an out-of-core tree.
+ * the on-disk CRC format, and the IO shape of a PS-ORAM stack on an
+ * out-of-core tree.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/crc32.hh"
 #include "nvm/device.hh"
 #include "nvm/fault_injector.hh"
 #include "nvm/paged_disk.hh"
@@ -472,6 +474,117 @@ TEST(PagedDisk, InjectedCrashMidPageWriteLeavesDetectableTorn)
     std::vector<std::uint8_t> got(4096);
     disk.readBytes(0, got.data(), got.size());
     EXPECT_EQ(got, payload) << "log replay did not heal the torn page";
+    removeTree(path);
+}
+
+/** Read @p len bytes at @p offset of @p path, out of band. */
+std::vector<std::uint8_t>
+readFile(const std::string &path, std::uint64_t offset, std::size_t len)
+{
+    std::vector<std::uint8_t> bytes(len);
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    EXPECT_GE(fd, 0) << path;
+    EXPECT_EQ(::pread(fd, bytes.data(), len, static_cast<off_t>(offset)),
+              static_cast<ssize_t>(len));
+    ::close(fd);
+    return bytes;
+}
+
+std::uint64_t
+loadU64(const std::uint8_t *in)
+{
+    std::uint64_t v;
+    std::memcpy(&v, in, sizeof(v));
+    return v;
+}
+
+std::uint32_t
+loadU32(const std::uint8_t *in)
+{
+    std::uint32_t v;
+    std::memcpy(&v, in, sizeof(v));
+    return v;
+}
+
+/**
+ * Pins the on-disk format to the reference CRC: every page trailer,
+ * the redo-log header and a log record's trailer carry crc32Scalar of
+ * the bytes they cover, so files written on any host (and by any CRC
+ * implementation before this one) reopen. A flipped payload byte is
+ * then counted as torn at its next load.
+ */
+TEST(PagedDisk, TrailersMatchTheReferenceCrc)
+{
+    using D = PagedDiskBackend;
+    const std::string path = tmpTree("paged_disk_crc_format.tree");
+    {
+        D disk(pcmTimings(), 1, 8, kCapacity, diskConfig(path));
+        for (std::uint8_t page = 0; page < 6; ++page) {
+            const auto bytes = pattern(D::kPageBytes, page);
+            disk.writeBytes(page * D::kPageBytes, bytes.data(),
+                            bytes.size());
+        }
+        disk.persistBarrier();
+        const auto last = pattern(96, 99);
+        disk.writeBytes(9 * D::kPageBytes, last.data(), last.size());
+        disk.sync();
+
+        // Tree file: every written page's trailer (the file ends at
+        // the last page written).
+        const std::uint64_t file_pages =
+            (std::filesystem::file_size(path) - D::kHeaderBytes) /
+            D::kRecordBytes;
+        ASSERT_LE(file_pages, disk.numPages());
+        std::size_t pages_checked = 0;
+        for (std::uint64_t page = 0; page < file_pages; ++page) {
+            const auto rec = readFile(
+                path, D::kHeaderBytes + page * D::kRecordBytes,
+                D::kRecordBytes);
+            const std::uint8_t *trailer = rec.data() + D::kPageBytes;
+            if (loadU64(trailer) == 0)
+                continue; // never written
+            EXPECT_EQ(loadU64(trailer + 8), page);
+            EXPECT_EQ(loadU32(trailer + 16),
+                      crc32Scalar(rec.data(), D::kPageBytes))
+                << "page " << page;
+            ++pages_checked;
+        }
+        EXPECT_GE(pages_checked, 6u);
+
+        // Log: the header CRC over its 32 field bytes, then the one
+        // record appended since the barrier.
+        const std::string wal = disk.logPath();
+        const auto header = readFile(wal, 0, 36);
+        EXPECT_EQ(loadU32(header.data() + 32),
+                  crc32Scalar(header.data(), 32));
+        const auto rec_header =
+            readFile(wal, D::kLogHeaderBytes, D::kLogRecordHeaderBytes);
+        const std::uint32_t body = loadU32(rec_header.data() + 28);
+        const std::size_t covered = D::kLogRecordHeaderBytes + body;
+        const auto rec = readFile(wal, D::kLogHeaderBytes,
+                                  covered + D::kLogRecordTrailerBytes);
+        EXPECT_GT(covered, 96u);
+        EXPECT_EQ(loadU64(rec.data() + covered),
+                  loadU64(rec.data() + 16)); // trailer repeats the seq
+        EXPECT_EQ(loadU32(rec.data() + covered + 8),
+                  crc32Scalar(rec.data(), covered));
+    }
+
+    // Flip one payload byte of page 3 out of band.
+    const std::uint64_t at = D::kHeaderBytes + 3 * D::kRecordBytes + 100;
+    auto byte = readFile(path, at, 1);
+    byte[0] ^= 0x01;
+    const int fd = ::open(path.c_str(), O_RDWR);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pwrite(fd, byte.data(), 1, static_cast<off_t>(at)), 1);
+    ::close(fd);
+
+    D disk(pcmTimings(), 1, 8, kCapacity, diskConfig(path));
+    EXPECT_EQ(disk.ioStats().torn_pages_detected, 0u);
+    std::vector<std::uint8_t> got(D::kPageBytes);
+    disk.readBytes(3 * D::kPageBytes, got.data(), got.size());
+    EXPECT_EQ(disk.ioStats().torn_pages_detected, 1u)
+        << "a flipped payload byte escaped the page CRC";
     removeTree(path);
 }
 
