@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/bitops.hh"
 #include "common/crc32.hh"
 #include "common/log.hh"
 #include "nvm/fault_injector.hh"
@@ -20,25 +21,24 @@ namespace psoram {
 
 namespace {
 
-constexpr std::uint64_t kHeaderMagic = 0x3130534b49445350ULL; // "PSDISK01"
+constexpr std::uint64_t kHeaderMagic = 0x32304b5349445350ULL; // "PSDISK02"
+/** The level-ordered layout's magic (PSDISK01, stored as the bytes
+ *  "PSDIKS01"), refused at open. */
+constexpr std::uint64_t kLevelOrderedMagic = 0x3130534b49445350ULL;
 constexpr std::uint64_t kPageMagic = 0x0000314750445350ULL;   // "PSDPG1"
 constexpr std::uint64_t kLogMagic = 0x31304c4157445350ULL;    // "PSDWAL01"
 constexpr std::uint64_t kRecordMagic = 0x4345524c41575350ULL; // "PSWALREC"
 constexpr std::uint32_t kRecordEndMagic = 0x444e4552;         // "REND"
-/** Offset of the tree id in the tree file header. */
+/** Tree file header: magic, capacity, page bytes, record bytes, tree
+ *  id, then the layout (levels, bucket bytes, subtree levels), one u64
+ *  each. */
 constexpr std::size_t kTreeIdOffset = 32;
+constexpr std::size_t kLayoutOffset = 40;
+constexpr std::size_t kHeaderFields = kLayoutOffset + 3 * 8;
 /** Log header fields covered by its CRC. */
 constexpr std::size_t kLogHeaderFields = 32;
 /** Resident-budget multiple the log holds (see the file comment). */
 constexpr std::uint64_t kLogResidentMultiple = 4;
-
-struct DiskHeader
-{
-    std::uint64_t magic;
-    std::uint64_t capacity;
-    std::uint64_t page_bytes;
-    std::uint64_t record_bytes;
-};
 
 struct PageTrailer
 {
@@ -85,7 +85,6 @@ PagedDiskBackend::PagedDiskBackend(const NvmTimingParams &params,
                                    PagedDiskConfig config)
     : MemoryBackend(NvmTiming(params, num_channels, banks_per_channel),
                     capacity_bytes),
-      num_pages_((capacity_bytes + kPageBytes - 1) / kPageBytes),
       config_(std::move(config)), log_path_(config_.path + ".wal")
 {
     PSORAM_TRACE_SCOPE("recovery", "disk_open", 0);
@@ -93,6 +92,37 @@ PagedDiskBackend::PagedDiskBackend(const NvmTimingParams &params,
         PSORAM_FATAL("paged disk backend needs a backing file path");
     if (config_.cache_pages == 0)
         config_.cache_pages = 1;
+
+    // Subtree map: k levels per page, tiers anchored at the leaves. A
+    // bucket larger than a page leaves k = 0, the linear map.
+    const std::uint64_t levels = config_.tree_levels;
+    if (levels != 0 && config_.bucket_bytes != 0) {
+        while (subtree_levels_ < levels &&
+               ((2ULL << subtree_levels_) - 1) * config_.bucket_bytes <=
+                   kPageBytes)
+            ++subtree_levels_;
+    }
+    if (subtree_levels_ != 0) {
+        const unsigned k = subtree_levels_;
+        tree_end_ = ((2ULL << (levels - 1)) - 1) * config_.bucket_bytes;
+        if (tree_end_ > capacity_bytes)
+            PSORAM_FATAL("disk tree of ", tree_end_,
+                         " bytes exceeds capacity ", capacity_bytes);
+        const unsigned tiers = static_cast<unsigned>(divCeil(levels, k));
+        top_tier_levels_ = static_cast<unsigned>(levels) - (tiers - 1) * k;
+        tier_first_page_.assign(1, 0);
+        for (unsigned t = 0; t < tiers; ++t) {
+            const unsigned root_level =
+                t == 0 ? 0 : top_tier_levels_ + (t - 1) * k;
+            tier_first_page_.push_back(tier_first_page_.back() +
+                                       (1ULL << root_level));
+        }
+        subtree_pages_ = tier_first_page_.back();
+    }
+    num_pages_ = capacity_bytes == 0
+        ? subtree_pages_
+        : std::max(subtree_pages_, locate(capacity_bytes - 1).page + 1);
+
     const std::uint64_t resident =
         std::min<std::uint64_t>(config_.pinned_pages, num_pages_) +
         std::min<std::uint64_t>(config_.cache_pages, num_pages_);
@@ -104,12 +134,21 @@ PagedDiskBackend::PagedDiskBackend(const NvmTimingParams &params,
         PSORAM_FATAL("cannot open disk tree '", config_.path,
                      "': ", std::strerror(errno));
 
+    const std::uint64_t layout[3] = {levels, config_.bucket_bytes,
+                                     subtree_levels_};
     const off_t size = ::lseek(fd_, 0, SEEK_END);
     std::uint8_t header[kHeaderBytes] = {};
     std::lock_guard<std::mutex> lock(mutex_);
     if (size >= static_cast<off_t>(kTreeIdOffset + 8)) {
         bool eof = false;
-        preadFully(fd_, header, kTreeIdOffset + 8, 0, eof);
+        preadFully(fd_, header, kHeaderFields, 0, eof);
+        // The map is not self-describing: reading a tree through
+        // another layout's map would return wrong bytes, silently.
+        if (unpackU64(header) == kLevelOrderedMagic)
+            PSORAM_FATAL("disk tree '", config_.path,
+                         "' has the level-ordered PSDISK01 layout; this "
+                         "build reads only subtree-packed PSDISK02 "
+                         "trees (recreate the tree)");
         if (unpackU64(header) != kHeaderMagic ||
             unpackU64(header + 16) != kPageBytes ||
             unpackU64(header + 24) != kRecordBytes)
@@ -119,6 +158,17 @@ PagedDiskBackend::PagedDiskBackend(const NvmTimingParams &params,
             PSORAM_FATAL("disk tree '", config_.path, "' capacity ",
                          unpackU64(header + 8),
                          " does not match configured ", capacity());
+        if (unpackU64(header + kLayoutOffset) != layout[0] ||
+            unpackU64(header + kLayoutOffset + 8) != layout[1] ||
+            unpackU64(header + kLayoutOffset + 16) != layout[2])
+            PSORAM_FATAL("disk tree '", config_.path,
+                         "' layout (levels, bucket bytes, levels per "
+                         "page) = (",
+                         unpackU64(header + kLayoutOffset), ", ",
+                         unpackU64(header + kLayoutOffset + 8), ", ",
+                         unpackU64(header + kLayoutOffset + 16),
+                         ") does not match configured (", layout[0], ", ",
+                         layout[1], ", ", layout[2], ")");
         tree_id_ = unpackU64(header + kTreeIdOffset);
         // A tree without its log (or with another tree's) opens as
         // its last checkpoint: whatever only the log held is lost.
@@ -143,6 +193,8 @@ PagedDiskBackend::PagedDiskBackend(const NvmTimingParams &params,
         packU64(header + 16, kPageBytes);
         packU64(header + 24, kRecordBytes);
         packU64(header + kTreeIdOffset, tree_id_);
+        for (std::size_t i = 0; i < 3; ++i)
+            packU64(header + kLayoutOffset + 8 * i, layout[i]);
         pwriteFully(fd_, header, kHeaderBytes, 0);
         fsyncFile(fd_, false);
         initLog();
@@ -366,6 +418,53 @@ PagedDiskBackend::writeBackFrame(std::uint64_t page, Frame &frame) const
     frame.lsn = 0;
 }
 
+PagedDiskBackend::Location
+PagedDiskBackend::locate(Addr addr) const
+{
+    if (addr >= tree_end_) {
+        // Linear, after the tree's pages and less the pages its
+        // addresses cover in full.
+        const std::size_t offset =
+            static_cast<std::size_t>(addr % kPageBytes);
+        return {subtree_pages_ + addr / kPageBytes -
+                    tree_end_ / kPageBytes,
+                offset, kPageBytes - offset};
+    }
+    const std::size_t bucket_bytes = config_.bucket_bytes;
+    const std::uint64_t bucket = addr / bucket_bytes;
+    const std::size_t in_bucket =
+        static_cast<std::size_t>(addr % bucket_bytes);
+    const unsigned level = floorLog2(bucket + 1);
+    const std::uint64_t index = bucket + 1 - (1ULL << level);
+    const unsigned k = subtree_levels_;
+    const unsigned tier =
+        level < top_tier_levels_ ? 0 : 1 + (level - top_tier_levels_) / k;
+    const unsigned depth =
+        tier == 0 ? level : (level - top_tier_levels_) % k;
+    // Inside the page the subtree is level-ordered too: the run of
+    // this depth's buckets from here to the subtree's edge is
+    // contiguous on both sides.
+    const std::uint64_t run = 1ULL << depth;
+    const std::uint64_t slot = index & (run - 1);
+    return {tier_first_page_[tier] + (index >> depth),
+            static_cast<std::size_t>((run - 1 + slot) * bucket_bytes) +
+                in_bucket,
+            static_cast<std::size_t>((run - slot) * bucket_bytes) -
+                in_bucket};
+}
+
+template <typename Fn>
+void
+PagedDiskBackend::forEachPiece(Addr addr, std::size_t len, Fn &&fn) const
+{
+    for (std::size_t done = 0; done < len;) {
+        const Location at = locate(addr + done);
+        const std::size_t chunk = std::min(len - done, at.contiguous);
+        fn(at.page, at.offset, chunk, done);
+        done += chunk;
+    }
+}
+
 void
 PagedDiskBackend::readBytes(Addr addr, std::uint8_t *out,
                             std::size_t len) const
@@ -375,17 +474,13 @@ PagedDiskBackend::readBytes(Addr addr, std::uint8_t *out,
     if (addr > capacity() || len > capacity() - addr)
         PSORAM_PANIC("disk read past capacity: addr=", addr,
                      " len=", len);
-    std::size_t off = 0;
-    while (off < len) {
-        const Addr cur = addr + off;
-        const std::size_t in_page =
-            static_cast<std::size_t>(cur % kPageBytes);
-        const std::size_t chunk =
-            std::min(len - off, kPageBytes - in_page);
-        const Frame &frame = frameFor(cur / kPageBytes);
-        std::memcpy(out + off, frame.bytes.data() + in_page, chunk);
-        off += chunk;
-    }
+    forEachPiece(addr, len,
+                 [&](std::uint64_t page, std::size_t offset,
+                     std::size_t chunk, std::size_t done) {
+                     std::memcpy(out + done,
+                                 frameFor(page).bytes.data() + offset,
+                                 chunk);
+                 });
 }
 
 void
@@ -399,18 +494,13 @@ PagedDiskBackend::readv(const ReadSpan *spans, std::size_t n) const
         if (span.addr > capacity() || span.len > capacity() - span.addr)
             PSORAM_PANIC("disk readv past capacity: addr=", span.addr,
                          " len=", span.len);
-        std::size_t off = 0;
-        while (off < span.len) {
-            const Addr cur = span.addr + off;
-            const std::size_t in_page =
-                static_cast<std::size_t>(cur % kPageBytes);
-            const std::size_t chunk =
-                std::min(span.len - off, kPageBytes - in_page);
-            const Frame &frame = frameFor(cur / kPageBytes);
-            std::memcpy(span.data + off, frame.bytes.data() + in_page,
-                        chunk);
-            off += chunk;
-        }
+        forEachPiece(span.addr, span.len,
+                     [&](std::uint64_t page, std::size_t offset,
+                         std::size_t chunk, std::size_t done) {
+                         std::memcpy(span.data + done,
+                                     frameFor(page).bytes.data() + offset,
+                                     chunk);
+                     });
     }
 }
 
@@ -421,19 +511,15 @@ PagedDiskBackend::applySpan(Addr addr, const std::uint8_t *in,
     if (addr > capacity() || len > capacity() - addr)
         PSORAM_PANIC("disk write past capacity: addr=", addr,
                      " len=", len);
-    std::size_t off = 0;
-    while (off < len) {
-        const Addr cur = addr + off;
-        const std::size_t in_page =
-            static_cast<std::size_t>(cur % kPageBytes);
-        const std::size_t chunk =
-            std::min(len - off, kPageBytes - in_page);
-        Frame &frame = frameFor(cur / kPageBytes);
-        std::memcpy(frame.bytes.data() + in_page, in + off, chunk);
-        frame.dirty = true;
-        frame.lsn = std::max(frame.lsn, lsn);
-        off += chunk;
-    }
+    forEachPiece(addr, len,
+                 [&](std::uint64_t page, std::size_t offset,
+                     std::size_t chunk, std::size_t done) {
+                     Frame &frame = frameFor(page);
+                     std::memcpy(frame.bytes.data() + offset, in + done,
+                                 chunk);
+                     frame.dirty = true;
+                     frame.lsn = std::max(frame.lsn, lsn);
+                 });
 }
 
 namespace {
@@ -856,24 +942,33 @@ PagedDiskBackend::image() const
     std::lock_guard<std::mutex> lock(mutex_);
     static const NvmLine kZeroLine{};
     MemoryImage img;
-    std::vector<std::uint8_t> page_buf(kPageBytes);
-    for (std::uint64_t p = 0; p < num_pages_; ++p) {
-        const std::uint8_t *bytes;
-        const auto it = frames_.find(p);
-        if (it != frames_.end()) {
-            bytes = it->second.bytes.data();
-        } else {
-            loadPage(p, page_buf.data());
-            bytes = page_buf.data();
+    // A subtree page's rows are separate runs of the address space, so
+    // each page not resident is loaded (and CRC-checked) once and kept
+    // for the rest of the walk.
+    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> loaded;
+    const auto pageBytes = [&](std::uint64_t page) -> const std::uint8_t * {
+        const auto it = frames_.find(page);
+        if (it != frames_.end())
+            return it->second.bytes.data();
+        auto [at, fresh] = loaded.try_emplace(page);
+        if (fresh) {
+            at->second.resize(kPageBytes);
+            loadPage(page, at->second.data());
         }
-        for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-            const std::uint8_t *src = bytes + l * kBlockDataBytes;
-            if (std::memcmp(src, kZeroLine.data(), kBlockDataBytes) == 0)
-                continue;
-            NvmLine line;
-            std::memcpy(line.data(), src, kBlockDataBytes);
-            img.emplace(static_cast<Addr>(p) * kLinesPerPage + l, line);
-        }
+        return at->second.data();
+    };
+    for (Addr addr = 0; addr < capacity(); addr += kBlockDataBytes) {
+        NvmLine line{};
+        forEachPiece(addr,
+                     std::min<std::uint64_t>(kBlockDataBytes,
+                                             capacity() - addr),
+                     [&](std::uint64_t page, std::size_t offset,
+                         std::size_t chunk, std::size_t done) {
+                         std::memcpy(line.data() + done,
+                                     pageBytes(page) + offset, chunk);
+                     });
+        if (line != kZeroLine)
+            img.emplace(addr / kBlockDataBytes, line);
     }
     return img;
 }
@@ -895,16 +990,21 @@ PagedDiskBackend::restoreImage(const MemoryImage &img)
     // a fresh trailer (no boundaries: restore runs under suspension).
     std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> pages;
     for (const auto &[line, data] : img) {
-        const std::uint64_t page = line / kLinesPerPage;
-        if (page >= num_pages_)
+        const Addr addr = line * kBlockDataBytes;
+        if (addr >= capacity())
             PSORAM_FATAL("image line ", line, " beyond disk capacity ",
                          capacity());
-        auto &bytes = pages[page];
-        if (bytes.empty())
-            bytes.resize(kPageBytes, 0);
-        std::memcpy(bytes.data() +
-                        (line % kLinesPerPage) * kBlockDataBytes,
-                    data.data(), kBlockDataBytes);
+        forEachPiece(addr,
+                     std::min<std::uint64_t>(kBlockDataBytes,
+                                             capacity() - addr),
+                     [&](std::uint64_t page, std::size_t offset,
+                         std::size_t chunk, std::size_t done) {
+                         auto &bytes = pages[page];
+                         if (bytes.empty())
+                             bytes.resize(kPageBytes, 0);
+                         std::memcpy(bytes.data() + offset,
+                                     data.data() + done, chunk);
+                     });
     }
     for (const auto &[page, bytes] : pages)
         storePage(page, bytes.data(), /*tearable=*/false);

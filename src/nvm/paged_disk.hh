@@ -7,12 +7,22 @@
  * durable by definition), this backend models the tiered-storage
  * deployment the ROADMAP targets: a tree far larger than RAM, served
  * from disk through pread/pwrite with an explicit fsync durability
- * point. The file layout is page-aligned and level-ordered — the
- * address space is the same level-order slot layout data_layout uses,
- * so low addresses are the top of the tree: pinning the first
- * `pinned_pages` pages of the file keeps the hottest O(log N) levels
- * permanently resident (FEDORA's layout observation), and the buckets
- * of one path occupy at most height+1 distinct pages.
+ * point.
+ *
+ * File layout: the tree (PagedDiskConfig::tree_levels/bucket_bytes,
+ * data_layout's level-order buckets from address 0) is packed by
+ * subtrees. One 4 KiB page holds one k-level subtree, k the largest
+ * depth whose 2^k - 1 buckets fit a page (k = 3 for Z = 4 at 96-B slots
+ * and at 128-B integrity records). Tiers of k levels are anchored at
+ * the leaves, so only the top tier can be partial, and the pages are
+ * ordered tier by tier, root first: the lowest page numbers are the top
+ * of the tree, so pinning the first `pinned_pages` pages keeps the
+ * hottest levels permanently resident (FEDORA's layout observation),
+ * and the buckets of one path occupy exactly ceil((height+1)/k) pages.
+ * Bytes outside the tree map linearly after the last subtree page; a
+ * backend with no tree range maps linearly throughout. locate() is the
+ * one address -> page function; the header records the layout, and a
+ * tree written with another layout is refused at open.
  *
  * Each on-disk page record carries a 64-byte trailer (magic, page
  * index, CRC32 of the payload). The trailer is what makes *torn pages*
@@ -99,6 +109,12 @@ struct PagedDiskConfig
     /** Fail hard (PSORAM_FATAL) when a torn/corrupt page is loaded
      *  instead of counting it and trusting ADR redelivery. */
     bool strict_torn = false;
+    /** @{ The tree packed by subtrees, bucket 0 at address 0: level
+     *  count and bytes per bucket (Z * record bytes). tree_levels == 0
+     *  maps every byte linearly. */
+    unsigned tree_levels = 0;
+    std::size_t bucket_bytes = 0;
+    /** @} */
 };
 
 class PagedDiskBackend final : public MemoryBackend
@@ -137,8 +153,6 @@ class PagedDiskBackend final : public MemoryBackend
 
     /** @{ On-disk geometry. */
     static constexpr std::size_t kPageBytes = 4096;
-    static constexpr std::size_t kLinesPerPage =
-        kPageBytes / kBlockDataBytes;
     static constexpr std::size_t kTrailerBytes = 64;
     static constexpr std::size_t kRecordBytes =
         kPageBytes + kTrailerBytes;
@@ -187,6 +201,20 @@ class PagedDiskBackend final : public MemoryBackend
     std::uint64_t tornPagesDetected() const;
     /** @} */
 
+    /** Where byte @p addr lives in the file: its page, its offset in
+     *  the page, and how many bytes from there on are contiguous in
+     *  both the address space and the page. */
+    struct Location
+    {
+        std::uint64_t page;
+        std::size_t offset;
+        std::size_t contiguous;
+    };
+    Location locate(Addr addr) const;
+
+    /** Levels per subtree page (0: no tree range, linear map). */
+    unsigned subtreeLevels() const { return subtree_levels_; }
+
     std::uint64_t numPages() const { return num_pages_; }
     /** The redo log's sidecar file. */
     const std::string &logPath() const { return log_path_; }
@@ -234,6 +262,11 @@ class PagedDiskBackend final : public MemoryBackend
      *  the frame is newer than it (write-ahead rule). */
     void writeBackFrame(std::uint64_t page, Frame &frame) const;
 
+    /** Call @p fn(page, offset, chunk, done) for each piece of
+     *  [addr, addr + len) that locate() maps contiguously. */
+    template <typename Fn>
+    void forEachPiece(Addr addr, std::size_t len, Fn &&fn) const;
+
     /** Copy @p len bytes into the cache, dirtying frames with @p lsn. */
     void applySpan(Addr addr, const std::uint8_t *in, std::size_t len,
                    std::uint64_t lsn) const;
@@ -272,8 +305,17 @@ class PagedDiskBackend final : public MemoryBackend
      *  mutex_). */
     void stampCheckpoint();
 
-    std::uint64_t num_pages_;
     PagedDiskConfig config_;
+    /** @{ The subtree map (locate()). The tree's bytes are
+     *  [0, tree_end_) and its pages come first: tier t's subtrees start
+     *  at page tier_first_page_[t]. Linear pages follow. */
+    unsigned subtree_levels_ = 0;
+    unsigned top_tier_levels_ = 0;
+    Addr tree_end_ = 0;
+    std::uint64_t subtree_pages_ = 0;
+    std::vector<std::uint64_t> tier_first_page_;
+    /** @} */
+    std::uint64_t num_pages_ = 0;
     std::string log_path_;
 
     int fd_ = -1;

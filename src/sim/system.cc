@@ -184,6 +184,9 @@ buildSystem(const SystemConfig &config)
         disk.path = config.backing_file;
         disk.cache_pages = config.disk_cache_pages;
         disk.pinned_pages = config.disk_pinned_pages;
+        const TreeLayout &tree = system.params.data_layout;
+        disk.tree_levels = tree.geometry.levels();
+        disk.bucket_bytes = tree.geometry.bucket_slots * tree.record_bytes;
         system.device = std::make_unique<PagedDiskBackend>(
             timingsFor(config.main_tech), config.channels,
             config.banks_per_channel, capacity, std::move(disk));
