@@ -22,12 +22,9 @@
  * --json=<path>): the run then also emits a machine-readable report
  * (BENCH_*.json).
  *
- * Observability flags (DESIGN.md §11), also "--flag <path>" or
- * "--flag=<path>":
- *   --trace <file>    record Chrome trace_event JSON of the run (open
- *                     at https://ui.perfetto.dev); written at exit
- *   --metrics <file>  dump a metrics snapshot at exit (.prom/.txt for
- *                     Prometheus text format, anything else JSON)
+ * Observability flag (DESIGN.md §11), "--trace <file>" or
+ * "--trace=<file>": record Chrome trace_event JSON of the run (open at
+ * https://ui.perfetto.dev); written at exit.
  */
 
 #ifndef PSORAM_BENCH_BENCH_COMMON_HH
@@ -46,7 +43,6 @@
 
 #include "common/config.hh"
 #include "common/table.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/designs.hh"
 #include "sim/experiment.hh"
@@ -197,8 +193,6 @@ struct BenchContext
     std::string json_path;
     /** Non-empty: record and write a Chrome trace here (--trace). */
     std::string trace_path;
-    /** Non-empty: dump a metrics snapshot here at exit (--metrics). */
-    std::string metrics_path;
     std::vector<WorkloadSpec> workloads;
 
     GeneratorParams
@@ -230,9 +224,9 @@ traceDumpAtExit()
 /** @} */
 
 /**
- * Honor the --trace/--metrics flags: enable the recorder and register
- * exit-time dumps. Called by parseContext(); harnesses that finish (or
- * abort) without further plumbing still leave the files behind.
+ * Honor the --trace flag: enable the recorder and register an
+ * exit-time dump. Called by parseContext(); harnesses that finish (or
+ * abort) without further plumbing still leave the file behind.
  */
 inline void
 setupObservability(const BenchContext &ctx)
@@ -246,8 +240,6 @@ setupObservability(const BenchContext &ctx)
             std::atexit(traceDumpAtExit);
         }
     }
-    if (!ctx.metrics_path.empty())
-        obs::MetricsExporter::dumpAtExit(ctx.metrics_path);
 }
 
 /**
@@ -349,10 +341,6 @@ parseContext(int argc, char **argv)
             ctx.trace_path = argv[++i];
         else if (arg.rfind("--trace=", 0) == 0)
             ctx.trace_path = arg.substr(8);
-        else if (arg == "--metrics" && i + 1 < argc)
-            ctx.metrics_path = argv[++i];
-        else if (arg.rfind("--metrics=", 0) == 0)
-            ctx.metrics_path = arg.substr(10);
     }
     setupObservability(ctx);
     ctx.overrides.parseArgs(argc, argv);

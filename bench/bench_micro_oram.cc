@@ -254,19 +254,18 @@ main(int argc, char **argv)
 
     // The table/figure benches accept "key=value" overrides; tolerate
     // (and ignore) them here so one loop can run every bench binary.
-    // The observability flags are ours, not google-benchmark's — strip
-    // them (parseContext already consumed them above).
+    // --trace, --integrity[-curve] and --backend are ours, not
+    // google-benchmark's — strip them (parseContext and the code above
+    // already consumed them).
     std::vector<char *> filtered;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--trace" || arg == "--metrics" ||
-            arg == "--integrity-curve" || arg == "--integrity" ||
-            arg == "--backend") {
+        if (arg == "--trace" || arg == "--integrity-curve" ||
+            arg == "--integrity" || arg == "--backend") {
             ++i; // skip the operand too
             continue;
         }
         if (arg.rfind("--trace=", 0) == 0 ||
-            arg.rfind("--metrics=", 0) == 0 ||
             arg.rfind("--integrity-curve=", 0) == 0 ||
             arg.rfind("--integrity=", 0) == 0 ||
             arg.rfind("--backend=", 0) == 0)

@@ -1,9 +1,6 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <iomanip>
-
-#include "common/log.hh"
 
 namespace psoram {
 
@@ -111,103 +108,6 @@ Distribution::merge(const Distribution &other)
     sum_ += other.sum_;
 }
 
-Histogram::Histogram(std::size_t num_buckets, double bucket_width)
-    : buckets_(num_buckets, 0), width_(bucket_width)
-{
-    if (num_buckets == 0 || bucket_width <= 0.0)
-        PSORAM_PANIC("histogram needs positive bucket count and width");
-}
-
-Histogram::Histogram(const Histogram &other) : width_(other.width_)
-{
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    buckets_ = other.buckets_;
-    overflow_ = other.overflow_;
-    total_ = other.total_;
-}
-
-Histogram &
-Histogram::operator=(const Histogram &other)
-{
-    if (this == &other)
-        return *this;
-    std::scoped_lock lock(mutex_, other.mutex_);
-    buckets_ = other.buckets_;
-    width_ = other.width_;
-    overflow_ = other.overflow_;
-    total_ = other.total_;
-    return *this;
-}
-
-void
-Histogram::sample(double v)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++total_;
-    if (v < 0.0) {
-        ++buckets_[0];
-        return;
-    }
-    const auto idx = static_cast<std::size_t>(v / width_);
-    if (idx >= buckets_.size())
-        ++overflow_;
-    else
-        ++buckets_[idx];
-}
-
-void
-Histogram::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    overflow_ = 0;
-    total_ = 0;
-}
-
-std::uint64_t
-Histogram::bucketCount(std::size_t i) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return buckets_.at(i);
-}
-
-std::size_t
-Histogram::numBuckets() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return buckets_.size();
-}
-
-std::uint64_t
-Histogram::overflow() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return overflow_;
-}
-
-std::uint64_t
-Histogram::total() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return total_;
-}
-
-double
-Histogram::percentile(double fraction) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (total_ == 0)
-        return 0.0;
-    const auto target = static_cast<std::uint64_t>(fraction * total_);
-    std::uint64_t running = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        running += buckets_[i];
-        if (running >= target)
-            return (i + 1) * width_;
-    }
-    return buckets_.size() * width_;
-}
-
 void
 StatGroup::addCounter(const std::string &name, const Counter *c,
                       const std::string &desc)
@@ -222,28 +122,6 @@ StatGroup::addDistribution(const std::string &name, const Distribution *d,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     dists_[name] = DistEntry{d, desc};
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[name, entry] : counters_) {
-        os << std::left << std::setw(44) << (name_ + "." + name)
-           << std::right << std::setw(16) << entry.counter->value()
-           << "  # " << entry.desc << "\n";
-    }
-    for (const auto &[name, entry] : dists_) {
-        const auto &d = *entry.dist;
-        os << std::left << std::setw(44)
-           << (name_ + "." + name + ".mean")
-           << std::right << std::setw(16) << d.mean()
-           << "  # " << entry.desc << "\n";
-        os << std::left << std::setw(44)
-           << (name_ + "." + name + ".max")
-           << std::right << std::setw(16) << d.max()
-           << "  # max of " << entry.desc << "\n";
-    }
 }
 
 std::uint64_t
@@ -270,166 +148,145 @@ StatGroup::snapshot() const
     return snap;
 }
 
+template <typename Self, std::size_t N>
 void
-PhaseLatencyStats::sampleAccess(double remap_v, double load_v,
-                                double backup_v, double evict_v,
-                                double drain_v, double total_v)
+WindowLedger<Self, N>::sample(const Windows &w)
 {
-    remap.sample(remap_v);
-    load.sample(load_v);
-    backup.sample(backup_v);
-    evict.sample(evict_v);
-    drain.sample(drain_v);
-    total.sample(total_v);
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+        (self().*Self::kLayout.windows[i].member)
+            .sample(static_cast<double>(w[i]));
+        total += w[i];
+    }
+    (self().*Self::kLayout.total.member).sample(static_cast<double>(total));
 }
 
+template <typename Self, std::size_t N>
 void
-PhaseLatencyStats::merge(const PhaseLatencyStats &other)
+WindowLedger<Self, N>::merge(const Self &other)
 {
-    remap.merge(other.remap);
-    load.merge(other.load);
-    backup.merge(other.backup);
-    evict.merge(other.evict);
-    drain.merge(other.drain);
-    total.merge(other.total);
-    stash_hit.merge(other.stash_hit);
+    const Layout &layout = Self::kLayout;
+    for (const Entry<Distribution> &e : layout.windows)
+        (self().*e.member).merge(other.*e.member);
+    (self().*layout.total.member).merge(other.*layout.total.member);
+    for (const Entry<Distribution> &e : layout.extra_dists)
+        (self().*e.member).merge(other.*e.member);
+    for (const Entry<Counter> &e : layout.counters)
+        (self().*e.member) += (other.*e.member).value();
 }
 
+template <typename Self, std::size_t N>
 void
-PhaseLatencyStats::reset()
+WindowLedger<Self, N>::reset()
 {
-    remap.reset();
-    load.reset();
-    backup.reset();
-    evict.reset();
-    drain.reset();
-    total.reset();
-    stash_hit.reset();
+    const Layout &layout = Self::kLayout;
+    for (const Entry<Distribution> &e : layout.windows)
+        (self().*e.member).reset();
+    (self().*layout.total.member).reset();
+    for (const Entry<Distribution> &e : layout.extra_dists)
+        (self().*e.member).reset();
+    for (const Entry<Counter> &e : layout.counters)
+        (self().*e.member).reset();
 }
 
+template <typename Self, std::size_t N>
 void
-PhaseLatencyStats::registerWith(StatGroup &group,
-                                const std::string &prefix) const
+WindowLedger<Self, N>::registerWith(StatGroup &group,
+                                    const std::string &prefix) const
 {
-    group.addDistribution(prefix + ".remap", &remap,
-                          "step 2: PosMap access + label backup");
-    group.addDistribution(prefix + ".load", &load,
-                          "step 3: path load");
-    group.addDistribution(prefix + ".backup", &backup,
-                          "step 4: stash update + data backup");
-    group.addDistribution(prefix + ".evict", &evict,
-                          "step 5: eviction excluding the WPQ drain");
-    group.addDistribution(prefix + ".drain", &drain,
-                          "WPQ rounds: start/push/commit/drain");
-    group.addDistribution(prefix + ".total", &total,
-                          "steps 2-5 end to end (full accesses)");
-    group.addDistribution(prefix + ".stash_hit", &stash_hit,
-                          "step-1 fast path (no phases run)");
+    const Layout &layout = Self::kLayout;
+    const auto add = [&](const Entry<Distribution> &e) {
+        group.addDistribution(prefix + "." + e.name, &(self().*e.member),
+                              e.desc);
+    };
+    for (const Entry<Distribution> &e : layout.windows)
+        add(e);
+    add(layout.total);
+    for (const Entry<Distribution> &e : layout.extra_dists)
+        add(e);
+    for (const Entry<Counter> &e : layout.counters)
+        group.addCounter(prefix + "." + e.name, &(self().*e.member),
+                         e.desc);
 }
 
+template <typename Self, std::size_t N>
 double
-PhaseLatencyStats::phaseSum() const
+WindowLedger<Self, N>::phaseSum() const
 {
-    return remap.sum() + load.sum() + backup.sum() + evict.sum() +
-           drain.sum();
+    double sum = 0.0;
+    for (const Entry<Distribution> &e : Self::kLayout.windows)
+        sum += (self().*e.member).sum();
+    return sum;
 }
 
-void
-RecoveryStats::sampleRecovery(double wpq_replay_v, double adr_redeliver_v,
-                              double image_reload_v,
-                              double posmap_rebuild_v,
-                              double integrity_verify_v,
-                              double node_repair_v, double total_v)
-{
-    wpq_replay.sample(wpq_replay_v);
-    adr_redeliver.sample(adr_redeliver_v);
-    image_reload.sample(image_reload_v);
-    posmap_rebuild.sample(posmap_rebuild_v);
-    integrity_verify.sample(integrity_verify_v);
-    node_repair.sample(node_repair_v);
-    total.sample(total_v);
-    ++recoveries;
-}
+namespace {
 
-void
-RecoveryStats::merge(const RecoveryStats &other)
-{
-    wpq_replay.merge(other.wpq_replay);
-    adr_redeliver.merge(other.adr_redeliver);
-    image_reload.merge(other.image_reload);
-    posmap_rebuild.merge(other.posmap_rebuild);
-    integrity_verify.merge(other.integrity_verify);
-    node_repair.merge(other.node_repair);
-    total.merge(other.total);
-    recoveries += other.recoveries.value();
-    redelivered_entries += other.redelivered_entries.value();
-    records_verified += other.records_verified.value();
-    records_refused += other.records_refused.value();
-    nodes_repaired += other.nodes_repaired.value();
-    blackbox_events += other.blackbox_events.value();
-    blackbox_torn += other.blackbox_torn.value();
-}
+using PhaseDist = PhaseLatencyStats::Entry<Distribution>;
+using RecoveryCount = RecoveryStats::Entry<Counter>;
 
-void
-RecoveryStats::reset()
-{
-    wpq_replay.reset();
-    adr_redeliver.reset();
-    image_reload.reset();
-    posmap_rebuild.reset();
-    integrity_verify.reset();
-    node_repair.reset();
-    total.reset();
-    recoveries.reset();
-    redelivered_entries.reset();
-    records_verified.reset();
-    records_refused.reset();
-    nodes_repaired.reset();
-    blackbox_events.reset();
-    blackbox_torn.reset();
-}
+constexpr PhaseDist kStashHit[] = {
+    {&PhaseLatencyStats::stash_hit, "stash_hit",
+     "step-1 fast path (no phases run)"},
+};
 
-void
-RecoveryStats::registerWith(StatGroup &group,
-                            const std::string &prefix) const
-{
-    group.addDistribution(prefix + ".wpq_replay_ns", &wpq_replay,
-                          "device redo-log replay after the ADR flush");
-    group.addDistribution(prefix + ".adr_redeliver_ns", &adr_redeliver,
-                          "ADR crashFlush of the in-flight WPQ rounds");
-    group.addDistribution(prefix + ".image_reload_ns", &image_reload,
-                          "controller teardown + image rebuild");
-    group.addDistribution(prefix + ".posmap_rebuild_ns", &posmap_rebuild,
-                          "volatile PosMap/stash/shadow-region rebuild");
-    group.addDistribution(prefix + ".integrity_verify_ns",
-                          &integrity_verify,
-                          "integrity record re-verification scan");
-    group.addDistribution(prefix + ".node_repair_ns", &node_repair,
-                          "stale Merkle interior-node repair");
-    group.addDistribution(prefix + ".total_ns", &total,
-                          "whole recovery, end to end");
-    group.addCounter(prefix + ".recoveries", &recoveries,
-                     "recoveries sampled (successful only)");
-    group.addCounter(prefix + ".redelivered_entries", &redelivered_entries,
-                     "WPQ entries redelivered by the ADR crash flush");
-    group.addCounter(prefix + ".records_verified", &records_verified,
-                     "integrity records whose tags verified");
-    group.addCounter(prefix + ".records_refused", &records_refused,
-                     "recoveries refused with an IntegrityError");
-    group.addCounter(prefix + ".nodes_repaired", &nodes_repaired,
-                     "stale persisted interior nodes rewritten");
-    group.addCounter(prefix + ".blackbox_events", &blackbox_events,
-                     "flight-recorder events decoded at recovery");
-    group.addCounter(prefix + ".blackbox_torn", &blackbox_torn,
-                     "flight-recorder records dropped (torn/bad CRC)");
-}
+constexpr RecoveryCount kRecoveryCounters[] = {
+    {&RecoveryStats::recoveries, "recoveries",
+     "recoveries sampled (successful only)"},
+    {&RecoveryStats::redelivered_entries, "redelivered_entries",
+     "WPQ entries redelivered by the ADR crash flush"},
+    {&RecoveryStats::records_verified, "records_verified",
+     "integrity records whose tags verified"},
+    {&RecoveryStats::records_refused, "records_refused",
+     "recoveries refused with an IntegrityError"},
+    {&RecoveryStats::nodes_repaired, "nodes_repaired",
+     "stale persisted interior nodes rewritten"},
+    {&RecoveryStats::blackbox_events, "blackbox_events",
+     "flight-recorder events decoded at recovery"},
+    {&RecoveryStats::blackbox_torn, "blackbox_torn",
+     "flight-recorder records dropped (torn/bad CRC)"},
+};
 
-double
-RecoveryStats::phaseSum() const
-{
-    return wpq_replay.sum() + adr_redeliver.sum() + image_reload.sum() +
-           posmap_rebuild.sum() + integrity_verify.sum() +
-           node_repair.sum();
-}
+} // namespace
+
+const PhaseLatencyStats::Layout PhaseLatencyStats::kLayout = {
+    {{
+        {&PhaseLatencyStats::remap, "remap",
+         "step 2: PosMap access + label backup"},
+        {&PhaseLatencyStats::load, "load", "step 3: path load"},
+        {&PhaseLatencyStats::backup, "backup",
+         "step 4: stash update + data backup"},
+        {&PhaseLatencyStats::evict, "evict",
+         "step 5: eviction excluding the WPQ drain"},
+        {&PhaseLatencyStats::drain, "drain",
+         "WPQ rounds: start/push/commit/drain"},
+    }},
+    {&PhaseLatencyStats::total, "total",
+     "steps 2-5 end to end (full accesses)"},
+    kStashHit,
+    {},
+};
+
+const RecoveryStats::Layout RecoveryStats::kLayout = {
+    {{
+        {&RecoveryStats::wpq_replay, "wpq_replay_ns",
+         "device redo-log replay after the ADR flush"},
+        {&RecoveryStats::adr_redeliver, "adr_redeliver_ns",
+         "ADR crashFlush of the in-flight WPQ rounds"},
+        {&RecoveryStats::image_reload, "image_reload_ns",
+         "controller teardown + image rebuild"},
+        {&RecoveryStats::posmap_rebuild, "posmap_rebuild_ns",
+         "volatile PosMap/stash/shadow-region rebuild"},
+        {&RecoveryStats::integrity_verify, "integrity_verify_ns",
+         "integrity record re-verification scan"},
+        {&RecoveryStats::node_repair, "node_repair_ns",
+         "stale Merkle interior-node repair"},
+    }},
+    {&RecoveryStats::total, "total_ns", "whole recovery, end to end"},
+    {},
+    kRecoveryCounters,
+};
+
+template class WindowLedger<PhaseLatencyStats, 5>;
+template class WindowLedger<RecoveryStats, 6>;
 
 } // namespace psoram

@@ -2,16 +2,17 @@
  * @file
  * Lightweight statistics framework in the spirit of gem5's Stats package.
  *
- * Components register named counters/histograms into a StatGroup; the
- * experiment harness dumps a group recursively to produce the per-design
- * statistics that feed the table/figure benches.
+ * Components register named counters/distributions into a StatGroup;
+ * the metrics exporter snapshots a group to JSON. A WindowLedger splits
+ * one operation's time into adjacent windows (the per-access and the
+ * per-recovery breakdowns).
  *
  * Thread-safety contract (sharded engine): every primitive here may be
  * written from one worker thread while being read from another (live
  * stats polling, merged per-shard reporting). Counter increments are
  * relaxed atomics — monotonic event counts need no ordering, only
- * tear-freedom. Distribution/Histogram mutate several fields per sample
- * and take a per-object mutex; in the sharded engine each shard owns its
+ * tear-freedom. A Distribution mutates several fields per sample and
+ * takes a per-object mutex; in the sharded engine each shard owns its
  * own instances, so the lock is uncontended on the hot path. Cross-shard
  * aggregation happens by *merging read-side snapshots*, never by sharing
  * one accumulator between workers.
@@ -20,11 +21,13 @@
 #ifndef PSORAM_COMMON_STATS_HH
 #define PSORAM_COMMON_STATS_HH
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,42 +127,12 @@ class Distribution
     double max_ = 0.0;
 };
 
-/** Fixed-bucket histogram over [0, buckets * bucketWidth). */
-class Histogram
-{
-  public:
-    Histogram(std::size_t num_buckets, double bucket_width);
-
-    /** Snapshot-copy under the mutex (see Distribution): the bucket
-     *  array, overflow and total are captured as one consistent view. */
-    Histogram(const Histogram &other);
-    Histogram &operator=(const Histogram &other);
-
-    void sample(double v);
-    void reset();
-
-    std::uint64_t bucketCount(std::size_t i) const;
-    std::size_t numBuckets() const;
-    double bucketWidth() const { return width_; }
-    std::uint64_t overflow() const;
-    std::uint64_t total() const;
-
-    /** Smallest value v such that fraction() of samples are <= v. */
-    double percentile(double fraction) const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::vector<std::uint64_t> buckets_;
-    double width_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-};
-
 /**
  * A named collection of statistics. Components own a StatGroup and
- * register members once at construction; the harness walks registered
- * entries to dump them. Registration and dumping may happen on
- * different threads (engine workers vs. the reporting thread).
+ * register members once at construction; the metrics exporter walks
+ * registered entries to snapshot them. Registration and snapshots may
+ * happen on different threads (engine workers vs. the reporting
+ * thread).
  */
 class StatGroup
 {
@@ -172,9 +145,6 @@ class StatGroup
                          const std::string &desc);
 
     const std::string &name() const { return name_; }
-
-    /** Dump "group.stat value # desc" lines, gem5 stats.txt style. */
-    void dump(std::ostream &os) const;
 
     /** Look up a registered counter value by name; 0 if absent. */
     std::uint64_t counterValue(const std::string &name) const;
@@ -216,19 +186,113 @@ class StatGroup
 };
 
 /**
+ * Adjacent-window ledger: one operation's time split into N windows
+ * that tile it, sampled as one Distribution per window plus a `total`
+ * that is derived — the sum of the windows — so for every sampled
+ * operation   window_0 + ... + window_{N-1} == total   by construction.
+ *
+ * An instance (PhaseLatencyStats, RecoveryStats) is a struct deriving
+ * from WindowLedger<Self, N> that declares its windows, its `total` and
+ * any stats carried alongside as named members, plus a `kLayout` table
+ * naming them; sampling, merge, reset, registration and the window sum
+ * are written here once.
+ */
+template <typename Self, std::size_t N>
+class WindowLedger
+{
+  public:
+    /** One operation's window values, in the instance's window order. */
+    using Windows = std::array<std::uint64_t, N>;
+
+    /**
+     * The stamp path: boundary stamps of one operation on one clock
+     * (host ns or simulated cycles). Each close() ends the running
+     * window at @p now and opens the next, so the closed windows tile
+     * [start, last stamp] with no gap and no overlap.
+     */
+    class Stamps
+    {
+      public:
+        explicit Stamps(std::uint64_t start) : last_(start) {}
+
+        /** Charge [previous stamp, @p now) to window @p w. */
+        void
+        close(std::size_t w, std::uint64_t now)
+        {
+            windows_[w] += now - last_;
+            last_ = now;
+        }
+
+        /** Move @p amount (at most all of window @p from) to window
+         *  @p to: a window nested inside another is reported apart. */
+        void
+        carve(std::size_t from, std::size_t to, std::uint64_t amount)
+        {
+            amount = std::min(amount, windows_[from]);
+            windows_[from] -= amount;
+            windows_[to] += amount;
+        }
+
+        const Windows &windows() const { return windows_; }
+
+      private:
+        Windows windows_{};
+        std::uint64_t last_;
+    };
+
+    /** A member stat and the name/description it registers under. */
+    template <typename Stat>
+    struct Entry
+    {
+        Stat Self::*member;
+        const char *name;
+        const char *desc;
+    };
+
+    /** What an instance declares: its windows in sample order, the
+     *  derived total, and stats merged, reset and registered with the
+     *  windows but outside the identity. */
+    struct Layout
+    {
+        std::array<Entry<Distribution>, N> windows;
+        Entry<Distribution> total;
+        std::span<const Entry<Distribution>> extra_dists;
+        std::span<const Entry<Counter>> counters;
+    };
+
+    /** One operation: window i samples @p w[i], `total` their sum. */
+    void sample(const Windows &w);
+
+    /** Fold @p other in (read-side shard merge; safe mid-run). */
+    void merge(const Self &other);
+
+    void reset();
+
+    /** Register every stat as "<prefix>.<name>". */
+    void registerWith(StatGroup &group, const std::string &prefix) const;
+
+    /** Sum over the window distributions' sample sums (== the sum of
+     *  `total` up to floating-point association). */
+    double phaseSum() const;
+
+  private:
+    Self &self() { return static_cast<Self &>(*this); }
+    const Self &self() const { return static_cast<const Self &>(*this); }
+};
+
+/**
  * Per-phase access-latency breakdown for the five PS-ORAM protocol
  * phases (remap -> load -> backup -> evict -> drain), in whatever unit
- * the owner samples (the controller keeps one group in host nanoseconds
- * and one in simulated NVM cycles).
- *
- * Invariant the owner maintains: the five phase windows are adjacent
- * and `evict` *excludes* the WPQ drain nested inside it, so for every
- * access   remap + load + backup + evict + drain == total   exactly.
- * `stash_hit` tracks the step-1 fast path and is outside that identity
- * (stash hits never run the phases).
+ * the owner stamps (the controller keeps one ledger in host nanoseconds
+ * and one in simulated NVM cycles). `evict` excludes the WPQ drain
+ * nested inside it (carved out into `drain`). `stash_hit` tracks the
+ * step-1 fast path and is outside the identity (stash hits never run
+ * the phases).
  */
-struct PhaseLatencyStats
+struct PhaseLatencyStats : WindowLedger<PhaseLatencyStats, 5>
 {
+    enum Window : std::size_t { Remap, Load, Backup, Evict, Drain };
+
     Distribution remap;    ///< step 2: PosMap access + label backup
     Distribution load;     ///< step 3: path load
     Distribution backup;   ///< step 4: stash update + data backup
@@ -237,40 +301,30 @@ struct PhaseLatencyStats
     Distribution total;    ///< steps 2-5 end to end (full accesses)
     Distribution stash_hit; ///< step-1 fast path (not part of total)
 
-    /** One access's phase windows, sampled under the sum identity. */
-    void sampleAccess(double remap_v, double load_v, double backup_v,
-                      double evict_v, double drain_v, double total_v);
-
-    /** Fold @p other in (read-side shard merge; safe mid-run). */
-    void merge(const PhaseLatencyStats &other);
-
-    void reset();
-
-    /** Register every distribution as "<prefix>.<phase>". */
-    void registerWith(StatGroup &group, const std::string &prefix) const;
-
-    /** Sum over the five phase distributions' sample sums (== the sum
-     *  of `total` up to floating-point association). */
-    double phaseSum() const;
+    static const Layout kLayout;
 };
 
 /**
  * Per-phase recovery-latency breakdown for the crash-recovery pipeline
  * (RecoveryManager::recover + System::recoverController), in host
- * nanoseconds.
- *
- * Invariant the owner maintains: the six phase windows are adjacent
- * timestamp deltas over one recovery, so for every sampled recovery
- *   wpq_replay + adr_redeliver + image_reload + posmap_rebuild
- *     + integrity_verify + node_repair == total   exactly.
- * Phases a recovery does not run (integrity off, ...) sample 0 so the
- * identity still holds. In time order the windows run adr_redeliver
- * (the ADR flush), wpq_replay (the device comes back up: a disk tree
- * replays its durable redo log — the WPQ rounds it logged — and
- * checkpoints; near zero on the memory backend), then the rest.
+ * nanoseconds. Phases a recovery does not run (integrity off, ...)
+ * sample 0. In time order the windows run adr_redeliver (the ADR
+ * flush), wpq_replay (the device comes back up: a disk tree replays
+ * its durable redo log — the WPQ rounds it logged — and checkpoints;
+ * near zero on the memory backend), image_reload, posmap_rebuild,
+ * integrity_verify, node_repair, and a tail charged to posmap_rebuild.
  */
-struct RecoveryStats
+struct RecoveryStats : WindowLedger<RecoveryStats, 6>
 {
+    enum Window : std::size_t {
+        WpqReplay,
+        AdrRedeliver,
+        ImageReload,
+        PosmapRebuild,
+        IntegrityVerify,
+        NodeRepair
+    };
+
     Distribution wpq_replay;       ///< device log replay (disk)
     Distribution adr_redeliver;    ///< ADR crashFlush of in-flight WPQs
     Distribution image_reload;     ///< controller/device image rebuild
@@ -287,25 +341,8 @@ struct RecoveryStats
     Counter blackbox_events;     ///< flight-recorder events decoded
     Counter blackbox_torn;       ///< flight-recorder records torn/bad
 
-    /** One recovery's phase windows, sampled under the sum identity. */
-    void sampleRecovery(double wpq_replay_v, double adr_redeliver_v,
-                        double image_reload_v, double posmap_rebuild_v,
-                        double integrity_verify_v, double node_repair_v,
-                        double total_v);
-
-    /** Fold @p other in (read-side shard merge; safe mid-run). */
-    void merge(const RecoveryStats &other);
-
-    void reset();
-
-    /** Register every stat as "<prefix>.<name>". */
-    void registerWith(StatGroup &group, const std::string &prefix) const;
-
-    /** Sum over the six phase distributions' sample sums (== the sum
-     *  of `total` up to floating-point association). */
-    double phaseSum() const;
+    static const Layout kLayout;
 };
-
 } // namespace psoram
 
 #endif // PSORAM_COMMON_STATS_HH

@@ -300,9 +300,6 @@ PagedDiskBackend::loadPage(std::uint64_t page, std::uint8_t *out) const
             ++stats_.torn_pages_detected;
             warn("disk tree '", config_.path, "' page ", page,
                  " has payload but no trailer (torn first write)");
-            if (config_.strict_torn)
-                PSORAM_FATAL("torn page ", page, " in '", config_.path,
-                             "' (strict mode)");
         }
         std::memcpy(out, record, kPageBytes);
         return;
@@ -314,9 +311,6 @@ PagedDiskBackend::loadPage(std::uint64_t page, std::uint8_t *out) const
         ++stats_.torn_pages_detected;
         warn("disk tree '", config_.path, "' page ", page,
              " failed trailer verification (torn/misdirected write)");
-        if (config_.strict_torn)
-            PSORAM_FATAL("torn page ", page, " in '", config_.path,
-                         "' (strict mode)");
     }
     std::memcpy(out, record, kPageBytes);
 }

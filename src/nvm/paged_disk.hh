@@ -31,11 +31,11 @@
  * observes when the page is next loaded. Torn pages are healed by the
  * redo log (below) — every byte a torn page could have lost changed
  * since the last checkpoint, so it is in a durable log record — and
- * detection is counted (and can be made fatal via `strict_torn`)
- * rather than failing the load. The CRC is common/crc32's, a PCLMULQDQ
- * fold where the CPU has the instruction and a table loop otherwise,
- * bit-identical either way; on a 4-core Xeon VM a 4 KiB page costs
- * about 0.2 µs folded and 13 µs in the table loop.
+ * detection is counted and warned rather than failing the load. The
+ * CRC is common/crc32's, a PCLMULQDQ fold where the CPU has the
+ * instruction and a table loop otherwise, bit-identical either way;
+ * on a 4-core Xeon VM a 4 KiB page costs about 0.2 µs folded and
+ * 13 µs in the table loop.
  *
  * Durability model: a redo log in a sidecar file (`<path>.wal`), the
  * disk's counterpart of the ADR persistence domain.
@@ -106,9 +106,6 @@ struct PagedDiskConfig
     /** Lowest-addressed pages (top tree levels + metadata head) held
      *  resident for the backend's lifetime, outside the cache budget. */
     std::size_t pinned_pages = 64;
-    /** Fail hard (PSORAM_FATAL) when a torn/corrupt page is loaded
-     *  instead of counting it and trusting ADR redelivery. */
-    bool strict_torn = false;
     /** @{ The tree packed by subtrees, bucket 0 at address 0: level
      *  count and bytes per bucket (Z * record bytes). tree_levels == 0
      *  maps every byte linearly. */

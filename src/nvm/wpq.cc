@@ -47,34 +47,6 @@ Wpq::end()
     committed_ = true;
 }
 
-Cycle
-Wpq::drainTo(MemoryBackend &device, Cycle earliest)
-{
-    if (open_)
-        PSORAM_PANIC("WPQ '", name_, "': drain before end()");
-    std::vector<WriteSpan> spans;
-    spans.reserve(entries_.size());
-    appendSpans(spans);
-    device.writev(spans);
-    return retire(device.timing(), earliest);
-}
-
-std::size_t
-Wpq::crashFlush(MemoryBackend &device)
-{
-    std::size_t flushed = 0;
-    if (committed_) {
-        // ADR: a committed round always reaches the NVM.
-        std::vector<WriteSpan> spans;
-        spans.reserve(entries_.size());
-        appendSpans(spans);
-        device.writev(spans);
-        flushed = spans.size();
-    }
-    clear();
-    return flushed;
-}
-
 void
 Wpq::appendSpans(std::vector<WriteSpan> &spans) const
 {

@@ -131,22 +131,6 @@ class Wpq
     void end();
 
     /**
-     * Flush all committed entries to the device: functional writes plus
-     * timing. Leaves the queue empty and closed.
-     *
-     * @return completion cycle of the last write
-     */
-    Cycle drainTo(MemoryBackend &device, Cycle earliest);
-
-    /**
-     * Power-failure semantics: committed entries are functionally written
-     * (ADR flush); an uncommitted round is discarded.
-     *
-     * @return number of entries that reached the NVM
-     */
-    std::size_t crashFlush(MemoryBackend &device);
-
-    /**
      * @{ The two halves of a drain, for callers that write several
      * queues' rounds in one writev (AdrDomain): appendSpans() adds the
      * queued entries in order, retire() then schedules one NVM write

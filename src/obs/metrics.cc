@@ -1,30 +1,13 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
 namespace psoram::obs {
 
 namespace {
-
-/** Path for the atexit dump (set once per program; last call wins). */
-std::string &
-atexitPath()
-{
-    static std::string *path = new std::string();
-    return *path;
-}
-
-void
-atexitDump()
-{
-    if (!atexitPath().empty())
-        MetricsExporter::global().writeTo(atexitPath());
-}
 
 std::string
 jsonQuote(const std::string &s)
@@ -47,33 +30,7 @@ fmtDouble(double v)
     return buf;
 }
 
-/** Prometheus metric names allow [a-zA-Z0-9_:] only. */
-std::string
-promSanitize(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s)
-        out += (std::isalnum(static_cast<unsigned char>(c)) || c == '_')
-                   ? c
-                   : '_';
-    return out;
-}
-
 } // namespace
-
-MetricsExporter::~MetricsExporter()
-{
-    stopPeriodic();
-}
-
-MetricsExporter &
-MetricsExporter::global()
-{
-    // Leaked: atexit dumps run during static destruction.
-    static MetricsExporter *exporter = new MetricsExporter();
-    return *exporter;
-}
 
 void
 MetricsExporter::addGroup(const StatGroup *group)
@@ -91,25 +48,15 @@ MetricsExporter::numGroups() const
     return groups_.size();
 }
 
-std::vector<StatGroup::Snapshot>
-MetricsExporter::collect() const
-{
-    std::vector<const StatGroup *> groups;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        groups = groups_;
-    }
-    std::vector<StatGroup::Snapshot> snapshots;
-    snapshots.reserve(groups.size());
-    for (const StatGroup *group : groups)
-        snapshots.push_back(group->snapshot());
-    return snapshots;
-}
-
 void
 MetricsExporter::writeJson(std::ostream &os) const
 {
-    const auto snapshots = collect();
+    std::vector<StatGroup::Snapshot> snapshots;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const StatGroup *group : groups_)
+            snapshots.push_back(group->snapshot());
+    }
     os << "{\"groups\": [\n";
     for (std::size_t g = 0; g < snapshots.size(); ++g) {
         const StatGroup::Snapshot &snap = snapshots[g];
@@ -133,37 +80,6 @@ MetricsExporter::writeJson(std::ostream &os) const
     os << "]}\n";
 }
 
-void
-MetricsExporter::writePrometheus(std::ostream &os) const
-{
-    const auto snapshots = collect();
-    if (snapshots.empty()) {
-        // A zero-byte exposition file is indistinguishable from a
-        // failed write; say explicitly that nothing was registered.
-        os << "# psoram metrics: no stat groups registered\n";
-        return;
-    }
-    for (const StatGroup::Snapshot &snap : snapshots) {
-        const std::string prefix =
-            "psoram_" + promSanitize(snap.name) + "_";
-        for (const auto &c : snap.counters) {
-            const std::string metric = prefix + promSanitize(c.name);
-            os << "# HELP " << metric << " " << c.desc << "\n";
-            os << "# TYPE " << metric << " counter\n";
-            os << metric << " " << c.value << "\n";
-        }
-        for (const auto &d : snap.dists) {
-            const std::string metric = prefix + promSanitize(d.name);
-            os << "# HELP " << metric << " " << d.desc << "\n";
-            os << "# TYPE " << metric << " summary\n";
-            os << metric << "_count " << d.stats.count << "\n";
-            os << metric << "_sum " << fmtDouble(d.stats.sum) << "\n";
-            os << metric << "_min " << fmtDouble(d.stats.min) << "\n";
-            os << metric << "_max " << fmtDouble(d.stats.max) << "\n";
-        }
-    }
-}
-
 bool
 MetricsExporter::writeTo(const std::string &path) const
 {
@@ -173,60 +89,8 @@ MetricsExporter::writeTo(const std::string &path) const
                   << "\n";
         return false;
     }
-    const bool prom =
-        path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-    const bool txt =
-        path.size() >= 4 && path.compare(path.size() - 4, 4, ".txt") == 0;
-    if (prom || txt)
-        writePrometheus(out);
-    else
-        writeJson(out);
+    writeJson(out);
     return out.good();
-}
-
-void
-MetricsExporter::startPeriodic(const std::string &path,
-                               std::chrono::milliseconds every)
-{
-    stopPeriodic();
-    {
-        std::lock_guard<std::mutex> lock(periodic_mutex_);
-        periodic_stop_ = false;
-    }
-    periodic_thread_ = std::thread([this, path, every] {
-        std::unique_lock<std::mutex> lock(periodic_mutex_);
-        for (;;) {
-            if (periodic_cv_.wait_for(lock, every,
-                                      [&] { return periodic_stop_; }))
-                return;
-            lock.unlock();
-            writeTo(path);
-            lock.lock();
-        }
-    });
-}
-
-void
-MetricsExporter::stopPeriodic()
-{
-    {
-        std::lock_guard<std::mutex> lock(periodic_mutex_);
-        periodic_stop_ = true;
-    }
-    periodic_cv_.notify_all();
-    if (periodic_thread_.joinable())
-        periodic_thread_.join();
-}
-
-void
-MetricsExporter::dumpAtExit(const std::string &path)
-{
-    static bool registered = false;
-    atexitPath() = path;
-    if (!registered) {
-        registered = true;
-        std::atexit(atexitDump);
-    }
 }
 
 } // namespace psoram::obs

@@ -366,11 +366,12 @@ IntegrityManager::streamDirtyNodes(MemoryBackend &device)
     dirty_nodes_.clear();
 }
 
-IntegrityManager::RecoveryStats
-IntegrityManager::recoverFromDevice(MemoryBackend &device)
+IntegrityManager::RecoveryScan
+IntegrityManager::recoverFromDevice(MemoryBackend &device,
+                                    RecoveryStats::Stamps *stamps)
 {
     PSORAM_TRACE_SCOPE("recovery", "integrity_recover", 0);
-    RecoveryStats stats;
+    RecoveryScan scan;
     initFresh();
 
     const TreeGeometry &geo = layout_.geometry;
@@ -398,7 +399,7 @@ IntegrityManager::recoverFromDevice(MemoryBackend &device)
                         IntegrityError::Kind::MacMismatch, addr,
                         "record tag verification failed during "
                         "recovery");
-                ++stats.records_verified;
+                ++scan.records_verified;
                 max_version = std::max(max_version, version);
                 max_slot_iv =
                     std::max(max_slot_iv, loadLe64(record));
@@ -440,7 +441,7 @@ IntegrityManager::recoverFromDevice(MemoryBackend &device)
                                  root_record_base_,
                                  "root record tag verification failed");
         next_version_ = loadLe64(root + kRootVersionOffset);
-        stats.slot_iv_floor = loadLe64(root + kRootIvOffset);
+        scan.slot_iv_floor = loadLe64(root + kRootIvOffset);
         commit_seq_ = seq;
         if (max_version >= next_version_)
             throw IntegrityError(
@@ -455,7 +456,8 @@ IntegrityManager::recoverFromDevice(MemoryBackend &device)
                 "root record");
     }
 
-    stats.verify_done_ns = obs::hostNowNs();
+    if (stamps)
+        stamps->close(RecoveryStats::IntegrityVerify, obs::hostNowNs());
     if (mode_ == IntegrityMode::Tree) {
         // The persisted interior nodes are an untrusted accelerator:
         // lazily streamed, possibly stale after a crash. Repair, never
@@ -470,14 +472,14 @@ IntegrityManager::recoverFromDevice(MemoryBackend &device)
                 device.writeBytes(
                     merkle_region_base_ + b * kHashBytes,
                     node_hash_[b].data(), kHashBytes, Durability::Quiet);
-                ++stats.nodes_repaired;
+                ++scan.nodes_repaired;
             }
         }
     }
     dirty_nodes_.clear();
-    stats.slot_iv_floor = std::max(stats.slot_iv_floor, max_slot_iv);
-    nodes_repaired_ = stats.nodes_repaired;
-    return stats;
+    scan.slot_iv_floor = std::max(scan.slot_iv_floor, max_slot_iv);
+    nodes_repaired_ = scan.nodes_repaired;
+    return scan;
 }
 
 } // namespace psoram

@@ -60,6 +60,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/stats.hh"
 #include "crypto/gcm.hh"
 #include "crypto/sha256.hh"
 #include "mem/backend.hh"
@@ -125,8 +126,8 @@ class IntegrityManager
     static constexpr std::size_t kHashBytes = Sha256::kDigestBytes;
     static constexpr std::size_t kRootRecordBytes = 128;
 
-    /** Recovery outcome (also the I5 invariant-check evidence). */
-    struct RecoveryStats
+    /** Recovery scan outcome (also the I5 invariant-check evidence). */
+    struct RecoveryScan
     {
         /** Versioned (written) records whose tags verified. */
         std::uint64_t records_verified = 0;
@@ -135,10 +136,6 @@ class IntegrityManager
         std::uint64_t nodes_repaired = 0;
         /** Codec IV watermark from the root record (resume floor). */
         std::uint64_t slot_iv_floor = 0;
-        /** Host timestamp at the verify/repair boundary: the record
-         *  scan + root check are done, the interior-node repair pass
-         *  is about to start (recovery phase attribution). */
-        std::uint64_t verify_done_ns = 0;
     };
 
     /**
@@ -193,9 +190,12 @@ class IntegrityManager
      * Full recovery scan: verify every record on @p device, rebuild
      * the Merkle state, check it against the persisted root record,
      * repair stale interior nodes, and resume the version counter.
+     * @param stamps when set, closes the integrity_verify window once
+     *        the record scan and root check are done
      * @throws IntegrityError when any node fails verification
      */
-    RecoveryStats recoverFromDevice(MemoryBackend &device);
+    RecoveryScan recoverFromDevice(MemoryBackend &device,
+                                   RecoveryStats::Stamps *stamps = nullptr);
 
     /** Trusted current root (tree mode). */
     const Sha256::Digest &root() const { return node_hash_[0]; }

@@ -40,6 +40,9 @@ struct PsOramParams
     Addr shadow_data_base = 0;    ///< data stash shadow (Rcr-PS)
     Addr shadow_pom_base = 0;     ///< PoM stash shadow (Rcr-PS)
     Addr naive_scratch_base = 0;  ///< Naive all-entry metadata scratch
+    /** End of the last region laid out (4 KiB aligned); the device
+     *  capacity derives from it. */
+    Addr regions_end = 0;
     /** @} */
 
     /** @{ Integrity subsystem (oram/integrity.hh). Non-Off requires a

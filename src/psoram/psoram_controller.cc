@@ -250,11 +250,15 @@ PsOramController::access(BlockAddr addr, bool is_write,
     ctx.start = ctx.t = now_;
     ctx.access_id = access_id;
 
-    // Adjacent phase windows: each boundary timestamp closes one phase
-    // and opens the next, so the five phase samples sum to `total`
-    // exactly (the breakdown invariant PhaseLatencyStats documents).
-    const std::uint64_t h0 = obs::hostNowNs();
-    const Cycle c0 = ctx.t;
+    // Adjacent phase windows: each boundary stamp closes one phase and
+    // opens the next, so the five phases sum to `total` by construction
+    // (common/stats.hh WindowLedger).
+    PhaseLatencyStats::Stamps ns(obs::hostNowNs());
+    PhaseLatencyStats::Stamps cycles(ctx.t);
+    const auto stamp = [&](PhaseLatencyStats::Window phase) {
+        ns.close(phase, obs::hostNowNs());
+        cycles.close(phase, ctx.t);
+    };
 
     // ---- Step 2: access PosMap and backup the label. ----
     {
@@ -265,16 +269,14 @@ PsOramController::access(BlockAddr addr, bool is_write,
     if (observer_)
         observer_(ctx.leaf);
     maybeCrash(CrashSite::AfterRemap);
-    const std::uint64_t h1 = obs::hostNowNs();
-    const Cycle c1 = ctx.t;
+    stamp(PhaseLatencyStats::Remap);
 
     // ---- Step 3: load path. ----
     {
         PSORAM_TRACE_SCOPE("phase", "load", access_id);
         loader_->run(ctx);
     }
-    const std::uint64_t h2 = obs::hostNowNs();
-    const Cycle c2 = ctx.t;
+    stamp(PhaseLatencyStats::Load);
 
     // ---- Step 4: update stash and backup the data block. ----
     {
@@ -303,62 +305,50 @@ PsOramController::access(BlockAddr addr, bool is_write,
             std::memcpy(read_out, entry->data.data(), kBlockDataBytes);
     }
     maybeCrash(CrashSite::AfterStashUpdate);
-    const std::uint64_t h3 = obs::hostNowNs();
-    const Cycle c3 = ctx.t;
+    stamp(PhaseLatencyStats::Backup);
 
     // ---- Step 5: PS-ORAM eviction. ----
     {
         PSORAM_TRACE_SCOPE("phase", "evict", access_id);
         evictor_->run(ctx);
     }
-    const std::uint64_t h4 = obs::hostNowNs();
-    const Cycle c4 = ctx.t;
+    stamp(PhaseLatencyStats::Evict);
 
     now_ = std::max(ctx.t, ctx.start);
     ctx.info.nvm_cycles = now_ - ctx.start;
     stash_.sampleOccupancy();
 
     // The evict window contains the WPQ drain; report it as its own
-    // phase (evict excludes it) so the breakdown still sums to total.
-    const std::uint64_t evict_host = h4 - h3;
-    const std::uint64_t drain_host =
-        std::min(ctx.drain_host_ns, evict_host);
-    phase_ns_.sampleAccess(static_cast<double>(h1 - h0),
-                           static_cast<double>(h2 - h1),
-                           static_cast<double>(h3 - h2),
-                           static_cast<double>(evict_host - drain_host),
-                           static_cast<double>(drain_host),
-                           static_cast<double>(h4 - h0));
-    const Cycle evict_cycles = c4 - c3;
-    const Cycle drain_cycles = std::min(ctx.drain_cycles, evict_cycles);
-    phase_cycles_.sampleAccess(
-        static_cast<double>(c1 - c0), static_cast<double>(c2 - c1),
-        static_cast<double>(c3 - c2),
-        static_cast<double>(evict_cycles - drain_cycles),
-        static_cast<double>(drain_cycles),
-        static_cast<double>(c4 - c0));
+    // phase (evict excludes it).
+    ns.carve(PhaseLatencyStats::Evict, PhaseLatencyStats::Drain,
+             ctx.drain_host_ns);
+    cycles.carve(PhaseLatencyStats::Evict, PhaseLatencyStats::Drain,
+                 ctx.drain_cycles);
+    phase_ns_.sample(ns.windows());
+    phase_cycles_.sample(cycles.windows());
     return ctx.info;
 }
 
-PsOramController::FlushOutcome
-PsOramController::powerFailureFlush(bool timed)
+std::size_t
+PsOramController::powerFailureFlush(RecoveryStats::Stamps *stamps)
 {
-    FlushOutcome outcome;
+    std::size_t redelivered = 0;
     {
         PSORAM_TRACE_SCOPE("recovery", "adr_redeliver", 0);
         if (drainer_)
-            outcome.redelivered_entries =
-                drainer_->domain().crashFlush(device_);
+            redelivered = drainer_->domain().crashFlush(device_);
     }
-    if (timed)
-        outcome.split_ns = obs::hostNowNs();
+    if (stamps)
+        stamps->close(RecoveryStats::AdrRedeliver, obs::hostNowNs());
     {
         PSORAM_TRACE_SCOPE("recovery", "wpq_replay", 0);
         device_.dropVolatile();
     }
+    if (stamps)
+        stamps->close(RecoveryStats::WpqReplay, obs::hostNowNs());
     // Nothing the dying controller deferred became durable.
     deferred_commits_.clear();
-    return outcome;
+    return redelivered;
 }
 
 void
@@ -389,8 +379,8 @@ PsOramController::registerStats(StatGroup &group) const
     phase_cycles_.registerWith(group, "phase_cycles");
 }
 
-void
-PsOramController::recoverFromNvm(RecoveryTimings *timings)
+IntegrityManager::RecoveryScan
+PsOramController::recoverFromNvm(RecoveryStats::Stamps *stamps)
 {
     PSORAM_TRACE_SCOPE("recovery", "recover_from_nvm", 0);
     {
@@ -412,8 +402,9 @@ PsOramController::recoverFromNvm(RecoveryTimings *timings)
             }
         }
     }
-    if (timings)
-        timings->rebuild_done_ns = obs::hostNowNs();
+    if (stamps)
+        stamps->close(RecoveryStats::PosmapRebuild, obs::hostNowNs());
+    IntegrityManager::RecoveryScan scan;
     if (integrity_) {
         // Verify every record against its tag (and, in tree mode, the
         // recomputed Merkle root against the committed root record)
@@ -421,20 +412,12 @@ PsOramController::recoverFromNvm(RecoveryTimings *timings)
         // than accept a tampered or torn node. Also resumes the slot
         // codec past the persisted IV watermark so re-encryption never
         // reuses a CTR keystream.
-        const IntegrityManager::RecoveryStats stats =
-            integrity_->recoverFromDevice(device_);
-        codec_.resumeIvsAfter(stats.slot_iv_floor);
-        if (timings) {
-            timings->verify_done_ns = stats.verify_done_ns;
-            timings->records_verified = stats.records_verified;
-            timings->nodes_repaired = stats.nodes_repaired;
-        }
+        scan = integrity_->recoverFromDevice(device_, stamps);
+        codec_.resumeIvsAfter(scan.slot_iv_floor);
+        if (stamps)
+            stamps->close(RecoveryStats::NodeRepair, obs::hostNowNs());
     }
-    if (timings) {
-        timings->end_ns = obs::hostNowNs();
-        if (!integrity_)
-            timings->verify_done_ns = timings->rebuild_done_ns;
-    }
+    return scan;
 }
 
 PsOramController::OnChipNvState

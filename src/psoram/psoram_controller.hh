@@ -115,17 +115,6 @@ class PsOramController
             drainer_->domain().setFaultInjector(injector);
     }
 
-    /** What the power-failure flush delivered (recovery accounting). */
-    struct FlushOutcome
-    {
-        /** WPQ entries the ADR crash flush redelivered to the device. */
-        std::size_t redelivered_entries = 0;
-        /** Host timestamp that closes the ADR redelivery window and
-         *  opens the log replay (wpq_replay) window (phase attribution;
-         *  0 when not requested). */
-        std::uint64_t split_ns = 0;
-    };
-
     /**
      * Power failure: the ADR domain flushes the committed WPQ rounds,
      * then the device loses its volatile state and comes back up
@@ -135,33 +124,23 @@ class PsOramController
      * appended after every earlier record and is lost with the
      * unsynced tail, so what survives is a prefix of the round
      * sequence.
-     * @param timed stamp FlushOutcome::split_ns (recovery stats)
+     * @param stamps when set, closes the adr_redeliver and wpq_replay
+     *        recovery windows
+     * @return WPQ entries the ADR crash flush redelivered
      */
-    FlushOutcome powerFailureFlush(bool timed = false);
-
-    /** Adjacent-window timestamps recoverFromNvm() fills for the
-     *  recovery phase breakdown (all hostNowNs; see common/stats.hh
-     *  RecoveryStats for the identity they feed). */
-    struct RecoveryTimings
-    {
-        /** Volatile-state rebuild (stash/PosMap/shadow restore) done. */
-        std::uint64_t rebuild_done_ns = 0;
-        /** Integrity record scan + root check done (== rebuild_done_ns
-         *  when integrity is off). */
-        std::uint64_t verify_done_ns = 0;
-        /** Function exit (after interior-node repair + IV resume). */
-        std::uint64_t end_ns = 0;
-        std::uint64_t records_verified = 0;
-        std::uint64_t nodes_repaired = 0;
-    };
+    std::size_t powerFailureFlush(RecoveryStats::Stamps *stamps = nullptr);
 
     /**
      * Rebuild volatile state from the persistent NVM image: reload the
      * shadow stashes and resume the region sequence counters. For the
      * non-recursive designs the committed PosMap lives in the trusted
      * NVM region and needs no eager rebuild.
+     * @param stamps when set, closes the posmap_rebuild window and,
+     *        with integrity on, integrity_verify and node_repair
+     * @return the integrity scan's counts (all zero with integrity off)
      */
-    void recoverFromNvm(RecoveryTimings *timings = nullptr);
+    IntegrityManager::RecoveryScan
+    recoverFromNvm(RecoveryStats::Stamps *stamps = nullptr);
     /** @} */
 
     /**

@@ -14,7 +14,7 @@
  *   3. Recursive PS designs reload the stash shadow regions.
  *
  * RecoveryManager packages that sequence for the harness and the tests,
- * and measures the recovery cost (reads performed, cycles).
+ * and splits its host time into the RecoveryStats windows.
  */
 
 #ifndef PSORAM_PSORAM_RECOVERY_HH
@@ -28,16 +28,6 @@
 namespace psoram {
 
 class FlightRecorder;
-
-struct RecoveryReport
-{
-    /** NVM reads performed during the rebuild. */
-    std::uint64_t nvm_reads = 0;
-    /** Stash entries restored from the shadow region. */
-    std::size_t stash_restored = 0;
-    /** PoM stash entries restored. */
-    std::size_t pom_stash_restored = 0;
-};
 
 class RecoveryManager
 {
@@ -62,8 +52,7 @@ class RecoveryManager
      */
     static std::unique_ptr<PsOramController>
     recover(std::unique_ptr<PsOramController> crashed, MemoryBackend &device,
-            RecoveryReport *report = nullptr, RecoveryStats *stats = nullptr,
-            FlightRecorder *flight = nullptr);
+            RecoveryStats *stats = nullptr, FlightRecorder *flight = nullptr);
 };
 
 } // namespace psoram

@@ -54,9 +54,9 @@ OramEngine::backpressure()
     // Bound the pending queue: an open-loop producer that outruns the
     // controller drives the engine inline until it is back under the
     // configured watermark, instead of growing the deque without limit.
-    if (queue_.size() > config_.max_pending)
+    if (queue_.size() > kMaxPending)
         ++stats_.backpressure_stalls;
-    while (queue_.size() > config_.max_pending)
+    while (queue_.size() > kMaxPending)
         poll();
 }
 
@@ -201,7 +201,7 @@ OramEngine::registerStats(StatGroup &group) const
     group.addCounter("coalesced", &stats_.coalesced,
                      "requests absorbed into an earlier access");
     group.addCounter("backpressure_stalls", &stats_.backpressure_stalls,
-                     "submits that hit the max_pending bound");
+                     "submits that hit the pending-queue bound");
     group.addDistribution("group_commit.size", &stats_.group_size,
                           "completions per commit group that synced "
                           "the device");

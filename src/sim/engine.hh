@@ -55,13 +55,6 @@ struct EngineConfig
      *  engine's workers deliver completions through callbacks instead
      *  and turn recording off so long runs stay bounded. */
     bool record_completions = true;
-    /**
-     * Submit-side backpressure: a submit that would leave more than
-     * this many requests pending drives the engine until the queue is
-     * back under the bound, so open-loop producers cannot grow the
-     * queue without limit.
-     */
-    std::size_t max_pending = 1 << 16;
 };
 
 class OramEngine
@@ -69,6 +62,14 @@ class OramEngine
   public:
     using RequestId = std::uint64_t;
     using Config = EngineConfig;
+
+    /**
+     * Submit-side backpressure: a submit that would leave more than
+     * this many requests pending drives the engine until the queue is
+     * back under the bound, so open-loop producers cannot grow the
+     * queue without limit.
+     */
+    static constexpr std::size_t kMaxPending = 1 << 16;
 
     /** Outcome of one submitted request. */
     struct Completion
@@ -139,7 +140,7 @@ class OramEngine
         Counter physical_accesses;
         /** Requests absorbed into an earlier request's access. */
         Counter coalesced;
-        /** Submits that found the queue over max_pending and had to
+        /** Submits that found the queue over kMaxPending and had to
          *  drive the engine inline (saturation signal). */
         Counter backpressure_stalls;
         /** @{ Per drain() whose group synced the device: completions

@@ -113,11 +113,11 @@ ShardedOramEngine::submit(BlockAddr addr, bool is_write,
         // Submit-side backpressure: block until the worker has swapped
         // the mailbox below the bound (or is shutting down), so an
         // open-loop producer cannot grow it without limit.
-        if (worker.mailbox.size() >= config_.max_mailbox)
+        if (worker.mailbox.size() >= kMaxMailbox)
             ++worker.backpressure_waits;
         worker.space_cv.wait(lock, [&] {
             return worker.stop ||
-                   worker.mailbox.size() < config_.max_mailbox;
+                   worker.mailbox.size() < kMaxMailbox;
         });
         was_empty = worker.mailbox.empty();
         worker.mailbox.push_back(std::move(request));
@@ -162,7 +162,7 @@ ShardedOramEngine::workerLoop(Worker &worker)
             batch.swap(worker.mailbox);
         }
         // The swap freed the whole mailbox; wake submitters parked on
-        // the max_mailbox bound.
+        // the kMaxMailbox bound.
         worker.space_cv.notify_all();
         // Feed the whole batch into the shard engine so back-to-back
         // same-block requests coalesce exactly as in the single-shard
@@ -330,18 +330,6 @@ ShardedOramEngine::mergedPhaseSimCycles() const
     for (const auto &worker : workers_)
         merged.merge(worker->controller->phaseSimCycles());
     return merged;
-}
-
-void
-ShardedOramEngine::registerShardStats(unsigned shard,
-                                      StatGroup &group) const
-{
-    const Worker &worker = *workers_.at(shard);
-    worker.engine->registerStats(group);
-    worker.controller->registerStats(group);
-    group.addCounter("mailbox_backpressure_waits",
-                     &worker.backpressure_waits,
-                     "submits that parked on the full mailbox");
 }
 
 ShardedOramEngine::StatsSnapshot

@@ -66,10 +66,6 @@ struct ShardedEngineConfig
      *  only because the repository benchmark assigns it; removed in
      *  the next change to the benchmark. */
     unsigned pipeline_depth = 0;
-    /** Submit-side backpressure: a submit to a shard whose mailbox
-     *  holds this many requests blocks until the worker drains it
-     *  below the bound. */
-    std::size_t max_mailbox = 1 << 16;
 };
 
 class ShardedOramEngine
@@ -77,6 +73,11 @@ class ShardedOramEngine
   public:
     using RequestId = std::uint64_t;
     using Config = ShardedEngineConfig;
+
+    /** Submit-side backpressure: a submit to a shard whose mailbox
+     *  holds this many requests blocks until the worker drains it
+     *  below the bound. */
+    static constexpr std::size_t kMaxMailbox = 1 << 16;
 
     /** Outcome of one submitted request. */
     struct Completion
@@ -146,7 +147,7 @@ class ShardedOramEngine
         /** Controller-level accesses (stash hits included). */
         std::uint64_t controller_accesses = 0;
         std::uint64_t stash_hits = 0;
-        /** Submits that parked on a full mailbox (max_mailbox bound) —
+        /** Submits that parked on a full mailbox (kMaxMailbox bound) —
          *  the engine-side saturation signal (perfbench's
          *  engine.backpressure_waits). */
         std::uint64_t backpressure_waits = 0;
@@ -169,10 +170,6 @@ class ShardedOramEngine
     PhaseLatencyStats mergedPhaseSimCycles() const;
     /** @} */
 
-    /** Register shard @p shard's engine counters and its controller's
-     *  phase latencies with @p group (metrics export). */
-    void registerShardStats(unsigned shard, StatGroup &group) const;
-
   private:
     struct Request
     {
@@ -193,11 +190,11 @@ class ShardedOramEngine
         std::mutex mutex;
         std::condition_variable cv;
         /** Signals mailbox space to submitters blocked on the
-         *  max_mailbox bound. */
+         *  kMaxMailbox bound. */
         std::condition_variable space_cv;
         std::deque<Request> mailbox;
         bool stop = false;
-        /** Submits that blocked on this mailbox's max_mailbox bound. */
+        /** Submits that blocked on this mailbox's kMaxMailbox bound. */
         Counter backpressure_waits;
         std::thread thread;
     };

@@ -148,6 +148,7 @@ systemParams(const SystemConfig &config)
                                       params.flight_recorder_records));
     }
 
+    params.regions_end = cursor;
     return params;
 }
 
@@ -158,24 +159,8 @@ buildSystem(const SystemConfig &config)
     system.config = config;
     system.params = systemParams(config);
 
-    // Capacity: everything laid out above plus headroom (the scratch
-    // or integrity regions are laid out last in systemParams).
-    Addr last =
-        system.params.naive_scratch_base +
-        system.params.data_layout.geometry.blocksPerPath() *
-            kBlockDataBytes;
-    if (system.params.integrity == IntegrityMode::Mac)
-        last = system.params.integrity_root_base +
-               IntegrityManager::kRootRecordBytes;
-    else if (system.params.integrity == IntegrityMode::Tree)
-        last = system.params.merkle_region_base +
-               system.params.data_layout.geometry.numBuckets() *
-                   IntegrityManager::kHashBytes;
-    if (system.params.flight_recorder_base != 0)
-        last = system.params.flight_recorder_base +
-               FlightRecorder::regionBytes(
-                   system.params.flight_recorder_records);
-    const std::uint64_t capacity = alignUp(last) + (1ULL << 20);
+    // Capacity: every region systemParams laid out, plus headroom.
+    const std::uint64_t capacity = system.params.regions_end + (1ULL << 20);
     switch (config.backend) {
       case BackendKind::Disk: {
         if (config.backing_file.empty())
@@ -228,7 +213,7 @@ System::recoverController()
         // volatile state (powerFailureFlush), so recovery reads only
         // what had durably reached the medium.
         controller = RecoveryManager::recover(std::move(controller),
-                                              *device, nullptr,
+                                              *device,
                                               recovery_stats.get(),
                                               flight_recorder.get());
     }

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -192,32 +193,116 @@ TEST(Stats, DistributionTracksMoments)
     EXPECT_DOUBLE_EQ(dist.max(), 5.0);
 }
 
-TEST(Stats, HistogramBucketsAndPercentile)
-{
-    Histogram histogram(10, 1.0);
-    for (int i = 0; i < 100; ++i)
-        histogram.sample(i % 10);
-    EXPECT_EQ(histogram.total(), 100u);
-    EXPECT_EQ(histogram.bucketCount(0), 10u);
-    EXPECT_EQ(histogram.overflow(), 0u);
-    EXPECT_NEAR(histogram.percentile(0.5), 5.0, 1.0);
-
-    histogram.sample(100.0);
-    EXPECT_EQ(histogram.overflow(), 1u);
-}
-
-TEST(Stats, GroupDumpsRegisteredStats)
+TEST(Stats, GroupCounterValueLooksUpByName)
 {
     StatGroup group("oram");
     Counter reads;
     reads += 42;
     group.addCounter("reads", &reads, "path reads");
-    std::ostringstream os;
-    group.dump(os);
-    EXPECT_NE(os.str().find("oram.reads"), std::string::npos);
-    EXPECT_NE(os.str().find("42"), std::string::npos);
     EXPECT_EQ(group.counterValue("reads"), 42u);
     EXPECT_EQ(group.counterValue("absent"), 0u);
+}
+
+TEST(Stats, LedgerDerivesTotalFromStampedWindows)
+{
+    // Stamps on one clock: each close() charges the time since the
+    // previous stamp, a carve() moves a nested window apart, and the
+    // sampled total is the sum of the windows.
+    PhaseLatencyStats::Stamps stamps(100);
+    stamps.close(PhaseLatencyStats::Remap, 103);
+    stamps.close(PhaseLatencyStats::Load, 110);
+    stamps.close(PhaseLatencyStats::Backup, 110);
+    stamps.close(PhaseLatencyStats::Evict, 130);
+    stamps.carve(PhaseLatencyStats::Evict, PhaseLatencyStats::Drain, 8);
+    stamps.carve(PhaseLatencyStats::Backup, PhaseLatencyStats::Drain, 5);
+    const PhaseLatencyStats::Windows expect = {3, 7, 0, 12, 8};
+    EXPECT_EQ(stamps.windows(), expect);
+
+    PhaseLatencyStats stats;
+    stats.sample(stamps.windows());
+    EXPECT_EQ(stats.total.count(), 1u);
+    EXPECT_DOUBLE_EQ(stats.total.sum(), 30.0);
+    EXPECT_DOUBLE_EQ(stats.phaseSum(), 30.0);
+    EXPECT_DOUBLE_EQ(stats.evict.sum(), 12.0);
+
+    // Windows that are closed twice accumulate (recovery's posmap
+    // rebuild also takes the tail after the node repair).
+    RecoveryStats::Stamps rec(0);
+    rec.close(RecoveryStats::PosmapRebuild, 4);
+    rec.close(RecoveryStats::NodeRepair, 6);
+    rec.close(RecoveryStats::PosmapRebuild, 7);
+    EXPECT_EQ(rec.windows()[RecoveryStats::PosmapRebuild], 5u);
+    EXPECT_EQ(rec.windows()[RecoveryStats::NodeRepair], 2u);
+}
+
+TEST(Stats, LedgerRegistersWindowsTotalAndExtras)
+{
+    StatGroup group("g");
+    PhaseLatencyStats phases;
+    phases.registerWith(group, "phase");
+    RecoveryStats recovery;
+    ++recovery.nodes_repaired;
+    recovery.registerWith(group, "recovery");
+
+    const StatGroup::Snapshot snap = group.snapshot();
+    std::set<std::string> dists;
+    for (const auto &d : snap.dists)
+        dists.insert(d.name);
+    for (const char *name :
+         {"phase.remap", "phase.load", "phase.backup", "phase.evict",
+          "phase.drain", "phase.total", "phase.stash_hit",
+          "recovery.wpq_replay_ns", "recovery.adr_redeliver_ns",
+          "recovery.image_reload_ns", "recovery.posmap_rebuild_ns",
+          "recovery.integrity_verify_ns", "recovery.node_repair_ns",
+          "recovery.total_ns"})
+        EXPECT_EQ(dists.count(name), 1u) << name;
+    EXPECT_EQ(dists.size(), 14u);
+    EXPECT_EQ(snap.counters.size(), 7u);
+    EXPECT_EQ(group.counterValue("recovery.nodes_repaired"), 1u);
+}
+
+TEST(Stats, LedgerMergeWhileSamplingKeepsTheIdentity)
+{
+    // One thread samples each ledger while the main thread merges
+    // read-side snapshots of it (the sharded engine's merged view).
+    // TSan must see no race; once the sampler stops, the merged copy
+    // holds the exact window-sum identity.
+    PhaseLatencyStats phases;
+    RecoveryStats recovery;
+    constexpr int kSamples = 20000;
+    std::thread sampler([&] {
+        for (int i = 0; i < kSamples; ++i) {
+            const std::uint64_t v = static_cast<std::uint64_t>(i % 13);
+            phases.sample({v, v + 1, 2, v * 3, 5});
+            recovery.sample({v, 1, v + 2, 3, v, 4});
+            ++recovery.recoveries;
+        }
+    });
+    std::uint64_t last = 0;
+    for (int round = 0; round < 200; ++round) {
+        PhaseLatencyStats merged;
+        merged.merge(phases);
+        RecoveryStats fleet;
+        fleet.merge(recovery);
+        EXPECT_GE(merged.total.count(), last);
+        last = merged.total.count();
+        std::this_thread::yield();
+    }
+    sampler.join();
+
+    PhaseLatencyStats merged;
+    merged.merge(phases);
+    merged.merge(phases);
+    EXPECT_EQ(merged.total.count(), 2u * kSamples);
+    EXPECT_EQ(merged.phaseSum(), merged.total.sum());
+    RecoveryStats fleet;
+    fleet.merge(recovery);
+    EXPECT_EQ(fleet.recoveries.value(), static_cast<std::uint64_t>(kSamples));
+    EXPECT_EQ(fleet.phaseSum(), fleet.total.sum());
+
+    fleet.reset();
+    EXPECT_EQ(fleet.total.count(), 0u);
+    EXPECT_EQ(fleet.recoveries.value(), 0u);
 }
 
 TEST(Table, FormatsAlignedColumns)

@@ -212,10 +212,9 @@ TEST(RcrPsOramCrash2, ShadowStashRestoresResidentBlocks)
     if (resident == 0)
         GTEST_SKIP() << "no stash residents with this seed";
 
-    RecoveryReport report;
     system.controller = RecoveryManager::recover(
-        std::move(system.controller), *system.device, &report);
-    EXPECT_EQ(report.stash_restored, resident);
+        std::move(system.controller), *system.device);
+    EXPECT_EQ(system.controller->stash().size(), resident);
 
     for (const auto &[addr, version] : latest) {
         system.controller->read(addr, buf);

@@ -60,6 +60,11 @@ tmpTree(const std::string &name)
     return path;
 }
 
+/** The 32-page cache holds the whole height-5 tree (9 subtree pages),
+ *  so a 200-write drive makes 0 evictions: the rows built on this
+ *  config enumerate an in-core disk tier. The only eviction-under-crash
+ *  row is EvictionsInAGroupRespectTheWriteAheadRule, with a 2-page
+ *  cache (ROADMAP item 13). */
 SystemConfig
 diskCrashConfig(const std::string &path)
 {
@@ -71,7 +76,7 @@ diskCrashConfig(const std::string &path)
     config.seed = 29;
     config.backend = BackendKind::Disk;
     config.backing_file = path;
-    config.disk_cache_pages = 32; // far smaller than the tree
+    config.disk_cache_pages = 32;
     config.disk_pinned_pages = 4;
     return config;
 }

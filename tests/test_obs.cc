@@ -4,7 +4,7 @@
  * (enable/disable contract, ring overwrite, per-thread tracks), phase
  * nesting of the controller's instrumentation through the single-shard
  * and sharded stacks, access-id correlation from submit to completion,
- * the metrics exporter (JSON, Prometheus, periodic dumps), and
+ * the JSON metrics exporter, and
  * concurrent recording while an exporter snapshots (the TSan job runs
  * every Obs* suite).
  */
@@ -359,65 +359,6 @@ TEST(ObsMetrics, JsonSnapshotCoversCountersAndDistributions)
     EXPECT_NE(json.find("\"count\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"sum\": 6"), std::string::npos);
     EXPECT_NE(json.find("\"mean\": 3"), std::string::npos);
-}
-
-TEST(ObsMetrics, PrometheusTextSelectedByExtension)
-{
-    Counter ops;
-    ops += 5;
-    Distribution d;
-    d.sample(1.5);
-    StatGroup group("engine.shard0");
-    group.addCounter("ops", &ops, "operations");
-    group.addDistribution("wait", &d, "wait time");
-
-    obs::MetricsExporter exporter;
-    exporter.addGroup(&group);
-
-    std::ostringstream out;
-    exporter.writePrometheus(out);
-    const std::string text = out.str();
-    // Group names are sanitized into the metric-name charset.
-    EXPECT_NE(text.find("# TYPE psoram_engine_shard0_ops counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("psoram_engine_shard0_ops 5"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE psoram_engine_shard0_wait summary"),
-              std::string::npos);
-    EXPECT_NE(text.find("psoram_engine_shard0_wait_count 1"),
-              std::string::npos);
-
-    const std::string path = "metrics_obs_test.prom";
-    ASSERT_TRUE(exporter.writeTo(path));
-    std::ifstream in(path);
-    std::stringstream content;
-    content << in.rdbuf();
-    EXPECT_EQ(content.str(), text);
-    std::remove(path.c_str());
-}
-
-TEST(ObsMetrics, PeriodicDumpKeepsWritingUntilStopped)
-{
-    Counter beats;
-    StatGroup group("periodic");
-    group.addCounter("beats", &beats, "heartbeats");
-
-    const std::string path = "metrics_obs_periodic.json";
-    {
-        obs::MetricsExporter exporter;
-        exporter.addGroup(&group);
-        exporter.startPeriodic(path, std::chrono::milliseconds(5));
-        ++beats;
-        std::this_thread::sleep_for(std::chrono::milliseconds(60));
-        exporter.stopPeriodic();
-    } // destructor also stops cleanly when already stopped
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream content;
-    content << in.rdbuf();
-    EXPECT_NE(content.str().find("\"beats\": 1"), std::string::npos);
-    std::remove(path.c_str());
 }
 
 TEST(ObsStats, CounterCopyIsATearFreeSnapshot)

@@ -116,9 +116,9 @@ TEST(PhaseLatency, NonPersistentDesignHasZeroDrainTime)
 TEST(PhaseLatency, MergeAccumulatesAcrossInstances)
 {
     PhaseLatencyStats a;
-    a.sampleAccess(1.0, 2.0, 3.0, 4.0, 5.0, 15.0);
+    a.sample({1, 2, 3, 4, 5});
     PhaseLatencyStats b;
-    b.sampleAccess(10.0, 20.0, 30.0, 40.0, 50.0, 150.0);
+    b.sample({10, 20, 30, 40, 50});
     b.stash_hit.sample(0.5);
 
     a.merge(b);

@@ -80,6 +80,43 @@ TEST(SystemLayout, DeviceCapacityCoversLayout)
     }
 }
 
+TEST(SystemLayout, DeviceCapacityIsPinnedPerRegionMix)
+{
+    // A disk tree's header stores the device capacity and a reopen
+    // with another capacity is refused, so these figures must not move:
+    // the last region laid out (scratch, integrity root, Merkle array,
+    // flight ring) ends, 4 KiB aligned, 1 MiB below the capacity.
+    struct Case
+    {
+        DesignKind design;
+        IntegrityMode integrity;
+        bool flight_recorder;
+        std::uint64_t capacity;
+    };
+    const Case cases[] = {
+        {DesignKind::PsOram, IntegrityMode::Off, false, 1257472},
+        {DesignKind::PsOram, IntegrityMode::Off, true, 1265664},
+        {DesignKind::PsOram, IntegrityMode::Mac, false, 1327104},
+        {DesignKind::PsOram, IntegrityMode::Mac, true, 1335296},
+        {DesignKind::PsOram, IntegrityMode::Tree, false, 1343488},
+        {DesignKind::PsOram, IntegrityMode::Tree, true, 1351680},
+        {DesignKind::RcrPsOram, IntegrityMode::Off, false, 1343488},
+        {DesignKind::RcrPsOram, IntegrityMode::Off, true, 1351680},
+    };
+    for (const Case &c : cases) {
+        SystemConfig config;
+        config.tree_height = 8;
+        config.design = c.design;
+        config.integrity = c.integrity;
+        config.flight_recorder = c.flight_recorder;
+        const System system = buildSystem(config);
+        EXPECT_EQ(system.device->capacity(), c.capacity)
+            << designName(c.design) << " integrity="
+            << integrityModeName(c.integrity)
+            << " flight_recorder=" << c.flight_recorder;
+    }
+}
+
 TEST(SystemLayout, NumBlocksDerivedFromUtilization)
 {
     SystemConfig config = tinyConfig(DesignKind::PsOram);

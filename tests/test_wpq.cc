@@ -40,17 +40,18 @@ class WpqTest : public ::testing::Test
 
 TEST_F(WpqTest, RoundLifecycle)
 {
-    Wpq wpq("q", 4);
+    AdrDomain adr(4, 4);
+    Wpq &wpq = adr.dataWpq();
     EXPECT_FALSE(wpq.open());
-    wpq.start();
+    adr.start();
     EXPECT_TRUE(wpq.open());
     EXPECT_TRUE(wpq.push(entry(0, 1)));
     EXPECT_TRUE(wpq.push(entry(64, 2)));
-    wpq.end();
+    adr.end();
     EXPECT_TRUE(wpq.committed());
     EXPECT_FALSE(wpq.open());
 
-    wpq.drainTo(device, 0);
+    adr.drain(device, 0);
     EXPECT_EQ(wpq.size(), 0u);
     EXPECT_EQ(firstByteAt(device, 0), 1);
     EXPECT_EQ(firstByteAt(device, 64), 2);
@@ -70,22 +71,22 @@ TEST_F(WpqTest, PushBeyondCapacityRefused)
 
 TEST_F(WpqTest, CommittedRoundSurvivesPowerFailure)
 {
-    Wpq wpq("q", 4);
-    wpq.start();
-    wpq.push(entry(0, 0xAA));
-    wpq.end(); // "end" was issued: ADR must flush this
-    const std::size_t flushed = wpq.crashFlush(device);
+    AdrDomain adr(4, 4);
+    adr.start();
+    adr.dataWpq().push(entry(0, 0xAA));
+    adr.end(); // "end" was issued: ADR must flush this
+    const std::size_t flushed = adr.crashFlush(device);
     EXPECT_EQ(flushed, 1u);
     EXPECT_EQ(firstByteAt(device, 0), 0xAA);
 }
 
 TEST_F(WpqTest, UncommittedRoundIsDiscarded)
 {
-    Wpq wpq("q", 4);
-    wpq.start();
-    wpq.push(entry(0, 0xAA));
+    AdrDomain adr(4, 4);
+    adr.start();
+    adr.dataWpq().push(entry(0, 0xAA));
     // No end signal: the original NVM content must not be overwritten.
-    const std::size_t flushed = wpq.crashFlush(device);
+    const std::size_t flushed = adr.crashFlush(device);
     EXPECT_EQ(flushed, 0u);
     EXPECT_EQ(firstByteAt(device, 0), 0);
 }
@@ -101,10 +102,10 @@ TEST_F(WpqTest, ProtocolViolationsPanic)
 
 TEST_F(WpqTest, DrainBeforeEndPanics)
 {
-    Wpq wpq("q", 2);
-    wpq.start();
-    wpq.push(entry(0, 1));
-    EXPECT_DEATH(wpq.drainTo(device, 0), "before end");
+    AdrDomain adr(2, 2);
+    adr.start();
+    adr.dataWpq().push(entry(0, 1));
+    EXPECT_DEATH(adr.drain(device, 0), "before end");
 }
 
 TEST_F(WpqTest, QueuedBytesSumsPayloads)
@@ -118,12 +119,12 @@ TEST_F(WpqTest, QueuedBytesSumsPayloads)
 
 TEST_F(WpqTest, DrainAdvancesTime)
 {
-    Wpq wpq("q", 8);
-    wpq.start();
+    AdrDomain adr(8, 8);
+    adr.start();
     for (int i = 0; i < 8; ++i)
-        wpq.push(entry(static_cast<Addr>(i) * 64, 1));
-    wpq.end();
-    const Cycle done = wpq.drainTo(device, 1000);
+        adr.dataWpq().push(entry(static_cast<Addr>(i) * 64, 1));
+    adr.end();
+    const Cycle done = adr.drain(device, 1000);
     EXPECT_GT(done, 1000u);
 }
 
