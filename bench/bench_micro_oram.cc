@@ -103,7 +103,7 @@ BM_DrainerPersist(benchmark::State &state)
             bundle.data_writes.push_back(std::move(entry));
         }
         benchmark::DoNotOptimize(
-            drainer.persist(bundle, device, 0, nullptr));
+            drainer.persist(bundle, device, 0));
     }
 }
 BENCHMARK(BM_DrainerPersist)->Arg(24)->Arg(96);

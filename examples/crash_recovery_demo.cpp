@@ -1,9 +1,14 @@
 /**
  * @file
- * Crash-recovery walkthrough: injects a power failure at every protocol
- * site of the PS-ORAM access (the paper's §3.3 case studies) and shows
- * the recovery outcome — then does the same for the Baseline design to
- * demonstrate why crash consistency needs PS-ORAM in the first place.
+ * Crash-recovery walkthrough: injects a power failure at each kind of
+ * persist boundary a PS-ORAM access crosses (the round's start signal,
+ * its commit, and a committed entry draining to NVM) and shows the
+ * recovery outcome — then cuts the Baseline design's power during an
+ * eviction write to demonstrate why crash consistency needs PS-ORAM in
+ * the first place.
+ *
+ * The paper's headline result is the exit status: non-zero if PS-ORAM
+ * loses a block or the Baseline loses none.
  *
  *   $ ./example_crash_recovery_demo
  */
@@ -38,6 +43,7 @@ versionOf(const std::uint8_t *data)
 
 struct Outcome
 {
+    bool crashed = false;
     std::size_t checked = 0;
     std::size_t intact = 0; // last-committed-or-newer recovered
     std::size_t lost = 0;
@@ -45,13 +51,14 @@ struct Outcome
 };
 
 Outcome
-crashAndRecover(DesignKind design, CrashSite site)
+crashAndRecover(DesignKind design, PersistBoundary kind)
 {
     SystemConfig config;
     config.design = design;
     config.tree_height = 8;
     config.num_blocks = 200;
     config.seed = 4242;
+    FaultInjector injector;
     System system = buildSystem(config);
 
     std::map<BlockAddr, std::uint32_t> durable, latest;
@@ -60,18 +67,23 @@ crashAndRecover(DesignKind design, CrashSite site)
             durable[addr] =
                 std::max(durable[addr], versionOf(data.data()));
         });
-    CrashAtOccurrence policy(site, 40);
-    system.controller->setCrashPolicy(&policy);
+    system.attachFaultInjector(&injector);
 
+    Outcome outcome;
     Rng rng(7);
     std::uint8_t buf[kBlockDataBytes];
     for (int op = 0; op < 600; ++op) {
+        // Fill the tree first, then cut power at the 5th boundary of
+        // this kind.
+        if (op == 300)
+            injector.armAtKind(kind, 5);
         const BlockAddr addr = rng.nextBelow(200);
         payload(addr, static_cast<std::uint32_t>(op + 1), buf);
         try {
             system.controller->write(addr, buf);
             latest[addr] = static_cast<std::uint32_t>(op + 1);
-        } catch (const CrashEvent &) {
+        } catch (const InjectedFault &) {
+            outcome.crashed = true;
             // The in-flight write may or may not have become durable.
             latest[addr] = static_cast<std::uint32_t>(op + 1);
             break;
@@ -80,7 +92,6 @@ crashAndRecover(DesignKind design, CrashSite site)
 
     system.recoverController();
 
-    Outcome outcome;
     for (const auto &[addr, version] : latest) {
         system.controller->read(addr, buf);
         const std::uint32_t v = versionOf(buf);
@@ -100,21 +111,31 @@ crashAndRecover(DesignKind design, CrashSite site)
 int
 main()
 {
-    const CrashSite sites[] = {
-        CrashSite::AfterRemap,      CrashSite::DuringLoad,
-        CrashSite::AfterStashUpdate, CrashSite::BeforeCommit,
-        CrashSite::AfterCommit,     CrashSite::BetweenAccesses,
+    // Steps 2-4 of an access write nothing durable, so a crash in them
+    // leaves the state of a crash at the eviction's round-start.
+    const PersistBoundary kinds[] = {
+        PersistBoundary::RoundStart,
+        PersistBoundary::RoundCommit,
+        PersistBoundary::DrainWrite,
     };
 
-    std::cout << "PS-ORAM: power failure at each protocol site\n";
+    std::cout << "PS-ORAM: power failure at each persist boundary kind "
+                 "of an access\n";
     std::cout << "  (blocks 'intact' recover their last durable or a "
                  "newer committed version)\n\n";
-    for (const CrashSite site : sites) {
+    std::size_t psoram_lost = 0;
+    for (const PersistBoundary kind : kinds) {
         const Outcome outcome =
-            crashAndRecover(DesignKind::PsOram, site);
-        std::cout << "  " << crashSiteName(site) << ": "
+            crashAndRecover(DesignKind::PsOram, kind);
+        std::cout << "  " << persistBoundaryName(kind) << ": "
                   << outcome.intact << "/" << outcome.checked
                   << " blocks intact, " << outcome.lost << " lost\n";
+        psoram_lost += outcome.lost;
+        if (!outcome.crashed) {
+            std::cerr << "FAIL: no crash at "
+                      << persistBoundaryName(kind) << "\n";
+            return 1;
+        }
     }
 
     std::cout << "\nBaseline (no persistence support): the same "
@@ -122,12 +143,22 @@ main()
     // The Baseline never commits anything durably (no WPQ bracket), so
     // its oracle is trivial; count how many blocks still hold their
     // last written value after the failure instead.
-    const Outcome baseline = crashAndRecover(
-        DesignKind::Baseline, CrashSite::DuringDirectEviction);
-    std::cout << "  " << crashSiteName(CrashSite::DuringDirectEviction)
+    const Outcome baseline =
+        crashAndRecover(DesignKind::Baseline, PersistBoundary::DirectWrite);
+    std::cout << "  " << persistBoundaryName(PersistBoundary::DirectWrite)
               << ": " << (baseline.checked - baseline.stale) << "/"
               << baseline.checked << " blocks kept their data, "
               << baseline.stale
               << " lost  <-- the problem PS-ORAM solves\n";
+
+    if (psoram_lost != 0) {
+        std::cerr << "FAIL: PS-ORAM lost " << psoram_lost
+                  << " blocks across its crashes\n";
+        return 1;
+    }
+    if (!baseline.crashed || baseline.stale == 0) {
+        std::cerr << "FAIL: the Baseline lost no block\n";
+        return 1;
+    }
     return 0;
 }

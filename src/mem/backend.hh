@@ -227,7 +227,6 @@ class MemoryBackend
     {
         flight_recorder_ = recorder;
     }
-    FlightRecorder *flightRecorder() const { return flight_recorder_; }
     /** @} */
 
   protected:

@@ -52,7 +52,6 @@ class AdrDomain
 
     /** Total bytes pushed through the domain (drain energy accounting). */
     std::uint64_t bytesPersisted() const { return bytes_persisted_; }
-    void noteBytes(std::size_t n) { bytes_persisted_ += n; }
 
     /**
      * Report the start/end signals (and bracket the drains) of this

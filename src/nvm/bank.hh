@@ -35,9 +35,6 @@ class Bank
      */
     Cycle access(Cycle earliest, bool is_write);
 
-    /** First cycle at which a new command could issue. */
-    Cycle nextFree() const { return next_free_; }
-
     std::uint64_t readCount() const { return reads_.value(); }
     std::uint64_t writeCount() const { return writes_.value(); }
 

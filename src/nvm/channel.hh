@@ -44,9 +44,6 @@ class Channel
     std::uint64_t readCount() const { return reads_.value(); }
     std::uint64_t writeCount() const { return writes_.value(); }
 
-    /** Cycle at which the data bus is next free. */
-    Cycle busFreeAt() const { return bus_free_; }
-
     void resetStats();
 
   private:

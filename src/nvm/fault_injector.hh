@@ -18,6 +18,9 @@
  * k in [1, B] crashes the system at every distinct persist point it
  * ever crosses. The crash-point enumerator (sim/crash_enumerator) and
  * the torture harness (tests/torture_crash) are built on exactly that.
+ * It is the repository's only crash injector: the crash tests name a
+ * protocol point and arm the boundary that leaves the same durable
+ * state (armAtKind, DESIGN.md §10).
  *
  * ADR semantics are preserved under injection: a fault thrown mid-drain
  * leaves the committed entries in their queue, and the subsequent
@@ -110,7 +113,14 @@ class FaultInjector
         ++kind_counts_[static_cast<std::size_t>(kind)];
         if (observer_)
             observer_(kind, count_);
-        if (armed_ && count_ == target_) {
+        if (!armed_)
+            return;
+        if (kind_pending_ && kind == arm_kind_ &&
+            kind_counts_[static_cast<std::size_t>(kind)] == kind_target_) {
+            kind_pending_ = false;
+            target_ = count_ + after_;
+        }
+        if (!kind_pending_ && count_ == target_) {
             armed_ = false;
             fired_ = true;
             fired_kind_ = kind;
@@ -125,7 +135,26 @@ class FaultInjector
     armAt(std::uint64_t boundary_index)
     {
         armed_ = true;
+        kind_pending_ = false;
         target_ = boundary_index;
+    }
+
+    /**
+     * Arm the injector to fault at the @p after-th boundary (of any
+     * kind) following the @p occurrence-th boundary of @p kind (1-based),
+     * both counted from this call; @p after = 0 faults at that boundary
+     * itself. A crash test names a protocol point this way without
+     * knowing the absolute index (DESIGN.md §10 maps each point).
+     */
+    void
+    armAtKind(PersistBoundary kind, std::uint64_t occurrence,
+              std::uint64_t after = 0)
+    {
+        armed_ = true;
+        kind_pending_ = true;
+        arm_kind_ = kind;
+        kind_target_ = kindCount(kind) + occurrence;
+        after_ = after;
     }
 
     void disarm() { armed_ = false; }
@@ -136,6 +165,7 @@ class FaultInjector
     {
         count_ = 0;
         armed_ = false;
+        kind_pending_ = false;
         fired_ = false;
         target_ = 0;
         suspended_ = 0;
@@ -222,6 +252,13 @@ class FaultInjector
     std::uint64_t count_ = 0;
     std::uint64_t target_ = 0;
     bool armed_ = false;
+    /** @{ armAtKind(): target_ is set once the kind's occurrence is
+     *  seen. */
+    bool kind_pending_ = false;
+    PersistBoundary arm_kind_ = PersistBoundary::RoundStart;
+    std::uint64_t kind_target_ = 0;
+    std::uint64_t after_ = 0;
+    /** @} */
     bool fired_ = false;
     PersistBoundary fired_kind_ = PersistBoundary::RoundCommit;
     std::uint64_t fired_index_ = 0;

@@ -49,8 +49,6 @@ struct NvmTimingParams
 
     /** Read latency from command issue to last data beat. */
     Cycle readLatency() const { return tRCD + tBURST; }
-    /** Write occupancy of the bank from command issue to cell-stable. */
-    Cycle writeOccupancy() const { return tCWD + tBURST + tWP; }
 };
 
 /** PCM timing preset (Table 3c). */

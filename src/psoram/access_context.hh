@@ -74,7 +74,7 @@ struct AccessContext
      * Reset to the freshly-constructed state while keeping vector
      * capacity, so one context can be reused across accesses without
      * per-access heap allocation. Also recovers from a context left
-     * mid-flight by an injected CrashEvent.
+     * mid-flight by an InjectedFault.
      */
     void
     reset()

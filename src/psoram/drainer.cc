@@ -14,7 +14,7 @@ Drainer::Drainer(std::size_t data_capacity, std::size_t posmap_capacity)
 
 Cycle
 Drainer::persist(const EvictionBundle &bundle, MemoryBackend &device,
-                 Cycle earliest, const DrainCrashHook &hook)
+                 Cycle earliest)
 {
     std::size_t data_idx = 0;
     std::size_t pos_idx = 0;
@@ -23,11 +23,8 @@ Drainer::persist(const EvictionBundle &bundle, MemoryBackend &device,
 
     while (data_idx < bundle.data_writes.size() ||
            pos_idx < bundle.posmap_writes.size()) {
-        if (!first_round) {
+        if (!first_round)
             ++splits_;
-            if (hook)
-                hook(CrashSite::BetweenRounds);
-        }
         first_round = false;
 
         // Step 5-B: "start" opens both queues; entries stream in. With
@@ -73,9 +70,6 @@ Drainer::persist(const EvictionBundle &bundle, MemoryBackend &device,
             ++in_round;
         }
 
-        if (hook)
-            hook(CrashSite::BeforeCommit);
-
         // Step 5-C: "end" commits the round; ADR guarantees it reaches
         // the NVM even across a power failure from here on.
         const std::size_t committed_data = adr_.dataWpq().size();
@@ -84,9 +78,6 @@ Drainer::persist(const EvictionBundle &bundle, MemoryBackend &device,
         if (flight_)
             flight_->record(*flight_sink_, FlightEventKind::RoundCommit,
                             round_id, committed_data, committed_pos);
-
-        if (hook)
-            hook(CrashSite::AfterCommit);
 
         done = adr_.drain(device, done);
         // The drain is the durable watermark on NVM: every entry of the

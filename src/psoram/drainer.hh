@@ -28,7 +28,6 @@
 
 #include "common/stats.hh"
 #include "nvm/adr_domain.hh"
-#include "psoram/crash.hh"
 
 namespace psoram {
 
@@ -50,9 +49,6 @@ struct EvictionBundle
     /** Must be sorted by after_data (the controller emits them so). */
     std::vector<PosmapWrite> posmap_writes;
 };
-
-/** Hook invoked between rounds / around commit, for crash injection. */
-using DrainCrashHook = std::function<void(CrashSite)>;
 
 /**
  * Per-round finalizer: invoked once per WPQ round after every entry of
@@ -78,14 +74,15 @@ class Drainer
 
     /**
      * Persist @p bundle: split into WPQ-sized rounds, each bracketed by
-     * start/end and drained to @p device.
+     * start/end and drained to @p device. A fault injected at one of
+     * the round's persist boundaries (nvm/fault_injector.hh) unwinds
+     * out of here with the ADR domain as the fault left it.
      *
-     * @param hook crash-injection callback (may throw CrashEvent)
      * @param earliest cycle the first round may begin draining
      * @return completion cycle of the last drain
      */
     Cycle persist(const EvictionBundle &bundle, MemoryBackend &device,
-                  Cycle earliest, const DrainCrashHook &hook);
+                  Cycle earliest);
 
     AdrDomain &domain() { return adr_; }
     const AdrDomain &domain() const { return adr_; }

@@ -271,24 +271,16 @@ Evictor::run(AccessContext &ctx)
                                       env_.onChipRead(issue));
             issue = read_phase;
         }
-        // One vectored write per eviction round, split at the crash
-        // hook: the first half of the path is durable when the
-        // DuringDirectEviction site fires, exactly as it was with the
-        // per-entry loop (each span still reports its own DirectWrite
-        // boundary, in entry order). The accessOne schedule afterwards
-        // runs in the same entry order against the same channel state,
-        // so timing is unchanged.
-        const std::size_t half = sc.data_writes.size() / 2;
+        // One vectored write per eviction; each span still reports its
+        // own DirectWrite boundary, in entry order. The accessOne
+        // schedule afterwards runs in the same entry order against the
+        // same channel state.
         std::vector<WriteSpan> spans;
         spans.reserve(sc.data_writes.size());
         for (const WpqEntry &write : sc.data_writes)
             spans.push_back({write.addr, write.data.data(),
                              write.data.size()});
-        env_.device.writev(spans.data(), half, Durability::Noisy);
-        if (half > 0)
-            env_.crashCheck(CrashSite::DuringDirectEviction);
-        env_.device.writev(spans.data() + half, spans.size() - half,
-                           Durability::Noisy);
+        env_.device.writev(spans, Durability::Noisy);
 
         Cycle proc = issue;
         Cycle done = issue;
@@ -407,9 +399,7 @@ Evictor::run(AccessContext &ctx)
     {
         PSORAM_TRACE_SCOPE("phase", "drain", ctx.access_id);
         const std::uint64_t drain_t0 = obs::hostNowNs();
-        done = env_.drainer->persist(
-            bundle, env_.device, issue,
-            [this](CrashSite site) { env_.crashCheck(site); });
+        done = env_.drainer->persist(bundle, env_.device, issue);
         ctx.drain_host_ns = obs::hostNowNs() - drain_t0;
         ctx.drain_cycles = done - issue;
     }

@@ -127,29 +127,27 @@ PathLoader::run(AccessContext &ctx)
         const Cycle rd =
             env_.device.timing().accessOne(spans_[i].addr, false, start);
         proc = std::max(rd, proc) + env_.params.controller_block_cycles;
+    }
 
+    // FullNVM: every loaded block is written into the on-chip NVM stash
+    // (onChipWrite is a no-op for the other designs). Each write times
+    // against the whole path transfer: the buffer's banks pipeline
+    // among themselves, but the fill phase serializes against the path
+    // (the single controller port), which is what makes the FullNVM
+    // designs pay close to one extra NVM pass per access (§5.2.1 a).
+    // The write's persist boundary precedes the block's classification
+    // into the stash.
+    Cycle filled = proc;
+    for (unsigned i = 0; i < total; ++i) {
+        filled = std::max(filled, env_.onChipWrite(proc));
         SlotBytes raw;
         std::memcpy(raw.data(), spans_[i].data, kSlotBytes);
         LoadedSlot slot_info{i / geo.bucket_slots, i % geo.bucket_slots,
                              kDummyBlockAddr, false};
         classify(env_.codec.decode(raw), ctx.addr, ctx.leaf, slot_info);
         ctx.slots.push_back(slot_info);
-
-        if (i + 1 == total / 2)
-            env_.crashCheck(CrashSite::DuringLoad);
     }
-    if (env_.onchip) {
-        // FullNVM: every loaded block is written into the on-chip NVM
-        // stash. The buffer's banks pipeline among themselves, but the
-        // fill phase serializes against the path transfer (the single
-        // controller port), which is what makes the FullNVM designs
-        // pay close to one extra NVM pass per access (§5.2.1 a).
-        Cycle onchip_done = proc;
-        for (unsigned i = 0; i < total; ++i)
-            onchip_done = std::max(onchip_done, env_.onChipWrite(proc));
-        proc = onchip_done;
-    }
-    ctx.t = proc + kAesLatencyCpuCycles / kCpuCyclesPerNvmCycle;
+    ctx.t = filled + kAesLatencyCpuCycles / kCpuCyclesPerNvmCycle;
 }
 
 } // namespace psoram

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "nvm/fault_injector.hh"
 #include "nvm/timing.hh"
 
 namespace psoram {
@@ -82,6 +83,8 @@ PhaseEnv::onChipWrite(Cycle earliest)
 {
     if (!onchip)
         return earliest;
+    if (FaultInjector *injector = device.faultInjector())
+        injector->boundary(PersistBoundary::DirectWrite);
     static constexpr Addr kStride = kBlockDataBytes;
     onchip_clock_skew = (onchip_clock_skew + kStride) & 0xffff;
     return onchip->accessOne(onchip_clock_skew, true, earliest);

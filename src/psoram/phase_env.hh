@@ -15,7 +15,6 @@
 #ifndef PSORAM_PSORAM_PHASE_ENV_HH
 #define PSORAM_PSORAM_PHASE_ENV_HH
 
-#include <functional>
 #include <vector>
 
 #include "common/random.hh"
@@ -26,7 +25,6 @@
 #include "oram/recursive_posmap.hh"
 #include "oram/stash.hh"
 #include "oram/tree.hh"
-#include "psoram/crash.hh"
 #include "psoram/drainer.hh"
 #include "psoram/params.hh"
 #include "psoram/shadow_stash.hh"
@@ -42,26 +40,6 @@ struct ProtocolCounters
     Counter stale_dropped;
     Counter forced_merges;
     Counter unplaced_carried;
-
-    /** Plain-value copy for merged per-shard reporting. Counters are
-     *  relaxed-atomic, so this is safe while the owning shard's worker
-     *  is running. */
-    struct Snapshot
-    {
-        std::uint64_t stash_hits = 0;
-        std::uint64_t backups = 0;
-        std::uint64_t stale_dropped = 0;
-        std::uint64_t forced_merges = 0;
-        std::uint64_t unplaced_carried = 0;
-    };
-
-    Snapshot
-    snapshot() const
-    {
-        return Snapshot{stash_hits.value(), backups.value(),
-                        stale_dropped.value(), forced_merges.value(),
-                        unplaced_carried.value()};
-    }
 };
 
 struct PhaseEnv
@@ -93,7 +71,6 @@ struct PhaseEnv
     /** @} */
 
     /** @{ Controller callbacks (empty-safe). */
-    std::function<void(CrashSite)> maybe_crash;
     /** Points at the controller's observer slot so setCommitObserver()
      *  takes effect without rebuilding the env. */
     const CommitObserver *commit_observer = nullptr;
@@ -120,13 +97,6 @@ struct PhaseEnv
     bool usesBackups() const { return persistent() && !recursive(); }
     /** @} */
 
-    void
-    crashCheck(CrashSite site) const
-    {
-        if (maybe_crash)
-            maybe_crash(site);
-    }
-
     /** Report @p addr durable now, or once the device's log tail is
      *  synced (notifications keep their order either way). */
     void
@@ -144,7 +114,11 @@ struct PhaseEnv
     /** Committed (persistent) position of @p addr. */
     PathId committedPath(BlockAddr addr) const;
 
-    /** @{ On-chip NVM buffer timing (no-ops without a buffer). */
+    /** @{ On-chip NVM buffer timing (no-ops without a buffer). The
+     *  buffer is non-volatile (recovery re-imports the FullNVM stash
+     *  and PosMap), so onChipWrite() reports a direct-write persist
+     *  boundary to the device's fault injector before the write it
+     *  times takes effect. */
     Cycle onChipRead(Cycle earliest);
     Cycle onChipWrite(Cycle earliest);
     /** @} */

@@ -124,9 +124,7 @@ PsOramController::PsOramController(const PsOramParams &params,
         params_, geo_, device_, codec_, rng_, stash_, temp_,
         volatile_posmap_, persistent_posmap_, counters_, pom_.get(),
         shadow_data_.get(), shadow_pom_.get(), pom_pos_region_.get(),
-        drainer_.get(), onchip_.get(),
-        [this](CrashSite site) { maybeCrash(site); }, &commit_observer_,
-        0});
+        drainer_.get(), onchip_.get(), &commit_observer_, 0});
     env_->integrity = integrity_.get();
     env_->deferred_commits = &deferred_commits_;
     remapper_ = std::make_unique<Remapper>(*env_);
@@ -179,14 +177,6 @@ PsOramController::commitDurable(std::size_t requests)
     return synced;
 }
 
-void
-PsOramController::maybeCrash(CrashSite site)
-{
-    if (crash_policy_ &&
-        crash_policy_->shouldCrash(site, accesses_.value()))
-        throw CrashEvent(site, accesses_.value());
-}
-
 PathId
 PsOramController::committedPath(BlockAddr addr) const
 {
@@ -208,7 +198,6 @@ PsOramController::access(BlockAddr addr, bool is_write,
 {
     if (addr >= params_.num_blocks)
         PSORAM_PANIC("ORAM access beyond logical capacity: ", addr);
-    maybeCrash(CrashSite::BetweenAccesses);
     ++accesses_;
     const std::uint64_t access_id =
         pending_access_id_ != 0 ? pending_access_id_ : accesses_.value();
@@ -268,7 +257,6 @@ PsOramController::access(BlockAddr addr, bool is_write,
     ctx.info.leaf = ctx.leaf;
     if (observer_)
         observer_(ctx.leaf);
-    maybeCrash(CrashSite::AfterRemap);
     stamp(PhaseLatencyStats::Remap);
 
     // ---- Step 3: load path. ----
@@ -304,7 +292,6 @@ PsOramController::access(BlockAddr addr, bool is_write,
         else
             std::memcpy(read_out, entry->data.data(), kBlockDataBytes);
     }
-    maybeCrash(CrashSite::AfterStashUpdate);
     stamp(PhaseLatencyStats::Backup);
 
     // ---- Step 5: PS-ORAM eviction. ----

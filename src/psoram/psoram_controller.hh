@@ -25,9 +25,9 @@
  *
  * Crash model: the stash, PosMap mirror, temporary PosMap and PoM
  * position tables are volatile; the NVM image plus committed WPQ rounds
- * survive. CrashPolicy hooks at each protocol site throw CrashEvent; the
- * harness then calls powerFailureFlush(), discards the controller, and
- * rebuilds one with recoverFromNvm().
+ * survive. A FaultInjector (nvm/fault_injector.hh) throws InjectedFault
+ * at a persist boundary; the harness then calls powerFailureFlush(),
+ * discards the controller, and rebuilds one with recoverFromNvm().
  */
 
 #ifndef PSORAM_PSORAM_PSORAM_CONTROLLER_HH
@@ -54,7 +54,6 @@
 #include "oram/tree.hh"
 #include "psoram/access_context.hh"
 #include "psoram/backup_planner.hh"
-#include "psoram/crash.hh"
 #include "psoram/design.hh"
 #include "psoram/drainer.hh"
 #include "psoram/evictor.hh"
@@ -101,8 +100,6 @@ class PsOramController
     /** @} */
 
     /** @{ Crash-injection plumbing. */
-    void setCrashPolicy(CrashPolicy *policy) { crash_policy_ = policy; }
-
     /**
      * Report this controller's WPQ start/end signals as persist
      * boundaries (nvm/fault_injector.hh). Pass the same injector the
@@ -188,7 +185,6 @@ class PsOramController
     {
         return integrity_.get();
     }
-    const PosMapTreeLevel *pomLevel() const { return pom_.get(); }
 
     std::uint64_t accessCount() const { return accesses_.value(); }
     std::uint64_t stashHits() const
@@ -211,12 +207,6 @@ class PsOramController
     std::uint64_t unplacedCarried() const
     {
         return counters_.unplaced_carried.value();
-    }
-    /** Snapshot of every protocol counter (safe mid-run; the counters
-     *  are relaxed-atomic). Sharded reporting merges these per shard. */
-    ProtocolCounters::Snapshot protocolSnapshot() const
-    {
-        return counters_.snapshot();
     }
     Cycle nowCycles() const { return now_; }
 
@@ -260,8 +250,6 @@ class PsOramController
                           std::uint8_t *read_out,
                           const std::uint8_t *write_in);
 
-    void maybeCrash(CrashSite site);
-
     /** Sync the device and release deferred commit notifications. */
     bool commitDurable(std::size_t requests);
 
@@ -302,7 +290,6 @@ class PsOramController
      *  the stash contents live in stash_. */
     std::unique_ptr<NvmTiming> onchip_;
 
-    CrashPolicy *crash_policy_ = nullptr;
     PathObserver observer_;
     CommitObserver commit_observer_;
     /** Notifications waiting for the device's sync (group commit). */

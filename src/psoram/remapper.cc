@@ -27,12 +27,13 @@ Remapper::run(AccessContext &ctx)
             env_.temp.put(addr, new_leaf);
         } else {
             leaf = env_.volatile_posmap.get(addr);
-            env_.volatile_posmap.set(addr, new_leaf);
             if (env_.onchip) {
-                // FullNVM: the PosMap lives in on-chip NVM.
+                // FullNVM: the PosMap lives in on-chip NVM (its write
+                // reports a persist boundary before the update lands).
                 ctx.t = env_.onChipRead(ctx.t);
                 ctx.t = env_.onChipWrite(ctx.t);
             }
+            env_.volatile_posmap.set(addr, new_leaf);
         }
         ctx.leaf = leaf;
         ctx.new_leaf = new_leaf;

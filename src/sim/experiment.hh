@@ -29,14 +29,6 @@ struct WorkloadResult
     double stash_mean_occupancy = 0.0;
     std::uint64_t wpq_rounds = 0;
     std::uint64_t backups = 0;
-
-    double cyclesPerInstruction() const
-    {
-        return core.instructions == 0
-            ? 0.0
-            : static_cast<double>(core.cycles) /
-                  static_cast<double>(core.instructions);
-    }
 };
 
 /** Fixed per-access controller overhead outside the NVM system. */

@@ -76,18 +76,6 @@ ShardedSystem::recoverAll()
         recoverShard(k);
 }
 
-TrafficCounts
-ShardedSystem::aggregateTraffic() const
-{
-    TrafficCounts total;
-    for (const System &shard : shards) {
-        const TrafficCounts t = shard.controller->traffic();
-        total.reads += t.reads;
-        total.writes += t.writes;
-    }
-    return total;
-}
-
 std::uint64_t
 ShardedSystem::totalAccesses() const
 {

@@ -61,9 +61,6 @@ struct ShardedSystem
     /** Crash-recover every shard in shard order. */
     void recoverAll();
 
-    /** Summed NVM traffic across all shards. */
-    TrafficCounts aggregateTraffic() const;
-
     /** Summed controller access count across all shards. */
     std::uint64_t totalAccesses() const;
 };

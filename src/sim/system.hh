@@ -113,8 +113,8 @@ struct SystemConfig
 struct System
 {
     /**
-     * Invoked with every freshly recovered controller so observers,
-     * crash policies and other per-instance registrations survive
+     * Invoked with every freshly recovered controller so observers
+     * and other per-instance registrations survive
      * recovery (they are attached to the controller object and would
      * otherwise be silently dropped).
      */
@@ -142,9 +142,9 @@ struct System
      * Rebuild the controller after a crash (keeps the device): applies
      * the ADR power-failure flush, drops all volatile state, and runs
      * recovery from the NVM image. The rebind hook (if set) is then
-     * called with the new controller to re-attach observers and crash
-     * policies. An attached fault injector is suspended for the
-     * duration (recovery-era flush writes are not enumerable persist
+     * called with the new controller to re-attach observers. An
+     * attached fault injector is suspended for the duration
+     * (recovery-era flush writes are not enumerable persist
      * boundaries) and re-attached to the new controller.
      */
     void recoverController();

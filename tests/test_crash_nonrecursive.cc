@@ -4,8 +4,9 @@
  *
  * The harness runs a random workload with a versioned-payload oracle:
  * every write carries (addr, version); the controller's commit observer
- * records which version last became durable. A crash is injected at a
- * protocol site, the ADR flush + recovery sequence runs, and the test
+ * records which version last became durable. A crash is injected at the
+ * persist boundary of a protocol point (crash_points.hh), the ADR
+ * flush + recovery sequence runs, and the test
  * checks the paper's guarantee: every address recovers a version
  * between its last durable version and its last written version
  * (atomic old-or-new), and the ORAM remains fully functional.
@@ -20,11 +21,16 @@
 #include <map>
 
 #include "common/random.hh"
+#include "crash_points.hh"
 #include "psoram/recovery.hh"
 #include "sim/system.hh"
 
 namespace psoram {
 namespace {
+
+using testing::CrashPoint;
+using testing::armCrashPoint;
+using testing::crashPointArming;
 
 constexpr std::uint64_t kBlocks = 48;
 
@@ -85,23 +91,27 @@ struct CrashRunResult
 {
     bool crashed = false;
     BlockAddr in_flight = kDummyBlockAddr;
+    PersistBoundary kind = PersistBoundary::RoundStart;
+    /** An earlier round of the crashing access had committed. */
+    bool mid_eviction = false;
 };
 
 /**
- * Run @p ops random accesses with a crash armed at (site, occurrence);
+ * Run @p ops random accesses with a crash armed at (point, occurrence);
  * on crash, recover and verify the old-or-new guarantee for every
  * address; then run a post-recovery workload to confirm the ORAM still
  * functions.
  */
 CrashRunResult
-runCrashScenario(const SystemConfig &config, CrashSite site,
+runCrashScenario(const SystemConfig &config, CrashPoint point,
                  std::uint64_t occurrence, int ops, std::uint64_t seed)
 {
+    FaultInjector injector;
     System system = buildSystem(config);
     Oracle oracle;
     system.controller->setCommitObserver(oracle.observer());
-    CrashAtOccurrence policy(site, occurrence);
-    system.controller->setCrashPolicy(&policy);
+    system.attachFaultInjector(&injector);
+    armCrashPoint(system, injector, point, occurrence);
 
     Rng rng(seed);
     std::uint8_t buf[kBlockDataBytes];
@@ -110,6 +120,8 @@ runCrashScenario(const SystemConfig &config, CrashSite site,
     for (int op = 0; op < ops; ++op) {
         const BlockAddr addr = rng.nextBelow(kBlocks);
         const bool is_write = rng.nextBool(0.6);
+        const std::uint64_t rounds_before =
+            system.controller->drainer()->roundsIssued();
         try {
             if (is_write) {
                 const auto version = static_cast<std::uint32_t>(op + 1);
@@ -119,9 +131,13 @@ runCrashScenario(const SystemConfig &config, CrashSite site,
             } else {
                 system.controller->read(addr, buf);
             }
-        } catch (const CrashEvent &event) {
+        } catch (const InjectedFault &fault) {
             result.crashed = true;
             result.in_flight = addr;
+            result.kind = fault.kind();
+            result.mid_eviction =
+                system.controller->drainer()->roundsIssued() >
+                rounds_before;
             // The write that crashed mid-flight may persist or abort.
             if (is_write)
                 oracle.latest[addr] =
@@ -146,7 +162,8 @@ runCrashScenario(const SystemConfig &config, CrashSite site,
             it == oracle.committed.end() ? 0 : it->second;
         EXPECT_GE(v, durable)
             << "addr " << addr << " lost data at "
-            << crashSiteName(site) << " occurrence " << occurrence;
+            << crashPointArming(point).label << " occurrence "
+            << occurrence;
         EXPECT_LE(v, latest) << "addr " << addr << " corrupt";
         if (v != 0) {
             BlockAddr stored = 0;
@@ -177,7 +194,7 @@ runCrashScenario(const SystemConfig &config, CrashSite site,
 
 struct CrashCase
 {
-    CrashSite site;
+    CrashPoint point;
     std::uint64_t occurrence;
 };
 
@@ -190,23 +207,24 @@ TEST_P(PsOramCrash, RecoversConsistently)
 {
     const auto [design, crash] = GetParam();
     const CrashRunResult result = runCrashScenario(
-        crashConfig(design), crash.site, crash.occurrence, 400, 7);
-    EXPECT_TRUE(result.crashed) << "crash site never reached";
+        crashConfig(design), crash.point, crash.occurrence, 400, 7);
+    EXPECT_TRUE(result.crashed) << "crash point never reached";
+    EXPECT_EQ(result.kind, crashPointArming(crash.point).fires);
 }
 
 const CrashCase kCrashCases[] = {
-    {CrashSite::BetweenAccesses, 5},
-    {CrashSite::BetweenAccesses, 120},
-    {CrashSite::AfterRemap, 3},
-    {CrashSite::AfterRemap, 60},
-    {CrashSite::DuringLoad, 10},
-    {CrashSite::DuringLoad, 90},
-    {CrashSite::AfterStashUpdate, 7},
-    {CrashSite::AfterStashUpdate, 77},
-    {CrashSite::BeforeCommit, 4},
-    {CrashSite::BeforeCommit, 44},
-    {CrashSite::AfterCommit, 6},
-    {CrashSite::AfterCommit, 66},
+    {CrashPoint::BetweenAccesses, 5},
+    {CrashPoint::BetweenAccesses, 120},
+    {CrashPoint::AfterRemap, 3},
+    {CrashPoint::AfterRemap, 60},
+    {CrashPoint::DuringLoad, 10},
+    {CrashPoint::DuringLoad, 90},
+    {CrashPoint::AfterStashUpdate, 7},
+    {CrashPoint::AfterStashUpdate, 77},
+    {CrashPoint::BeforeCommit, 4},
+    {CrashPoint::BeforeCommit, 44},
+    {CrashPoint::AfterCommit, 6},
+    {CrashPoint::AfterCommit, 66},
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -221,12 +239,8 @@ INSTANTIATE_TEST_SUITE_P(
         for (const char c : designName(design))
             if (std::isalnum(static_cast<unsigned char>(c)))
                 out += c;
-        out += "_";
-        for (const char c : crashSiteName(crash.site))
-            if (std::isalnum(static_cast<unsigned char>(c)))
-                out += c;
-        out += "_" + std::to_string(crash.occurrence);
-        return out;
+        return out + "_" + crashPointArming(crash.point).label + "_" +
+               std::to_string(crash.occurrence);
     });
 
 /** Limited persistence domain (§4.2.3): 4-entry WPQs force multi-round
@@ -239,26 +253,27 @@ TEST_P(SmallWpqCrash, RecoversWithFourEntryWpq)
 {
     const CrashCase crash = GetParam();
     const CrashRunResult result =
-        runCrashScenario(crashConfig(DesignKind::PsOram, 4), crash.site,
+        runCrashScenario(crashConfig(DesignKind::PsOram, 4), crash.point,
                          crash.occurrence, 400, 13);
-    EXPECT_TRUE(result.crashed) << "crash site never reached";
+    EXPECT_TRUE(result.crashed) << "crash point never reached";
+    EXPECT_EQ(result.kind, crashPointArming(crash.point).fires);
+    if (crash.point == CrashPoint::BetweenRounds) {
+        EXPECT_TRUE(result.mid_eviction)
+            << "crashed before the eviction's first round";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Rounds, SmallWpqCrash,
-    ::testing::Values(CrashCase{CrashSite::BetweenRounds, 2},
-                      CrashCase{CrashSite::BetweenRounds, 9},
-                      CrashCase{CrashSite::BetweenRounds, 33},
-                      CrashCase{CrashSite::BetweenRounds, 101},
-                      CrashCase{CrashSite::BeforeCommit, 15},
-                      CrashCase{CrashSite::AfterCommit, 15}),
+    ::testing::Values(CrashCase{CrashPoint::BetweenRounds, 2},
+                      CrashCase{CrashPoint::BetweenRounds, 9},
+                      CrashCase{CrashPoint::BetweenRounds, 33},
+                      CrashCase{CrashPoint::BetweenRounds, 101},
+                      CrashCase{CrashPoint::BeforeCommit, 15},
+                      CrashCase{CrashPoint::AfterCommit, 15}),
     [](const auto &info) {
-        std::string out = crashSiteName(info.param.site);
-        std::string clean;
-        for (const char c : out)
-            if (std::isalnum(static_cast<unsigned char>(c)))
-                clean += c;
-        return clean + "_" + std::to_string(info.param.occurrence);
+        return std::string(crashPointArming(info.param.point).label) +
+               "_" + std::to_string(info.param.occurrence);
     });
 
 TEST(PsOramCrashSweep, EveryEvictionBoundarySurvives)
@@ -269,9 +284,10 @@ TEST(PsOramCrashSweep, EveryEvictionBoundarySurvives)
          occurrence += 7) {
         const CrashRunResult result =
             runCrashScenario(crashConfig(DesignKind::PsOram),
-                             CrashSite::AfterCommit, occurrence, 300,
+                             CrashPoint::AfterCommit, occurrence, 300,
                              occurrence);
         EXPECT_TRUE(result.crashed);
+        EXPECT_EQ(result.kind, PersistBoundary::DrainWrite);
     }
 }
 
@@ -280,12 +296,13 @@ TEST(BaselineCrash, LosesDataWithoutPersistence)
     // The paper's motivating failure: with no persistence support the
     // volatile stash and PosMap vanish; after a crash the tree cannot
     // be interpreted (§3.3 Case 1a).
+    FaultInjector injector;
     System system = buildSystem(crashConfig(DesignKind::Baseline));
     Rng rng(5);
     std::uint8_t buf[kBlockDataBytes];
     std::map<BlockAddr, std::uint32_t> latest;
-    CrashAtOccurrence policy(CrashSite::DuringDirectEviction, 80);
-    system.controller->setCrashPolicy(&policy);
+    system.attachFaultInjector(&injector);
+    armCrashPoint(system, injector, CrashPoint::DuringDirectEviction, 80);
 
     bool crashed = false;
     for (int op = 0; op < 400 && !crashed; ++op) {
@@ -295,8 +312,9 @@ TEST(BaselineCrash, LosesDataWithoutPersistence)
         try {
             system.controller->write(addr, buf);
             latest[addr] = version;
-        } catch (const CrashEvent &) {
+        } catch (const InjectedFault &fault) {
             crashed = true;
+            EXPECT_EQ(fault.kind(), PersistBoundary::DirectWrite);
         }
     }
     ASSERT_TRUE(crashed);
@@ -318,6 +336,7 @@ TEST(FullNvmCrash, NonAtomicMetadataLosesInFlightBlock)
     // §3.3 Case 1b: FullNVM persists the PosMap update (step 2) before
     // the data moves; a crash right after the remap makes the target
     // unreachable even though stash and PosMap survive in on-chip NVM.
+    FaultInjector injector;
     System system = buildSystem(crashConfig(DesignKind::FullNvm));
     Rng rng(21);
     std::uint8_t buf[kBlockDataBytes];
@@ -331,18 +350,34 @@ TEST(FullNvmCrash, NonAtomicMetadataLosesInFlightBlock)
         latest[addr] = version;
     }
 
-    // Phase 2: crash at the remap of some later access.
-    CrashAtOccurrence policy(CrashSite::AfterRemap, 30);
-    system.controller->setCrashPolicy(&policy);
+    // Phase 2: crash at the first persist boundary after the remap of
+    // the 30th path access (the path observer runs right after step
+    // 2). That is the on-chip stash write of the path's first block:
+    // the on-chip PosMap already holds the new leaf, the stash does
+    // not hold the block yet.
+    system.attachFaultInjector(&injector);
+    std::uint64_t remaps = 0;
+    std::uint64_t writes_at_remap = 0;
+    system.controller->setPathObserver([&](PathId) {
+        if (++remaps == 30) {
+            injector.armAt(injector.boundariesSeen() + 1);
+            writes_at_remap = system.controller->traffic().writes;
+        }
+    });
     BlockAddr in_flight = kDummyBlockAddr;
     bool crashed = false;
     for (int op = 0; op < 300 && !crashed; ++op) {
         const BlockAddr addr = rng.nextBelow(kBlocks);
         try {
             system.controller->read(addr, buf);
-        } catch (const CrashEvent &) {
+        } catch (const InjectedFault &fault) {
             crashed = true;
             in_flight = addr;
+            EXPECT_EQ(fault.kind(), PersistBoundary::DirectWrite);
+            // No on-chip or NVM write since the remap: the crash hit
+            // before the path reached the on-chip stash.
+            EXPECT_EQ(system.controller->traffic().writes,
+                      writes_at_remap);
         }
     }
     ASSERT_TRUE(crashed);
@@ -378,10 +413,12 @@ TEST(PsOramCrashDetail, BackupRestoresPreCrashValue)
 
     // Re-write with version 2; crash during the eviction of that very
     // access, before its round commits.
-    CrashAtOccurrence policy(CrashSite::BeforeCommit, 1);
-    system.controller->setCrashPolicy(&policy);
+    FaultInjector injector;
+    system.attachFaultInjector(&injector);
+    armCrashPoint(system, injector, CrashPoint::BeforeCommit, 1);
     payload(5, 2, buf);
-    EXPECT_THROW(system.controller->write(5, buf), CrashEvent);
+    EXPECT_THROW(system.controller->write(5, buf), InjectedFault);
+    EXPECT_EQ(injector.firedKind(), PersistBoundary::RoundCommit);
 
     system.recoverController();
     system.controller->read(5, buf);
@@ -394,17 +431,19 @@ TEST(PsOramCrashDetail, RepeatedCrashesAndRecoveries)
     // Crash -> recover -> crash -> recover ... the system must stay
     // consistent across arbitrarily many failures.
     SystemConfig config = crashConfig(DesignKind::PsOram);
+    FaultInjector injector;
     System system = buildSystem(config);
     Oracle oracle;
     system.controller->setCommitObserver(oracle.observer());
+    system.attachFaultInjector(&injector);
     Rng rng(31);
     std::uint8_t buf[kBlockDataBytes];
 
     for (int round = 0; round < 6; ++round) {
-        CrashAtOccurrence policy(CrashSite::AfterCommit,
-                                 5 + static_cast<std::uint64_t>(round));
-        system.controller->setCrashPolicy(&policy);
-        for (int op = 0; op < 200; ++op) {
+        armCrashPoint(system, injector, CrashPoint::AfterCommit,
+                      5 + static_cast<std::uint64_t>(round));
+        bool crashed = false;
+        for (int op = 0; op < 200 && !crashed; ++op) {
             const BlockAddr addr = rng.nextBelow(kBlocks);
             const auto version =
                 static_cast<std::uint32_t>(1000 * round + op + 1);
@@ -412,11 +451,13 @@ TEST(PsOramCrashDetail, RepeatedCrashesAndRecoveries)
             try {
                 system.controller->write(addr, buf);
                 oracle.latest[addr] = version;
-            } catch (const CrashEvent &) {
+            } catch (const InjectedFault &fault) {
+                crashed = true;
                 oracle.latest[addr] = version;
-                break;
+                EXPECT_EQ(fault.kind(), PersistBoundary::DrainWrite);
             }
         }
+        ASSERT_TRUE(crashed) << "round " << round;
         system.recoverController();
         system.controller->setCommitObserver(oracle.observer());
         for (const auto &[addr, latest] : oracle.latest) {

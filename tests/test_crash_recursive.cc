@@ -15,11 +15,16 @@
 #include <map>
 
 #include "common/random.hh"
+#include "crash_points.hh"
 #include "psoram/recovery.hh"
 #include "sim/system.hh"
 
 namespace psoram {
 namespace {
+
+using testing::CrashPoint;
+using testing::armCrashPoint;
+using testing::crashPointArming;
 
 constexpr std::uint64_t kBlocks = 64;
 
@@ -78,7 +83,7 @@ struct Oracle
 
 struct CrashCase
 {
-    CrashSite site;
+    CrashPoint point;
     std::uint64_t occurrence;
 };
 
@@ -89,11 +94,12 @@ class RcrPsOramCrash : public ::testing::TestWithParam<CrashCase>
 TEST_P(RcrPsOramCrash, RecoversConsistently)
 {
     const CrashCase crash = GetParam();
+    FaultInjector injector;
     System system = buildSystem(rcrConfig(DesignKind::RcrPsOram));
     Oracle oracle;
     system.controller->setCommitObserver(oracle.observer());
-    CrashAtOccurrence policy(crash.site, crash.occurrence);
-    system.controller->setCrashPolicy(&policy);
+    system.attachFaultInjector(&injector);
+    armCrashPoint(system, injector, crash.point, crash.occurrence);
 
     Rng rng(17);
     std::uint8_t buf[kBlockDataBytes];
@@ -110,14 +116,15 @@ TEST_P(RcrPsOramCrash, RecoversConsistently)
             } else {
                 system.controller->read(addr, buf);
             }
-        } catch (const CrashEvent &) {
+        } catch (const InjectedFault &fault) {
             crashed = true;
+            EXPECT_EQ(fault.kind(), crashPointArming(crash.point).fires);
             if (is_write)
                 oracle.latest[addr] =
                     static_cast<std::uint32_t>(op + 1);
         }
     }
-    ASSERT_TRUE(crashed) << "crash site never reached";
+    ASSERT_TRUE(crashed) << "crash point never reached";
 
     system.recoverController();
     system.controller->setCommitObserver(oracle.observer());
@@ -130,7 +137,7 @@ TEST_P(RcrPsOramCrash, RecoversConsistently)
             it == oracle.committed.end() ? 0 : it->second;
         EXPECT_GE(v, durable)
             << "addr " << addr << " lost at "
-            << crashSiteName(crash.site);
+            << crashPointArming(crash.point).label;
         EXPECT_LE(v, latest) << "addr " << addr << " corrupt";
     }
 
@@ -153,22 +160,19 @@ TEST_P(RcrPsOramCrash, RecoversConsistently)
 
 INSTANTIATE_TEST_SUITE_P(
     Sites, RcrPsOramCrash,
-    ::testing::Values(CrashCase{CrashSite::BetweenAccesses, 10},
-                      CrashCase{CrashSite::BetweenAccesses, 150},
-                      CrashCase{CrashSite::AfterRemap, 5},
-                      CrashCase{CrashSite::AfterRemap, 80},
-                      CrashCase{CrashSite::DuringLoad, 12},
-                      CrashCase{CrashSite::AfterStashUpdate, 40},
-                      CrashCase{CrashSite::BeforeCommit, 8},
-                      CrashCase{CrashSite::BeforeCommit, 88},
-                      CrashCase{CrashSite::AfterCommit, 9},
-                      CrashCase{CrashSite::AfterCommit, 99}),
+    ::testing::Values(CrashCase{CrashPoint::BetweenAccesses, 10},
+                      CrashCase{CrashPoint::BetweenAccesses, 150},
+                      CrashCase{CrashPoint::AfterRemap, 5},
+                      CrashCase{CrashPoint::AfterRemap, 80},
+                      CrashCase{CrashPoint::DuringLoad, 12},
+                      CrashCase{CrashPoint::AfterStashUpdate, 40},
+                      CrashCase{CrashPoint::BeforeCommit, 8},
+                      CrashCase{CrashPoint::BeforeCommit, 88},
+                      CrashCase{CrashPoint::AfterCommit, 9},
+                      CrashCase{CrashPoint::AfterCommit, 99}),
     [](const auto &info) {
-        std::string out;
-        for (const char c : crashSiteName(info.param.site))
-            if (std::isalnum(static_cast<unsigned char>(c)))
-                out += c;
-        return out + "_" + std::to_string(info.param.occurrence);
+        return std::string(crashPointArming(info.param.point).label) +
+               "_" + std::to_string(info.param.occurrence);
     });
 
 TEST(RcrPsOramCrash2, SmallWpqIsAutoRaisedToOneBracket)
@@ -261,19 +265,21 @@ TEST(RcrBaselineCrash, VolatileStashLosesData)
 
 TEST(RcrPsOramCrash2, RepeatedCrashRecoveryCycles)
 {
+    FaultInjector injector;
     System system = buildSystem(rcrConfig(DesignKind::RcrPsOram));
     Oracle oracle;
     system.controller->setCommitObserver(oracle.observer());
+    system.attachFaultInjector(&injector);
     Rng rng(41);
     std::uint8_t buf[kBlockDataBytes];
 
     for (int round = 0; round < 4; ++round) {
-        CrashAtOccurrence policy(
-            round % 2 == 0 ? CrashSite::BeforeCommit
-                           : CrashSite::AfterCommit,
-            7 + static_cast<std::uint64_t>(round) * 3);
-        system.controller->setCrashPolicy(&policy);
-        for (int op = 0; op < 250; ++op) {
+        const CrashPoint point = round % 2 == 0 ? CrashPoint::BeforeCommit
+                                                : CrashPoint::AfterCommit;
+        armCrashPoint(system, injector, point,
+                      7 + static_cast<std::uint64_t>(round) * 3);
+        bool crashed = false;
+        for (int op = 0; op < 250 && !crashed; ++op) {
             const BlockAddr addr = rng.nextBelow(kBlocks);
             const auto version =
                 static_cast<std::uint32_t>(1000 * (round + 1) + op);
@@ -281,11 +287,13 @@ TEST(RcrPsOramCrash2, RepeatedCrashRecoveryCycles)
             try {
                 system.controller->write(addr, buf);
                 oracle.latest[addr] = version;
-            } catch (const CrashEvent &) {
+            } catch (const InjectedFault &fault) {
+                crashed = true;
                 oracle.latest[addr] = version;
-                break;
+                EXPECT_EQ(fault.kind(), crashPointArming(point).fires);
             }
         }
+        ASSERT_TRUE(crashed) << "round " << round;
         system.recoverController();
         system.controller->setCommitObserver(oracle.observer());
         for (const auto &[addr, latest] : oracle.latest) {

@@ -481,6 +481,7 @@ runShardedDiskKill(unsigned num_shards)
     // "Process 1": version-1 writes everywhere; kill the victim shard
     // mid-WPQ on a version-2 write; power fails for every shard.
     {
+        FaultInjector injector;
         ShardedSystem system = buildShardedSystem(config);
         ASSERT_EQ(system.numShards(), num_shards);
         for (unsigned k = 0; k < num_shards; ++k)
@@ -494,8 +495,8 @@ runShardedDiskKill(unsigned num_shards)
             oracle[slot.shard].latest[slot.local] = 1;
         }
 
-        CrashAtOccurrence policy(CrashSite::BeforeCommit, 1);
-        system.controller(victim).setCrashPolicy(&policy);
+        system.shards[victim].attachFaultInjector(&injector);
+        injector.armAtKind(PersistBoundary::RoundCommit, 1);
         bool crashed = false;
         for (BlockAddr addr = 0; addr < kBlocks && !crashed; ++addr) {
             const ShardSlot slot = system.router.route(addr);
@@ -505,8 +506,9 @@ runShardedDiskKill(unsigned num_shards)
             try {
                 system.controller(victim).write(slot.local, buf);
                 oracle[victim].latest[slot.local] = 2;
-            } catch (const CrashEvent &) {
+            } catch (const InjectedFault &fault) {
                 crashed = true;
+                EXPECT_EQ(fault.kind(), PersistBoundary::RoundCommit);
                 oracle[victim].latest[slot.local] = 2;
             }
         }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "nvm/device.hh"
+#include "nvm/fault_injector.hh"
 
 #include "psoram/drainer.hh"
 
@@ -36,6 +37,16 @@ posEntry(Addr addr, std::uint8_t value, std::size_t after_data)
 class DrainerTest : public ::testing::Test
 {
   protected:
+    /** Report @p drainer's round signals and the device's writes to
+     *  one injector, as System::attachFaultInjector does. */
+    void
+    attach(Drainer &drainer)
+    {
+        drainer.domain().setFaultInjector(&injector_);
+        device_.setFaultInjector(&injector_);
+    }
+
+    FaultInjector injector_;
     NvmDevice device_{pcmTimings(), 1, 8, 1 << 20};
 };
 
@@ -47,7 +58,7 @@ TEST_F(DrainerTest, SingleRoundWhenEverythingFits)
         bundle.data_writes.push_back(
             dataEntry(static_cast<Addr>(i) * 64, 1));
     bundle.posmap_writes.push_back(posEntry(4096, 2, 3));
-    drainer.persist(bundle, device_, 0, nullptr);
+    drainer.persist(bundle, device_, 0);
     EXPECT_EQ(drainer.roundsIssued(), 1u);
     EXPECT_EQ(drainer.splitEvictions(), 0u);
     EXPECT_EQ(drainer.entriesPersisted(), 7u);
@@ -60,7 +71,7 @@ TEST_F(DrainerTest, SplitsIntoRoundsWithSmallWpq)
     for (int i = 0; i < 10; ++i)
         bundle.data_writes.push_back(
             dataEntry(static_cast<Addr>(i) * 64, 1));
-    drainer.persist(bundle, device_, 0, nullptr);
+    drainer.persist(bundle, device_, 0);
     EXPECT_EQ(drainer.roundsIssued(), 3u); // 4 + 4 + 2
     EXPECT_EQ(drainer.splitEvictions(), 2u);
 }
@@ -72,7 +83,7 @@ TEST_F(DrainerTest, AllDataReachesNvm)
     for (int i = 0; i < 9; ++i)
         bundle.data_writes.push_back(dataEntry(
             static_cast<Addr>(i) * 64, static_cast<std::uint8_t>(i)));
-    drainer.persist(bundle, device_, 0, nullptr);
+    drainer.persist(bundle, device_, 0);
     for (int i = 0; i < 9; ++i) {
         std::uint8_t b = 0;
         device_.readBytes(static_cast<Addr>(i) * 64, &b, 1);
@@ -91,28 +102,26 @@ TEST_F(DrainerTest, PosmapEntryNeverCommitsBeforeItsData)
             dataEntry(static_cast<Addr>(i) * 64, 1));
     bundle.posmap_writes.push_back(posEntry(4096, 7, 5));
 
-    // Track commit order through the crash hook: at every commit,
-    // check whether the metadata is already durable while its data is
-    // not.
+    // Track commit order through the round-commit boundaries: at every
+    // commit, check whether the metadata is already durable while its
+    // data is not (the earlier rounds have drained by then).
     int rounds_seen = 0;
     bool violation = false;
-    drainer.persist(
-        bundle, device_, 0, [&](CrashSite site) {
-            if (site != CrashSite::AfterCommit)
-                return;
-            ++rounds_seen;
-            std::uint8_t meta = 0;
-            device_.readBytes(4096, &meta, 1);
-            // Note: at AfterCommit the round is committed but not yet
-            // drained; simulate the ADR flush to observe its effect.
-            // (crashFlush is idempotent for this check.)
-            if (meta == 7) {
-                std::uint8_t d = 0;
-                device_.readBytes(4 * 64, &d, 1); // data index 4 < 5
-                if (d == 0)
-                    violation = true;
-            }
-        });
+    attach(drainer);
+    injector_.setObserver([&](PersistBoundary kind, std::uint64_t) {
+        if (kind != PersistBoundary::RoundCommit)
+            return;
+        ++rounds_seen;
+        std::uint8_t meta = 0;
+        device_.readBytes(4096, &meta, 1);
+        if (meta == 7) {
+            std::uint8_t d = 0;
+            device_.readBytes(4 * 64, &d, 1); // data index 4 < 5
+            if (d == 0)
+                violation = true;
+        }
+    });
+    drainer.persist(bundle, device_, 0);
     EXPECT_FALSE(violation);
     EXPECT_GE(rounds_seen, 3);
 }
@@ -125,15 +134,11 @@ TEST_F(DrainerTest, CrashBetweenRoundsKeepsPrefix)
         bundle.data_writes.push_back(dataEntry(
             static_cast<Addr>(i) * 64, static_cast<std::uint8_t>(i + 1)));
 
-    int rounds = 0;
-    EXPECT_THROW(
-        drainer.persist(bundle, device_, 0,
-                        [&](CrashSite site) {
-                            if (site == CrashSite::BetweenRounds &&
-                                ++rounds == 2)
-                                throw CrashEvent(site, 0);
-                        }),
-        CrashEvent);
+    // Between rounds 2 and 3: the third round's start signal.
+    attach(drainer);
+    injector_.armAtKind(PersistBoundary::RoundStart, 3);
+    EXPECT_THROW(drainer.persist(bundle, device_, 0), InjectedFault);
+    EXPECT_EQ(drainer.roundsIssued(), 2u);
     drainer.domain().crashFlush(device_);
 
     // Rounds 1-2 (entries 0..5) are durable; round 3 never started.
@@ -155,15 +160,11 @@ TEST_F(DrainerTest, CrashBeforeCommitDropsCurrentRoundOnly)
         bundle.data_writes.push_back(dataEntry(
             static_cast<Addr>(i) * 64, static_cast<std::uint8_t>(i + 1)));
 
-    int commits = 0;
-    EXPECT_THROW(
-        drainer.persist(bundle, device_, 0,
-                        [&](CrashSite site) {
-                            if (site == CrashSite::BeforeCommit &&
-                                commits++ == 1)
-                                throw CrashEvent(site, 0);
-                        }),
-        CrashEvent);
+    // The second round's commit signal fires before it applies.
+    attach(drainer);
+    injector_.armAtKind(PersistBoundary::RoundCommit, 2);
+    EXPECT_THROW(drainer.persist(bundle, device_, 0), InjectedFault);
+    EXPECT_EQ(injector_.firedKind(), PersistBoundary::RoundCommit);
     drainer.domain().crashFlush(device_);
 
     for (int i = 0; i < 3; ++i) {
@@ -186,13 +187,11 @@ TEST_F(DrainerTest, CrashAfterCommitFlushesViaAdr)
         bundle.data_writes.push_back(dataEntry(
             static_cast<Addr>(i) * 64, static_cast<std::uint8_t>(i + 1)));
 
-    EXPECT_THROW(
-        drainer.persist(bundle, device_, 0,
-                        [&](CrashSite site) {
-                            if (site == CrashSite::AfterCommit)
-                                throw CrashEvent(site, 0);
-                        }),
-        CrashEvent);
+    // The boundary right after the commit: the drain's first write.
+    attach(drainer);
+    injector_.armAtKind(PersistBoundary::RoundCommit, 1, 1);
+    EXPECT_THROW(drainer.persist(bundle, device_, 0), InjectedFault);
+    EXPECT_EQ(injector_.firedKind(), PersistBoundary::DrainWrite);
     drainer.domain().crashFlush(device_);
     for (int i = 0; i < 3; ++i) {
         std::uint8_t b = 0;
@@ -211,10 +210,10 @@ TEST_F(DrainerTest, DrainTimeGrowsWithEntries)
     for (int i = 0; i < 90; ++i)
         large.data_writes.push_back(
             dataEntry(static_cast<Addr>(i) * 64, 1));
-    const Cycle t_small = drainer.persist(small, device_, 0, nullptr);
+    const Cycle t_small = drainer.persist(small, device_, 0);
     NvmDevice device2{pcmTimings(), 1, 8, 1 << 20};
     Drainer drainer2(96, 96);
-    const Cycle t_large = drainer2.persist(large, device2, 0, nullptr);
+    const Cycle t_large = drainer2.persist(large, device2, 0);
     EXPECT_GT(t_large, t_small);
 }
 

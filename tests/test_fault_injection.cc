@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <ostream>
 
 #include "sim/crash_enumerator.hh"
@@ -161,6 +162,89 @@ TEST(CrashEnumeratorProbe, RoundBracketsBalance)
     EXPECT_EQ(injector.kindCount(PersistBoundary::RoundStart),
               injector.kindCount(PersistBoundary::RoundCommit));
     EXPECT_GT(injector.kindCount(PersistBoundary::DrainWrite), 0u);
+}
+
+/** Feed @p kinds to @p injector in order; return the 1-based position
+ *  of the boundary that faulted, or 0 if none did. */
+std::uint64_t
+feed(FaultInjector &injector, std::initializer_list<PersistBoundary> kinds)
+{
+    std::uint64_t position = 0;
+    for (const PersistBoundary kind : kinds) {
+        ++position;
+        try {
+            injector.boundary(kind);
+        } catch (const InjectedFault &fault) {
+            EXPECT_EQ(fault.kind(), kind);
+            return position;
+        }
+    }
+    return 0;
+}
+
+TEST(FaultInjectorArming, ArmAtKindCountsItsKindFromTheCall)
+{
+    using B = PersistBoundary;
+    FaultInjector injector;
+    // Boundaries before the call do not count towards the occurrence.
+    EXPECT_EQ(feed(injector, {B::RoundStart, B::RoundCommit}), 0u);
+    injector.armAtKind(B::RoundCommit, 2);
+    EXPECT_EQ(feed(injector, {B::RoundStart, B::RoundCommit, B::DrainWrite,
+                              B::RoundStart, B::RoundCommit}),
+              5u);
+    EXPECT_TRUE(injector.fired());
+    EXPECT_FALSE(injector.armed());
+    EXPECT_EQ(injector.firedKind(), B::RoundCommit);
+    EXPECT_EQ(injector.firedIndex(), 7u);
+    EXPECT_EQ(injector.kindCount(B::RoundCommit), 3u);
+
+    // It fires once; re-arming counts from the new call.
+    EXPECT_EQ(feed(injector, {B::RoundCommit, B::RoundCommit}), 0u);
+    injector.armAtKind(B::RoundCommit, 1);
+    EXPECT_EQ(feed(injector, {B::DrainWrite, B::RoundCommit}), 2u);
+    EXPECT_EQ(injector.firedIndex(), 11u);
+}
+
+TEST(FaultInjectorArming, ArmAtKindHonoursAfter)
+{
+    using B = PersistBoundary;
+    FaultInjector injector;
+    // The after-th boundary of any kind following the occurrence.
+    injector.armAtKind(B::RoundCommit, 1, 2);
+    EXPECT_EQ(feed(injector, {B::RoundStart, B::RoundCommit, B::DrainWrite,
+                              B::RoundStart, B::DrainWrite}),
+              4u);
+    EXPECT_EQ(injector.firedKind(), B::RoundStart);
+    EXPECT_EQ(injector.firedIndex(), 4u);
+}
+
+TEST(FaultInjectorArming, ArmAtAndResetKeepTheirBehaviour)
+{
+    using B = PersistBoundary;
+    FaultInjector injector;
+    // armAt counts every kind from the last reset().
+    injector.armAt(3);
+    EXPECT_EQ(feed(injector, {B::DirectWrite, B::RoundStart, B::DrainWrite}),
+              3u);
+    EXPECT_EQ(injector.firedIndex(), 3u);
+
+    // armAt replaces a pending armAtKind.
+    injector.armAtKind(B::RoundStart, 1);
+    injector.armAt(5);
+    EXPECT_EQ(feed(injector, {B::RoundStart, B::DrainWrite}), 2u);
+    EXPECT_EQ(injector.firedKind(), B::DrainWrite);
+
+    // reset() disarms a pending armAtKind and zeroes every count.
+    injector.armAtKind(B::DrainWrite, 1);
+    injector.reset();
+    EXPECT_FALSE(injector.armed());
+    EXPECT_FALSE(injector.fired());
+    EXPECT_EQ(injector.boundariesSeen(), 0u);
+    EXPECT_EQ(injector.kindCount(B::DrainWrite), 0u);
+    EXPECT_EQ(feed(injector, {B::DrainWrite, B::DrainWrite}), 0u);
+    injector.armAt(1);
+    EXPECT_EQ(feed(injector, {B::DrainWrite}), 0u); // index 3 > 1
+    EXPECT_FALSE(injector.fired());
 }
 
 TEST(CrashEnumeratorNegative, MissingBackupBlocksAreDetected)

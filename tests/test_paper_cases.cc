@@ -8,17 +8,27 @@
  *   Case 2: crash in step 4 (path loaded, before eviction)
  *   Case 3: crash in step 5 (during the eviction / before the next
  *           access), including the Figure 3 overwritten-block scenario
+ *
+ * Each crash is injected at the persist boundary that leaves the same
+ * durable state as the paper's crash moment (crash_points.hh): steps 3
+ * and 4 write nothing durable, so a PS-ORAM crash in them is the crash
+ * at the eviction's first round-start.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 
+#include "crash_points.hh"
 #include "psoram/recovery.hh"
 #include "sim/system.hh"
 
 namespace psoram {
 namespace {
+
+using testing::CrashPoint;
+using testing::armCrashPoint;
 
 SystemConfig
 caseConfig(DesignKind design)
@@ -76,11 +86,12 @@ TEST(PaperCase1, CrashDuringLoadRecoversViaUncommittedRemap)
     // (persistent) PosMap still holds the old, consistent mapping —
     // "the ORAM controller can re-read this path id ... and correctly
     // access the data of interest in the original path".
+    FaultInjector injector;
     System system = buildSystem(caseConfig(DesignKind::PsOram));
     populate(system);
 
-    CrashAtOccurrence policy(CrashSite::DuringLoad, 1);
-    system.controller->setCrashPolicy(&policy);
+    system.attachFaultInjector(&injector);
+    armCrashPoint(system, injector, CrashPoint::DuringLoad, 1);
     std::uint8_t buf[kBlockDataBytes];
     BlockAddr victim = kDummyBlockAddr;
     for (BlockAddr addr = 0; addr < 100 && victim == kDummyBlockAddr;
@@ -89,8 +100,9 @@ TEST(PaperCase1, CrashDuringLoadRecoversViaUncommittedRemap)
             continue; // a stash hit would skip step 3
         try {
             system.controller->read(addr, buf);
-        } catch (const CrashEvent &) {
+        } catch (const InjectedFault &fault) {
             victim = addr;
+            EXPECT_EQ(fault.kind(), PersistBoundary::RoundStart);
         }
     }
     ASSERT_NE(victim, kDummyBlockAddr);
@@ -105,11 +117,12 @@ TEST(PaperCase2, CrashAfterLoadLosesNothingCommitted)
     // §4.3 Case 2: the path was fetched into the (volatile) stash but
     // the eviction has not rewritten the tree yet — the NVM still holds
     // every block; recovery re-reads them from the data content region.
+    FaultInjector injector;
     System system = buildSystem(caseConfig(DesignKind::PsOram));
     populate(system);
 
-    CrashAtOccurrence policy(CrashSite::AfterStashUpdate, 1);
-    system.controller->setCrashPolicy(&policy);
+    system.attachFaultInjector(&injector);
+    armCrashPoint(system, injector, CrashPoint::AfterStashUpdate, 1);
     std::uint8_t buf[kBlockDataBytes];
     BlockAddr victim = kDummyBlockAddr;
     for (BlockAddr addr = 0; addr < 100 && victim == kDummyBlockAddr;
@@ -118,8 +131,9 @@ TEST(PaperCase2, CrashAfterLoadLosesNothingCommitted)
             continue;
         try {
             system.controller->read(addr, buf);
-        } catch (const CrashEvent &) {
+        } catch (const InjectedFault &fault) {
             victim = addr;
+            EXPECT_EQ(fault.kind(), PersistBoundary::RoundStart);
         }
     }
     ASSERT_NE(victim, kDummyBlockAddr);
@@ -144,23 +158,33 @@ TEST(PaperCase3, PartialWritebackCannotDestroyLiveBlocks)
          occurrence += 3) {
         SystemConfig config = caseConfig(DesignKind::PsOram);
         config.wpq_entries = 4;
+        FaultInjector injector;
         System system = buildSystem(config);
         populate(system);
 
-        CrashAtOccurrence policy(CrashSite::BetweenRounds, occurrence);
-        system.controller->setCrashPolicy(&policy);
+        system.attachFaultInjector(&injector);
+        armCrashPoint(system, injector, CrashPoint::BetweenRounds, occurrence);
         std::uint8_t buf[kBlockDataBytes];
         bool crashed = false;
         std::map<BlockAddr, std::uint32_t> updated;
         for (int op = 0; op < 60 && !crashed; ++op) {
             const BlockAddr addr = static_cast<BlockAddr>(op) % 100;
             payload(addr, 1000 + op, buf);
+            const std::uint64_t rounds_before =
+                system.controller->drainer()->roundsIssued();
             try {
                 system.controller->write(addr, buf);
                 updated[addr] = static_cast<std::uint32_t>(1000 + op);
-            } catch (const CrashEvent &) {
+            } catch (const InjectedFault &fault) {
                 crashed = true;
                 updated[addr] = static_cast<std::uint32_t>(1000 + op);
+                // Between two rounds of one eviction: the next round
+                // opens after an earlier round of this access drained.
+                EXPECT_EQ(fault.kind(), PersistBoundary::RoundStart);
+                EXPECT_GT(system.controller->drainer()->roundsIssued(),
+                          rounds_before)
+                    << "occurrence " << occurrence
+                    << " crashed before the eviction's first round";
             }
         }
         ASSERT_TRUE(crashed) << "occurrence " << occurrence;
@@ -187,18 +211,22 @@ TEST(PaperCase1Baseline, SameCrashDestroysTheBaseline)
     // The §3.3 motivation: in the original Path ORAM the PosMap update
     // of step 2 is already in effect when the crash hits, and with a
     // volatile PosMap nothing can be located afterwards.
+    // The Baseline's next boundary after step 2 is its eviction's
+    // first direct write.
+    FaultInjector injector;
     System system = buildSystem(caseConfig(DesignKind::Baseline));
     populate(system);
 
-    CrashAtOccurrence policy(CrashSite::DuringLoad, 1);
-    system.controller->setCrashPolicy(&policy);
+    system.attachFaultInjector(&injector);
+    injector.armAtKind(PersistBoundary::DirectWrite, 1);
     std::uint8_t buf[kBlockDataBytes];
     bool crashed = false;
     for (BlockAddr addr = 0; addr < 100 && !crashed; ++addr) {
         try {
             system.controller->read(addr, buf);
-        } catch (const CrashEvent &) {
+        } catch (const InjectedFault &fault) {
             crashed = true;
+            EXPECT_EQ(fault.kind(), PersistBoundary::DirectWrite);
         }
     }
     ASSERT_TRUE(crashed);

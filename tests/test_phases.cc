@@ -47,7 +47,7 @@ struct PhaseRig
             params, params.data_layout.geometry, device, codec, rng,
             stash, temp, volatile_posmap, persistent_posmap, counters,
             nullptr, nullptr, nullptr, nullptr, drainer.get(), nullptr,
-            nullptr, nullptr, 0});
+            nullptr, 0});
     }
 
     static PsOramParams

@@ -12,11 +12,16 @@
 #include <tuple>
 
 #include "common/random.hh"
+#include "crash_points.hh"
 #include "psoram/recovery.hh"
 #include "sim/system.hh"
 
 namespace psoram {
 namespace {
+
+using testing::CrashPoint;
+using testing::armCrashPoint;
+using testing::crashPointArming;
 
 // (tree height, bucket slots Z, wpq entries)
 using MatrixParam = std::tuple<unsigned, unsigned, std::size_t>;
@@ -85,6 +90,7 @@ TEST_P(PsOramMatrix, FunctionalAcrossGeometries)
 TEST_P(PsOramMatrix, CrashRecoveryAcrossGeometries)
 {
     const SystemConfig config = matrixConfig(GetParam());
+    FaultInjector injector;
     System system = buildSystem(config);
     std::map<BlockAddr, std::uint32_t> durable, latest;
     system.controller->setCommitObserver(
@@ -92,8 +98,8 @@ TEST_P(PsOramMatrix, CrashRecoveryAcrossGeometries)
             durable[addr] =
                 std::max(durable[addr], versionOf(data.data()));
         });
-    CrashAtOccurrence policy(CrashSite::BeforeCommit, 25);
-    system.controller->setCrashPolicy(&policy);
+    system.attachFaultInjector(&injector);
+    armCrashPoint(system, injector, CrashPoint::BeforeCommit, 25);
 
     Rng rng(9);
     std::uint8_t buf[kBlockDataBytes];
@@ -104,9 +110,10 @@ TEST_P(PsOramMatrix, CrashRecoveryAcrossGeometries)
         try {
             system.controller->write(addr, buf);
             latest[addr] = static_cast<std::uint32_t>(op + 1);
-        } catch (const CrashEvent &) {
+        } catch (const InjectedFault &fault) {
             crashed = true;
             latest[addr] = static_cast<std::uint32_t>(op + 1);
+            EXPECT_EQ(fault.kind(), PersistBoundary::RoundCommit);
         }
     }
     ASSERT_TRUE(crashed);
@@ -143,6 +150,7 @@ TEST_P(PsOramCrashSeeds, ConsistentUnderRandomizedSchedules)
 {
     SystemConfig config = matrixConfig(MatrixParam{6, 4, 96});
     config.seed = GetParam();
+    FaultInjector injector;
     System system = buildSystem(config);
     std::map<BlockAddr, std::uint32_t> durable, latest;
     system.controller->setCommitObserver(
@@ -150,24 +158,31 @@ TEST_P(PsOramCrashSeeds, ConsistentUnderRandomizedSchedules)
             durable[addr] =
                 std::max(durable[addr], versionOf(data.data()));
         });
-    CrashAtOccurrence policy(
-        static_cast<CrashSite>(GetParam() % 6),
-        10 + GetParam() % 40);
-    system.controller->setCrashPolicy(&policy);
+    // The first six points: steps 2 to 5 and between rounds.
+    const auto point = static_cast<CrashPoint>(GetParam() % 6);
+    system.attachFaultInjector(&injector);
+    armCrashPoint(system, injector, point, 10 + GetParam() % 40);
 
     Rng rng(GetParam() * 17 + 3);
     std::uint8_t buf[kBlockDataBytes];
+    bool crashed = false;
     for (int op = 0; op < 400; ++op) {
         const BlockAddr addr = rng.nextBelow(config.num_blocks);
         payload(addr, op + 1, buf);
         try {
             system.controller->write(addr, buf);
             latest[addr] = static_cast<std::uint32_t>(op + 1);
-        } catch (const CrashEvent &) {
+        } catch (const InjectedFault &fault) {
+            crashed = true;
             latest[addr] = static_cast<std::uint32_t>(op + 1);
+            EXPECT_EQ(fault.kind(), crashPointArming(point).fires);
             break;
         }
     }
+    // A 96-entry WPQ holds a whole eviction of this geometry, so no
+    // eviction splits and the between-rounds point is never reached.
+    ASSERT_EQ(crashed, point != CrashPoint::BetweenRounds)
+        << crashPointArming(point).label;
 
     system.recoverController();
     for (const auto &[addr, version] : latest) {

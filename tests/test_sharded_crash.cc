@@ -156,6 +156,7 @@ TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
     // then kill the process after shard 0 persisted but while shard 1
     // is mid-WPQ on a version-2 write.
     {
+        FaultInjector injector;
         ShardedSystem system = buildShardedSystem(config);
         ASSERT_EQ(system.numShards(), 2u);
         for (unsigned k = 0; k < 2; ++k)
@@ -174,8 +175,8 @@ TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
 
         // Shard 1: arm a crash inside the WPQ bracket (entries pushed,
         // commit record not yet written) and trip it with a v2 write.
-        CrashAtOccurrence policy(CrashSite::BeforeCommit, 1);
-        system.controller(1).setCrashPolicy(&policy);
+        system.shards[1].attachFaultInjector(&injector);
+        injector.armAtKind(PersistBoundary::RoundCommit, 1);
         bool crashed = false;
         for (BlockAddr addr = 0; addr < kBlocks && !crashed; ++addr) {
             const ShardSlot slot = system.router.route(addr);
@@ -185,8 +186,9 @@ TEST(ShardedCrash, KillBetweenShardPersistsRecoversBothShards)
             try {
                 system.controller(1).write(slot.local, buf);
                 oracle[1].latest[slot.local] = 2;
-            } catch (const CrashEvent &) {
+            } catch (const InjectedFault &fault) {
                 crashed = true;
+                EXPECT_EQ(fault.kind(), PersistBoundary::RoundCommit);
                 in_flight = addr;
                 // The mid-WPQ write may persist or abort.
                 oracle[1].latest[slot.local] = 2;
