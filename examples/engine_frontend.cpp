@@ -1,18 +1,20 @@
 /**
  * @file
- * Engine frontend demo: queue asynchronous reads/writes against the
- * OramEngine, let it coalesce back-to-back accesses to one hot block,
- * and compare the tree traffic with an uncoalesced twin.
+ * Engine frontend demo: queue asynchronous reads/writes on a one-shard
+ * ShardedOramEngine, let its worker coalesce back-to-back accesses to
+ * one hot block inside a mailbox batch, and compare the tree traffic
+ * with an uncoalesced twin.
  *
  *   $ ./example_engine_frontend
  */
 
 #include <cstring>
+#include <future>
 #include <iomanip>
 #include <iostream>
 #include <string>
 
-#include "sim/engine.hh"
+#include "sim/sharded_engine.hh"
 #include "sim/system.hh"
 
 using namespace psoram;
@@ -31,7 +33,7 @@ demoConfig()
 }
 
 void
-submitHotLoop(OramEngine &engine, int repeats)
+submitHotLoop(ShardedOramEngine &engine, int repeats)
 {
     std::uint8_t block[kBlockDataBytes] = {};
     std::memcpy(block, "hot block", 9);
@@ -41,37 +43,61 @@ submitHotLoop(OramEngine &engine, int repeats)
     engine.submitRead(3);     // different block: new physical access
 }
 
+/**
+ * Submit a first read of block 7, then the hot loop while the worker is
+ * still inside that read's path access. A worker swaps its whole
+ * mailbox as one batch, so the hot loop runs as one batch — what a busy
+ * shard sees under load, made deterministic here.
+ */
+void
+submitBehindBusyWorker(ShardedOramEngine &engine, PsOramController &ctrl,
+                       ShardedOramEngine::Callback first_callback)
+{
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    ctrl.setPathObserver([&, first = true](PathId) mutable {
+        if (!first)
+            return;
+        first = false;
+        entered.set_value();
+        released.wait();
+    });
+    engine.submitRead(7, std::move(first_callback));
+    entered.get_future().wait();
+    submitHotLoop(engine, 3);
+    release.set_value();
+    engine.drain();
+    ctrl.setPathObserver(nullptr);
+}
+
 } // namespace
 
 int
 main()
 {
-    // 1. Build a system and put the async engine in front of it.
+    // 1. Build a system and put a one-shard engine in front of it.
     System system = buildSystem(demoConfig());
-    OramEngine engine(*system.controller);
+    ShardedOramEngine engine(ShardRouter({1}, system.params.num_blocks),
+                             {system.controller.get()});
 
-    // 2. Submission never drives the controller; completions arrive via
-    //    callbacks (or takeCompletions()) once the caller polls.
-    engine.submitRead(
-        7, [](const OramEngine::Completion &c) {
+    // 2. Submission returns at once; the shard worker runs the requests
+    //    and completions arrive via callbacks (on the engine's drain
+    //    thread) or takeCompletions().
+    std::cout << "submitting...\n";
+    submitBehindBusyWorker(
+        engine, *system.controller,
+        [](const ShardedOramEngine::Completion &c) {
             std::cout << "  request " << c.id << " addr " << c.addr
                       << (c.coalesced ? " (coalesced)" : " (physical)")
                       << " latency " << c.latency_cycles
                       << " cycles\n";
         });
-    submitHotLoop(engine, 3);
-    std::cout << engine.pending()
-              << " requests queued, controller untouched: "
-              << system.controller->accessCount() << " accesses\n";
 
-    std::cout << "\npolling...\n";
-    engine.drain();
-
-    const OramEngine::Stats &stats = engine.stats();
-    std::cout << "\ncompleted " << stats.completed.value()
-              << " requests with " << stats.physical_accesses.value()
-              << " physical accesses (" << stats.coalesced.value()
-              << " coalesced away)\n";
+    const ShardedOramEngine::StatsSnapshot stats = engine.stats();
+    std::cout << "\ncompleted " << stats.completed << " requests with "
+              << stats.physical_accesses << " physical accesses ("
+              << stats.coalesced << " coalesced away)\n";
     // Reads observe the block as of their queue position: the opening
     // read predates the write, the coalesced ones see its folded value.
     for (const auto &c : engine.takeCompletions())
@@ -85,12 +111,11 @@ main()
     // 3. The same request stream without coalescing: every duplicate
     //    read pays a full path load + eviction.
     System twin = buildSystem(demoConfig());
-    EngineConfig raw;
+    ShardedEngineConfig raw;
     raw.coalesce = false;
-    OramEngine uncoalesced(*twin.controller, raw);
-    uncoalesced.submitRead(7);
-    submitHotLoop(uncoalesced, 3);
-    uncoalesced.drain();
+    ShardedOramEngine uncoalesced(ShardRouter({1}, twin.params.num_blocks),
+                                  {twin.controller.get()}, raw);
+    submitBehindBusyWorker(uncoalesced, *twin.controller, nullptr);
 
     const TrafficCounts fast = system.controller->traffic();
     const TrafficCounts slow = twin.controller->traffic();

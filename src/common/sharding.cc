@@ -1,22 +1,8 @@
 #include "common/sharding.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace psoram {
-
-const char *
-shardPolicyName(ShardPolicy policy)
-{
-    switch (policy) {
-      case ShardPolicy::Interleave:
-        return "interleave";
-      case ShardPolicy::Range:
-        return "range";
-    }
-    return "?";
-}
 
 std::uint64_t
 deriveShardSeed(std::uint64_t base_seed, unsigned shard,
@@ -42,7 +28,6 @@ ShardRouter::ShardRouter(const ShardingParams &params,
     if (total_ < params_.num_shards)
         PSORAM_PANIC("cannot split ", total_, " blocks across ",
                      params_.num_shards, " shards");
-    stride_ = (total_ + params_.num_shards - 1) / params_.num_shards;
 }
 
 ShardSlot
@@ -51,13 +36,8 @@ ShardRouter::route(BlockAddr addr) const
     if (addr >= total_)
         PSORAM_PANIC("address ", addr, " outside the ", total_,
                      "-block space");
-    if (params_.num_shards == 1)
-        return ShardSlot{0, addr};
-    if (params_.policy == ShardPolicy::Interleave)
-        return ShardSlot{static_cast<unsigned>(addr % params_.num_shards),
-                         addr / params_.num_shards};
-    return ShardSlot{static_cast<unsigned>(addr / stride_),
-                     addr % stride_};
+    return ShardSlot{static_cast<unsigned>(addr % params_.num_shards),
+                     addr / params_.num_shards};
 }
 
 BlockAddr
@@ -65,11 +45,7 @@ ShardRouter::globalAddr(unsigned shard, BlockAddr local) const
 {
     if (shard >= params_.num_shards)
         PSORAM_PANIC("shard ", shard, " out of range");
-    if (params_.num_shards == 1)
-        return local;
-    if (params_.policy == ShardPolicy::Interleave)
-        return local * params_.num_shards + shard;
-    return static_cast<BlockAddr>(shard) * stride_ + local;
+    return local * params_.num_shards + shard;
 }
 
 std::uint64_t
@@ -77,14 +53,8 @@ ShardRouter::shardBlocks(unsigned shard) const
 {
     if (shard >= params_.num_shards)
         PSORAM_PANIC("shard ", shard, " out of range");
-    if (params_.num_shards == 1)
-        return total_;
-    if (params_.policy == ShardPolicy::Interleave) {
-        const std::uint64_t base = total_ / params_.num_shards;
-        return base + (shard < total_ % params_.num_shards ? 1 : 0);
-    }
-    const std::uint64_t begin = static_cast<std::uint64_t>(shard) * stride_;
-    return begin >= total_ ? 0 : std::min(stride_, total_ - begin);
+    const std::uint64_t base = total_ / params_.num_shards;
+    return base + (shard < total_ % params_.num_shards ? 1 : 0);
 }
 
 } // namespace psoram

@@ -29,25 +29,12 @@
 
 namespace psoram {
 
-/** How logical block addresses are partitioned across shards. */
-enum class ShardPolicy
-{
-    /** shard = addr % N, local = addr / N. Spreads any access pattern
-     *  evenly; the default. */
-    Interleave,
-    /** Contiguous ranges of ceil(total/N) blocks per shard. Keeps
-     *  address locality inside one shard (useful when a workload is
-     *  range-partitioned by tenant). */
-    Range,
-};
-
-const char *shardPolicyName(ShardPolicy policy);
-
-/** Sharding configuration (config layer). */
+/** Sharding configuration (config layer). Addresses interleave:
+ *  shard = addr % N, local = addr / N, which spreads any access
+ *  pattern evenly. */
 struct ShardingParams
 {
     unsigned num_shards = 1;
-    ShardPolicy policy = ShardPolicy::Interleave;
 };
 
 /**
@@ -71,13 +58,12 @@ class ShardRouter
 {
   public:
     /**
-     * @param params partition shape (shard count + policy)
+     * @param params partition shape (shard count)
      * @param total_blocks logical block address space being split
      */
     ShardRouter(const ShardingParams &params, std::uint64_t total_blocks);
 
     unsigned numShards() const { return params_.num_shards; }
-    ShardPolicy policy() const { return params_.policy; }
     std::uint64_t totalBlocks() const { return total_; }
 
     /** Logical address -> (shard, shard-local address). */
@@ -92,8 +78,6 @@ class ShardRouter
   private:
     ShardingParams params_;
     std::uint64_t total_;
-    /** Range policy: blocks per shard (ceil). */
-    std::uint64_t stride_;
 };
 
 } // namespace psoram

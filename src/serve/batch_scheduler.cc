@@ -4,8 +4,8 @@
 
 namespace psoram::serve {
 
-BatchScheduler::BatchScheduler(ShardedOramEngine &engine, Config config)
-    : engine_(engine), config_(config)
+BatchScheduler::BatchScheduler(ShardedOramEngine &engine)
+    : engine_(engine)
 {
 }
 
@@ -15,33 +15,27 @@ BatchScheduler::submitRead(BlockAddr addr, Callback callback)
     ++stats_.reads;
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        if (config_.forward_writes) {
-            const auto pending = pending_writes_.find(addr);
-            if (pending != pending_writes_.end()) {
-                Result result;
-                result.addr = addr;
-                result.coalesced = true;
-                result.data = pending->second.data;
-                ++stats_.forwarded_reads;
-                lock.unlock();
-                // Inline completion on the submitting thread: the value
-                // is already known, no engine round-trip exists to
-                // defer to.
-                if (callback)
-                    callback(result);
-                return;
-            }
+        const auto pending = pending_writes_.find(addr);
+        if (pending != pending_writes_.end()) {
+            Result result;
+            result.addr = addr;
+            result.coalesced = true;
+            result.data = pending->second.data;
+            ++stats_.forwarded_reads;
+            lock.unlock();
+            // Inline completion on the submitting thread: the value is
+            // already known, no engine round-trip exists to defer to.
+            if (callback)
+                callback(result);
+            return;
         }
-        if (config_.dedupe_reads) {
-            const auto inflight = inflight_reads_.find(addr);
-            if (inflight != inflight_reads_.end()) {
-                inflight->second.waiters.push_back(
-                    Waiter{std::move(callback)});
-                ++stats_.deduped_reads;
-                return;
-            }
-            inflight_reads_.emplace(addr, InflightRead{});
+        const auto inflight = inflight_reads_.find(addr);
+        if (inflight != inflight_reads_.end()) {
+            inflight->second.waiters.push_back(Waiter{std::move(callback)});
+            ++stats_.deduped_reads;
+            return;
         }
+        inflight_reads_.emplace(addr, InflightRead{});
     }
     // Leader: the one submission that reaches the engine. Submitted
     // outside the lock — the engine applies submit-side backpressure
@@ -60,7 +54,7 @@ BatchScheduler::completeLeader(BlockAddr addr,
                                Callback leader_callback)
 {
     std::vector<Waiter> waiters;
-    if (config_.dedupe_reads) {
+    {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = inflight_reads_.find(addr);
         if (it != inflight_reads_.end()) {
@@ -128,19 +122,6 @@ BatchScheduler::drain()
     // the engine callback — by the time the engine is idle every
     // scheduler callback has fired too.
     engine_.drain();
-}
-
-void
-BatchScheduler::registerStats(StatGroup &group) const
-{
-    group.addCounter("reads", &stats_.reads, "reads admitted");
-    group.addCounter("writes", &stats_.writes, "writes admitted");
-    group.addCounter("engine_reads", &stats_.engine_reads,
-                     "leader reads submitted to the engine");
-    group.addCounter("deduped_reads", &stats_.deduped_reads,
-                     "reads attached to an in-flight leader");
-    group.addCounter("forwarded_reads", &stats_.forwarded_reads,
-                     "reads served from a pending write's payload");
 }
 
 } // namespace psoram::serve

@@ -2,7 +2,7 @@
  * @file
  * BatchScheduler: cross-request admission in front of ShardedOramEngine.
  *
- * The per-shard OramEngine already coalesces *back-to-back* same-block
+ * The shard worker already coalesces *back-to-back* same-block
  * requests inside one mailbox batch; this scheduler generalizes that to
  * requests that are merely *concurrent* — submitted by different
  * threads or interleaved with other keys:
@@ -48,19 +48,10 @@
 
 namespace psoram::serve {
 
-struct BatchSchedulerConfig
-{
-    /** Attach concurrent same-key reads to the in-flight leader. */
-    bool dedupe_reads = true;
-    /** Serve reads of a key with an in-flight write from its payload. */
-    bool forward_writes = true;
-};
-
 class BatchScheduler
 {
   public:
     using RequestId = std::uint64_t;
-    using Config = BatchSchedulerConfig;
 
     /** Outcome of one scheduled key access. */
     struct Result
@@ -75,7 +66,7 @@ class BatchScheduler
 
     using Callback = std::function<void(const Result &)>;
 
-    BatchScheduler(ShardedOramEngine &engine, Config config = Config());
+    explicit BatchScheduler(ShardedOramEngine &engine);
 
     BatchScheduler(const BatchScheduler &) = delete;
     BatchScheduler &operator=(const BatchScheduler &) = delete;
@@ -101,9 +92,6 @@ class BatchScheduler
         Counter forwarded_reads; ///< reads served from a pending write
     };
     const Stats &stats() const { return stats_; }
-
-    /** Register the scheduler counters with @p group (metrics export). */
-    void registerStats(StatGroup &group) const;
 
     const ShardedOramEngine &engine() const { return engine_; }
 
@@ -135,7 +123,6 @@ class BatchScheduler
                         Callback leader_callback);
 
     ShardedOramEngine &engine_;
-    Config config_;
     Stats stats_;
 
     std::mutex mutex_;

@@ -40,18 +40,11 @@ ShardedOramEngine::ShardedOramEngine(
     if (config_.pipeline_depth > 1)
         PSORAM_FATAL("pipeline_depth must be 0 or 1 (got ",
                      config_.pipeline_depth, ")");
-    EngineConfig inner;
-    inner.coalesce = config_.coalesce;
-    // Workers hand completions to the drain thread; the inner engines
-    // must not also retain them.
-    inner.record_completions = false;
     workers_.reserve(controllers.size());
     for (unsigned k = 0; k < controllers.size(); ++k) {
         auto worker = std::make_unique<Worker>();
         worker->shard = k;
         worker->controller = controllers[k];
-        worker->engine =
-            std::make_unique<OramEngine>(*controllers[k], inner);
         workers_.push_back(std::move(worker));
     }
     start();
@@ -164,75 +157,136 @@ ShardedOramEngine::workerLoop(Worker &worker)
         // The swap freed the whole mailbox; wake submitters parked on
         // the kMaxMailbox bound.
         worker.space_cv.notify_all();
-        // Feed the whole batch into the shard engine so back-to-back
-        // same-block requests coalesce exactly as in the single-shard
-        // stack, then run it to completion as one commit group. Only this thread touches
-        // the shard's controller, stash and device.
-        //
-        // Requests with no callback when completion records are off
-        // skip the drain thread entirely: nothing would observe the
-        // Completion, so copying it through the queue (plus a cv
-        // wakeup per request) would be pure overhead. They are counted
-        // in one batched idle update after the group commits.
-        std::uint64_t fire_and_forget = 0;
-        for (Request &request : batch) {
-            const bool silent =
-                !request.callback && !config_.record_completions;
-            if (silent)
-                ++fire_and_forget;
-            auto wrapped = silent
-                ? OramEngine::Callback()
-                : OramEngine::Callback(
-                      [this, id = request.id,
-                       global = request.global_addr,
-                       shard = worker.shard,
-                       callback = std::move(request.callback)](
-                          const OramEngine::Completion &inner) {
-                          Completion out;
-                          out.id = id;
-                          out.addr = global;
-                          out.shard = shard;
-                          out.local_addr = inner.addr;
-                          out.is_write = inner.is_write;
-                          out.coalesced = inner.coalesced;
-                          out.latency_cycles = inner.latency_cycles;
-                          out.info = inner.info;
-                          out.data = inner.data;
-                          deliver(std::move(out), std::move(callback));
-                      });
-            // Force the outer request id onto the inner engine so the
-            // shard controller's phase events carry the id the caller
-            // observed at submit time.
-            if (request.is_write)
-                worker.engine->submitWrite(request.local_addr,
-                                           request.data.data(),
-                                           std::move(wrapped),
-                                           request.id);
-            else
-                worker.engine->submitRead(request.local_addr,
-                                          std::move(wrapped),
-                                          request.id);
-        }
-        worker.engine->drain();
-        if (fire_and_forget != 0) {
-            {
-                std::lock_guard<std::mutex> lock(idle_mutex_);
-                completed_ += fire_and_forget;
-            }
-            idle_cv_.notify_all();
-        }
+        runBatch(worker, batch);
     }
 }
 
 void
-ShardedOramEngine::deliver(Completion completion, Callback callback)
+ShardedOramEngine::runBatch(Worker &worker, std::deque<Request> &batch)
 {
-    {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        completion_queue_.push_back(
-            Delivery{std::move(completion), std::move(callback)});
+    // Only this thread touches the shard's controller, stash and
+    // device.
+    PsOramController &ctrl = *worker.controller;
+    worker.submitted += batch.size();
+    // Completions not yet released, in request order.
+    std::vector<Delivery> unreleased;
+    std::uint64_t unobserved = 0;
+    ctrl.beginGroup();
+    for (std::size_t head = 0; head < batch.size();) {
+        // The next coalescing run: the head request plus every
+        // back-to-back successor addressing the same block.
+        const BlockAddr addr = batch[head].local_addr;
+        std::size_t end = head + 1;
+        while (config_.coalesce && end < batch.size() &&
+               batch[end].local_addr == addr)
+            ++end;
+
+        const Cycle start = ctrl.nowCycles();
+        std::array<std::uint8_t, kBlockDataBytes> block{};
+        OramAccessInfo info;
+        // A run headed by a read must observe the pre-run block value,
+        // so it opens with a physical read. A run headed by a write
+        // squashes the old value (writes are full-block), so no read
+        // is needed.
+        if (!batch[head].is_write) {
+            ctrl.setNextAccessId(batch[head].id);
+            info = ctrl.read(addr, block.data());
+            if (!info.stash_hit)
+                ++worker.physical_accesses;
+        }
+        // Fold the run over the local copy: each request observes the
+        // block as of its queue position (kept in its data field),
+        // writes squash in order.
+        bool any_write = false;
+        for (std::size_t i = head; i < end; ++i) {
+            if (batch[i].is_write) {
+                block = batch[i].data;
+                any_write = true;
+            }
+            batch[i].data = block;
+        }
+        // All folded writes land in one physical write of the final
+        // value.
+        if (any_write) {
+            ctrl.setNextAccessId(batch[head].id);
+            const OramAccessInfo winfo = ctrl.write(addr, block.data());
+            if (!winfo.stash_hit)
+                ++worker.physical_accesses;
+            if (batch[head].is_write)
+                info = winfo;
+        }
+
+        const Cycle latency = ctrl.nowCycles() - start;
+        const bool older_waiting = !unreleased.empty();
+        for (std::size_t i = head; i < end; ++i) {
+            Request &request = batch[i];
+            Delivery delivery;
+            Completion &out = delivery.completion;
+            out.id = request.id;
+            out.addr = request.global_addr;
+            out.shard = worker.shard;
+            out.local_addr = request.local_addr;
+            out.is_write = request.is_write;
+            out.coalesced = i > head;
+            out.latency_cycles = latency;
+            out.info = info;
+            out.data = request.data;
+            delivery.callback = std::move(request.callback);
+            unreleased.push_back(std::move(delivery));
+        }
+        // Nothing is acknowledged before it is durable: a completion
+        // waits for the group's sync while one is pending (and behind
+        // any that already wait, to keep the order).
+        if (!older_waiting && !ctrl.commitPending())
+            unobserved += release(worker, unreleased);
+        head = end;
     }
-    completion_cv_.notify_one();
+    if (ctrl.endGroup(batch.size())) {
+        ++worker.group_syncs;
+        worker.group_requests += batch.size();
+    }
+    unobserved += release(worker, unreleased);
+    if (unobserved != 0) {
+        {
+            std::lock_guard<std::mutex> lock(idle_mutex_);
+            completed_ += unobserved;
+        }
+        idle_cv_.notify_all();
+    }
+}
+
+std::uint64_t
+ShardedOramEngine::release(Worker &worker,
+                           std::vector<Delivery> &deliveries)
+{
+    // Requests with no callback when completion records are off skip
+    // the drain thread entirely: nothing would observe the Completion,
+    // so queueing it (plus a drain-thread wakeup) would be pure
+    // overhead. The caller counts them in one batched idle update
+    // after the group commits.
+    const auto observed = [this](const Delivery &delivery) {
+        return delivery.callback || config_.record_completions;
+    };
+    std::uint64_t unobserved = 0;
+    for (const Delivery &delivery : deliveries) {
+        ++worker.completed;
+        if (delivery.completion.coalesced)
+            ++worker.coalesced;
+        PSORAM_TRACE_INSTANT("engine", "complete", delivery.completion.id);
+        if (!observed(delivery))
+            ++unobserved;
+    }
+    if (unobserved < deliveries.size()) {
+        {
+            std::lock_guard<std::mutex> lock(completion_mutex_);
+            for (Delivery &delivery : deliveries)
+                if (observed(delivery))
+                    completion_queue_.push_back(std::move(delivery));
+        }
+        completion_cv_.notify_one();
+    }
+    deliveries.clear();
+    return unobserved;
 }
 
 void
@@ -299,18 +353,16 @@ ShardedOramEngine::StatsSnapshot
 ShardedOramEngine::shardStats(unsigned shard) const
 {
     const Worker &worker = *workers_.at(shard);
-    const OramEngine::Stats &inner = worker.engine->stats();
     StatsSnapshot snap;
-    snap.submitted = inner.submitted.value();
-    snap.completed = inner.completed.value();
-    snap.physical_accesses = inner.physical_accesses.value();
-    snap.coalesced = inner.coalesced.value();
+    snap.submitted = worker.submitted.value();
+    snap.completed = worker.completed.value();
+    snap.physical_accesses = worker.physical_accesses.value();
+    snap.coalesced = worker.coalesced.value();
     snap.controller_accesses = worker.controller->accessCount();
     snap.stash_hits = worker.controller->stashHits();
     snap.backpressure_waits = worker.backpressure_waits.value();
-    const Distribution::Snapshot groups = inner.group_size.snapshot();
-    snap.group_syncs = groups.count;
-    snap.group_requests = static_cast<std::uint64_t>(groups.sum);
+    snap.group_syncs = worker.group_syncs.value();
+    snap.group_requests = worker.group_requests.value();
     return snap;
 }
 

@@ -5,24 +5,32 @@
  * Topology: one worker thread per shard plus one completion drain
  * thread.
  *
- *   submit*() --route--> per-shard mailbox --worker--> shard OramEngine
+ *   submit*() --route--> per-shard mailbox --worker--> shard controller
  *                                                         |
  *   callbacks / takeCompletions() <-- drain thread <-- completion queue
  *
  * Each worker owns its shard's controller exclusively: it swaps its
- * mailbox empty and pushes the batch through a per-shard OramEngine, so
- * same-block coalescing is per shard and requests to one logical
- * address retain submission order (an address always routes to the same
- * shard). Workers never touch another shard's state; the only shared
- * structures are the mailboxes and the completion queue, both
- * mutex-guarded.
+ * mailbox empty and runs the batch on the controller in submission
+ * order (an address always routes to the same shard, so requests to
+ * one logical address keep their order). Workers never touch another
+ * shard's state; the only shared structures are the mailboxes and the
+ * completion queue, both mutex-guarded.
  *
- * Each swapped batch is one commit group (OramEngine::drain): a shard
- * on a backend that logs writes first (the disk tree) runs the batch's
- * k accesses, syncs its log once, and only then releases the k
- * completions — nothing is acknowledged before it is durable. On a
- * backend whose writes are durable at once nothing waits, and
- * completions flow per access.
+ * Back-to-back requests to the same block inside one batch are
+ * *coalesced*: a run of duplicate reads (or a write-led run) costs one
+ * path load/eviction, and a read-then-write run costs two — the folded
+ * writes land as one physical write of the final value, and each
+ * request observes the block as of its queue position. This mirrors a
+ * write-combining front buffer and is safe for obliviousness: the
+ * adversary observes one access where the trace had a run of accesses
+ * to one (hidden) address, revealing nothing about which address.
+ *
+ * Each swapped batch is one commit group (PsOramController::
+ * beginGroup/endGroup): a shard on a backend that logs writes first
+ * (the disk tree) runs the batch's k accesses, syncs its log once, and
+ * only then releases the k completions — nothing is acknowledged
+ * before it is durable. On a backend whose writes are durable at once
+ * nothing waits, and completions flow per coalescing run.
  *
  * Completion callbacks fire on the drain thread — never on a worker and
  * never on the submitting thread — so user callbacks are serialized and
@@ -30,8 +38,8 @@
  * other. Do not submit new requests from inside a callback while
  * drain() is waiting.
  *
- * Statistics are per-shard accumulators (the shard engines' relaxed
- * Counters) merged on read; stats() is safe to call while workers run.
+ * Statistics are per-shard relaxed counters on each worker, merged on
+ * read; stats() is safe to call while workers run.
  */
 
 #ifndef PSORAM_SIM_SHARDED_ENGINE_HH
@@ -49,7 +57,11 @@
 #include <vector>
 
 #include "common/sharding.hh"
-#include "sim/engine.hh"
+#include "common/stats.hh"
+#include "common/types.hh"
+#include "oram/block.hh"
+#include "oram/controller.hh"
+#include "psoram/psoram_controller.hh"
 #include "sim/sharded_system.hh"
 
 namespace psoram {
@@ -57,7 +69,7 @@ namespace psoram {
 /** Sharded-engine tunables. */
 struct ShardedEngineConfig
 {
-    /** Per-shard same-block coalescing (see OramEngine). */
+    /** Per-shard same-block coalescing (see the file comment). */
     bool coalesce = true;
     /** Keep completion records for takeCompletions(); benches turn
      *  this off so multi-million-request runs stay bounded. */
@@ -89,10 +101,15 @@ class ShardedOramEngine
         unsigned shard = 0;
         BlockAddr local_addr = 0;
         bool is_write = false;
+        /** Served by an earlier request's physical access. */
         bool coalesced = false;
-        /** Shard-controller cycles from the batch's first activity. */
+        /** Shard-controller cycles from the first activity of the
+         *  request's coalescing run to its completion. */
         Cycle latency_cycles = 0;
+        /** Controller-level outcome of the run's physical access. */
         OramAccessInfo info;
+        /** Block contents observed by the request (read result, or the
+         *  written data echoed back). */
         std::array<std::uint8_t, kBlockDataBytes> data{};
     };
 
@@ -140,9 +157,13 @@ class ShardedOramEngine
     /** Merged-on-read statistics snapshot. */
     struct StatsSnapshot
     {
+        /** Requests a worker took from its mailbox. */
         std::uint64_t submitted = 0;
+        /** Completions released (after their group's sync). */
         std::uint64_t completed = 0;
+        /** Controller accesses that touched the tree (no stash hit). */
         std::uint64_t physical_accesses = 0;
+        /** Requests absorbed into an earlier request's access. */
         std::uint64_t coalesced = 0;
         /** Controller-level accesses (stash hits included). */
         std::uint64_t controller_accesses = 0;
@@ -181,12 +202,11 @@ class ShardedOramEngine
         Callback callback;
     };
 
-    /** One shard's mailbox + inner engine + thread. */
+    /** One shard's mailbox + thread + counters. */
     struct Worker
     {
         unsigned shard = 0;
         PsOramController *controller = nullptr;
-        std::unique_ptr<OramEngine> engine;
         std::mutex mutex;
         std::condition_variable cv;
         /** Signals mailbox space to submitters blocked on the
@@ -194,8 +214,15 @@ class ShardedOramEngine
         std::condition_variable space_cv;
         std::deque<Request> mailbox;
         bool stop = false;
-        /** Submits that blocked on this mailbox's kMaxMailbox bound. */
+        /** @{ Counters (StatsSnapshot has their meaning). */
+        Counter submitted;
+        Counter completed;
+        Counter physical_accesses;
+        Counter coalesced;
         Counter backpressure_waits;
+        Counter group_syncs;
+        Counter group_requests;
+        /** @} */
         std::thread thread;
     };
 
@@ -208,8 +235,13 @@ class ShardedOramEngine
     RequestId submit(BlockAddr addr, bool is_write,
                      const std::uint8_t *data, Callback callback);
     void workerLoop(Worker &worker);
+    /** Run one swapped mailbox batch as one commit group. */
+    void runBatch(Worker &worker, std::deque<Request> &batch);
+    /** Count and trace completions, then hand the observed ones to the
+     *  drain thread; @return how many nothing observes. */
+    std::uint64_t release(Worker &worker,
+                          std::vector<Delivery> &deliveries);
     void drainLoop();
-    void deliver(Completion completion, Callback callback);
     void start();
 
     ShardRouter router_;

@@ -3,8 +3,7 @@
  * BatchScheduler tests: read dedup (one physical access fans out the
  * same value to every waiter), read-after-write forwarding (a read of
  * a key with an in-flight write completes inline with the pending
- * payload), drain semantics, and the config switches that disable each
- * optimization.
+ * payload) and drain semantics.
  *
  * The engine runs real worker threads, so "concurrent" is made
  * deterministic by queueing filler requests on the target shard first:
@@ -37,7 +36,6 @@ shardedConfig(unsigned shards)
     config.base.stash_capacity = 64;
     config.base.seed = 23;
     config.sharding.num_shards = shards;
-    config.sharding.policy = ShardPolicy::Interleave;
     return config;
 }
 
@@ -225,58 +223,6 @@ TEST(BatchScheduler, ConcurrentSubmittersSeeConsistentValues)
                   scheduler.stats().forwarded_reads.value(),
               800u)
         << "every read is a leader, a waiter, or a forward";
-}
-
-TEST(BatchScheduler, DisabledOptimizationsFallThroughToEngine)
-{
-    ShardedSystem system = buildShardedSystem(shardedConfig(2));
-    ShardRouter router(system.config.sharding,
-                       system.config.base.num_blocks);
-    ShardedOramEngine engine(system);
-    BatchSchedulerConfig config;
-    config.dedupe_reads = false;
-    config.forward_writes = false;
-    BatchScheduler scheduler(engine, config);
-
-    constexpr BlockAddr kKey = 13;
-    scheduler.submitWrite(kKey, payload(kKey, 6).data());
-    scheduler.drain();
-
-    stallShardOf(scheduler, router, kKey, 16,
-                 system.config.base.num_blocks);
-    std::atomic<int> completions{0};
-    for (int i = 0; i < 4; ++i)
-        scheduler.submitRead(kKey,
-                             [&](const BatchScheduler::Result &result) {
-                                 EXPECT_FALSE(result.coalesced);
-                                 EXPECT_EQ(result.data,
-                                           payload(kKey, 6));
-                                 completions.fetch_add(1);
-                             });
-    scheduler.drain();
-
-    EXPECT_EQ(completions.load(), 4);
-    EXPECT_EQ(scheduler.stats().deduped_reads.value(), 0u);
-    EXPECT_EQ(scheduler.stats().forwarded_reads.value(), 0u);
-    EXPECT_EQ(scheduler.stats().engine_reads.value(), 20u);
-}
-
-TEST(BatchScheduler, StatsRegisterWithGroup)
-{
-    ShardedSystem system = buildShardedSystem(shardedConfig(2));
-    ShardedOramEngine engine(system);
-    BatchScheduler scheduler(engine);
-
-    StatGroup group("scheduler");
-    scheduler.registerStats(group);
-    scheduler.submitRead(5, nullptr);
-    scheduler.submitRead(5, nullptr);
-    scheduler.drain();
-
-    EXPECT_EQ(group.counterValue("reads"), 2u);
-    EXPECT_EQ(group.counterValue("engine_reads") +
-                  group.counterValue("deduped_reads"),
-              2u);
 }
 
 } // namespace

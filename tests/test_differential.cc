@@ -94,13 +94,14 @@ runDifferential(DesignKind design)
                 << " diverged from Path ORAM at op " << op << " addr "
                 << addr;
             if (const auto it = reference.find(addr);
-                it != reference.end())
+                it != reference.end()) {
                 ASSERT_EQ(std::memcmp(ps_out, it->second.data(),
                                       kBlockDataBytes),
                           0)
                     << designName(design)
                     << " diverged from the reference at op " << op
                     << " addr " << addr;
+            }
         }
     }
 }

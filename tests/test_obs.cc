@@ -22,7 +22,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/engine.hh"
 #include "sim/sharded_engine.hh"
 #include "sim/sharded_system.hh"
 #include "sim/system.hh"
@@ -127,7 +126,8 @@ TEST(ObsTrace, SingleShardPhaseEventsNestWithinTheirAccess)
     TraceRecorder::instance().enable();
 
     System system = buildSystem(obsConfig());
-    OramEngine engine(*system.controller);
+    ShardedOramEngine engine(ShardRouter({1}, system.params.num_blocks),
+                             {system.controller.get()});
     for (BlockAddr addr = 0; addr < 60; ++addr) {
         std::uint8_t buf[kBlockDataBytes] = {
             static_cast<std::uint8_t>(addr)};

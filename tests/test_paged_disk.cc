@@ -31,7 +31,7 @@
 #include "nvm/device.hh"
 #include "nvm/fault_injector.hh"
 #include "nvm/paged_disk.hh"
-#include "sim/engine.hh"
+#include "sim/sharded_engine.hh"
 #include "sim/system.hh"
 
 namespace psoram {
@@ -983,9 +983,11 @@ TEST(PagedDisk, OutOfCorePathIoShape)
         ASSERT_GE(disk->numPages(), 8 * config.disk_cache_pages)
             << "tree is not out of core";
 
-        EngineConfig engine_config;
+        ShardedEngineConfig engine_config;
         engine_config.record_completions = false;
-        OramEngine engine(*system.controller, engine_config);
+        ShardedOramEngine engine(
+            ShardRouter({1}, system.params.num_blocks),
+            {system.controller.get()}, engine_config);
         std::uint8_t buf[kBlockDataBytes] = {};
         BlockAddr addr = 0;
         const auto writeBatch = [&](unsigned count) {
@@ -998,13 +1000,13 @@ TEST(PagedDisk, OutOfCorePathIoShape)
         writeBatch(256); // warm tree, stash and page cache
         disk->resetStats();
         const std::uint64_t physical_before =
-            engine.stats().physical_accesses.value();
+            engine.stats().physical_accesses;
         for (int batch = 0; batch < 4; ++batch)
             writeBatch(128);
 
         const PagedDiskBackend::IoStats io = disk->ioStats();
         const std::uint64_t accesses =
-            engine.stats().physical_accesses.value() - physical_before;
+            engine.stats().physical_accesses - physical_before;
         ASSERT_GT(accesses, 0u);
         const auto perAccess = [&](std::uint64_t count) {
             return static_cast<double>(count) /

@@ -14,7 +14,6 @@
 #include <cstdint>
 
 #include "common/stats.hh"
-#include "sim/engine.hh"
 #include "sim/sharded_engine.hh"
 #include "sim/sharded_system.hh"
 #include "sim/system.hh"
@@ -34,17 +33,25 @@ phaseConfig(DesignKind design)
     return config;
 }
 
+/** A one-shard engine in front of @p system's controller. */
+ShardedOramEngine
+frontOf(System &system)
+{
+    return ShardedOramEngine(ShardRouter({1}, system.params.num_blocks),
+                             {system.controller.get()});
+}
+
 /** Drive @p accesses writes through the engine; returns the sum of the
  *  engine-observed completion latencies (simulated cycles). */
 std::uint64_t
-driveWrites(System &system, OramEngine &engine, unsigned accesses)
+driveWrites(System &system, ShardedOramEngine &engine, unsigned accesses)
 {
     std::uint8_t buf[kBlockDataBytes] = {};
     for (unsigned i = 0; i < accesses; ++i)
         engine.submitWrite((i * 7) % system.params.num_blocks, buf);
     engine.drain();
     std::uint64_t total_cycles = 0;
-    for (const OramEngine::Completion &c : engine.takeCompletions())
+    for (const ShardedOramEngine::Completion &c : engine.takeCompletions())
         total_cycles += c.latency_cycles;
     return total_cycles;
 }
@@ -53,7 +60,7 @@ void
 checkPhaseIdentity(DesignKind design)
 {
     System system = buildSystem(phaseConfig(design));
-    OramEngine engine(*system.controller);
+    ShardedOramEngine engine = frontOf(system);
     const std::uint64_t engine_cycles = driveWrites(system, engine, 200);
 
     const PhaseLatencyStats &ns = system.controller->phaseHostNs();
@@ -101,7 +108,7 @@ TEST(PhaseLatency, PhasesSumToAccessTotal_NaivePsOram)
 TEST(PhaseLatency, NonPersistentDesignHasZeroDrainTime)
 {
     System system = buildSystem(phaseConfig(DesignKind::Baseline));
-    OramEngine engine(*system.controller);
+    ShardedOramEngine engine = frontOf(system);
     driveWrites(system, engine, 100);
 
     const PhaseLatencyStats &cyc = system.controller->phaseSimCycles();
@@ -171,12 +178,11 @@ TEST(PhaseLatency, ShardedMergedViewCoversEveryPhysicalAccess)
 TEST(PhaseLatency, ControllerRegisterStatsExposesPhaseDistributions)
 {
     System system = buildSystem(phaseConfig(DesignKind::PsOram));
-    OramEngine engine(*system.controller);
+    ShardedOramEngine engine = frontOf(system);
     driveWrites(system, engine, 50);
 
     StatGroup group("ctrl");
     system.controller->registerStats(group);
-    engine.registerStats(group);
 
     const StatGroup::Snapshot snap = group.snapshot();
     bool has_phase_ns_remap = false;
@@ -192,7 +198,7 @@ TEST(PhaseLatency, ControllerRegisterStatsExposesPhaseDistributions)
     EXPECT_TRUE(has_phase_ns_remap);
     EXPECT_TRUE(has_phase_cycles_drain);
 
-    EXPECT_EQ(group.counterValue("submitted"), 50u);
+    EXPECT_EQ(engine.stats().submitted, 50u);
     EXPECT_EQ(group.counterValue("accesses"),
               system.controller->accessCount());
 }

@@ -237,13 +237,11 @@ chi2Bound(std::uint64_t df)
  * skewed shard behind a balanced one.
  */
 void
-expectShardedLeavesUniform(unsigned num_shards, ShardPolicy policy,
-                           std::uint64_t seed)
+expectShardedLeavesUniform(unsigned num_shards, std::uint64_t seed)
 {
     ShardedSystemConfig config;
     config.base = secConfig(DesignKind::PsOram, seed);
     config.sharding.num_shards = num_shards;
-    config.sharding.policy = policy;
     ShardedSystem sharded = buildShardedSystem(config);
 
     std::vector<std::vector<PathId>> leaves(sharded.numShards());
@@ -268,29 +266,22 @@ expectShardedLeavesUniform(unsigned num_shards, ShardPolicy policy,
             sharded.shards[s]
                 .params.data_layout.geometry.numLeaves();
         ASSERT_GT(leaves[s].size(), shard_leaves * 20)
-            << "shard " << s << " barely exercised ("
-            << shardPolicyName(policy) << ")";
+            << "shard " << s << " barely exercised";
         EXPECT_LT(chiSquare(leaves[s], shard_leaves),
                   chi2Bound(shard_leaves - 1))
             << "shard " << s << " leaf distribution skewed ("
-            << shardPolicyName(policy) << ", " << num_shards
-            << " shards)";
+            << num_shards << " shards)";
     }
 }
 
 TEST(Security, ShardedLeavesAreUniformPerShard2)
 {
-    expectShardedLeavesUniform(2, ShardPolicy::Interleave, 51);
+    expectShardedLeavesUniform(2, 51);
 }
 
 TEST(Security, ShardedLeavesAreUniformPerShard4)
 {
-    expectShardedLeavesUniform(4, ShardPolicy::Interleave, 53);
-}
-
-TEST(Security, ShardedLeavesAreUniformPerShardRangePolicy)
-{
-    expectShardedLeavesUniform(4, ShardPolicy::Range, 57);
+    expectShardedLeavesUniform(4, 53);
 }
 
 TEST(Security, SingleShardMatchesUnshardedLeafSequence)

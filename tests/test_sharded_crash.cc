@@ -25,7 +25,6 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,8 +33,8 @@
 #include "nvm/fault_injector.hh"
 #include "nvm/paged_disk.hh"
 #include "sim/crash_enumerator.hh"
-#include "sim/engine.hh"
 #include "sim/recovery_invariants.hh"
+#include "sim/sharded_engine.hh"
 #include "sim/sharded_system.hh"
 
 namespace psoram {
@@ -295,12 +294,15 @@ TEST(ShardedCrash, ShardBackingFilesAreDistinct)
 }
 
 /**
- * Engine-driven kill of one file-backed (in-core disk) shard in the
- * middle of a WPQ drain: every shard runs its own OramEngine over a
- * shared trace, the victim shard's injector fires at a fixed boundary
- * inside a drain, the victim recovers, and every shard must satisfy
- * the recovery invariants and keep serving verified traffic through
- * fresh engines.
+ * Kill of one file-backed (in-core disk) shard in the middle of a WPQ
+ * drain: every shard runs its share of a shared trace as one commit
+ * group, the way a shard worker runs a mailbox batch, the victim
+ * shard's injector fires at a fixed boundary inside a drain, the victim
+ * recovers, and every shard must satisfy the recovery invariants and
+ * keep serving verified traffic through a fresh sharded engine. The
+ * groups run on the test thread because an injected fault is thrown on
+ * the thread that runs the access, and a worker has no caller to throw
+ * it to.
  */
 void
 engineKillMidDrain(unsigned num_shards)
@@ -359,31 +361,30 @@ engineKillMidDrain(unsigned num_shards)
         makeCrashTrace(11, 96, sharded.router.totalBlocks(), 0.7);
     bool crashed = false;
     std::uint8_t buf[kBlockDataBytes];
-    {
-        EngineConfig engine_config;
-        engine_config.record_completions = false;
-        std::vector<std::unique_ptr<OramEngine>> engines;
-        for (unsigned s = 0; s < sharded.numShards(); ++s)
-            engines.push_back(std::make_unique<OramEngine>(
-                sharded.controller(s), engine_config));
-        try {
+    try {
+        for (unsigned s = 0; s < sharded.numShards(); ++s) {
+            PsOramController &ctrl = sharded.controller(s);
+            std::size_t served = 0;
+            ctrl.beginGroup();
             for (const TraceOp &op : trace) {
                 const ShardSlot slot = sharded.router.route(op.addr);
+                if (slot.shard != s)
+                    continue;
                 if (op.is_write) {
                     stampPayload(slot.local, op.version, buf);
-                    // Bumped at submit: a write still queued when the
-                    // fault lands only widens the old-or-new window.
-                    oracles[slot.shard].latest[slot.local] = op.version;
-                    engines[slot.shard]->submitWrite(slot.local, buf);
+                    // Bumped before the access: a write the fault cuts
+                    // off only widens the old-or-new window.
+                    oracles[s].latest[slot.local] = op.version;
+                    ctrl.write(slot.local, buf);
                 } else {
-                    engines[slot.shard]->submitRead(slot.local);
+                    ctrl.read(slot.local, buf);
                 }
+                ++served;
             }
-            for (auto &engine : engines)
-                engine->drain();
-        } catch (const InjectedFault &) {
-            crashed = true;
+            ctrl.endGroup(served);
         }
+    } catch (const InjectedFault &) {
+        crashed = true;
     }
     injector.disarm();
     ASSERT_TRUE(crashed) << "no mid-drain boundary was reached";
@@ -396,35 +397,28 @@ engineKillMidDrain(unsigned num_shards)
 
     // The recovered stack must still serve verified traffic.
     {
-        EngineConfig engine_config;
-        std::vector<std::unique_ptr<OramEngine>> engines;
-        for (unsigned s = 0; s < sharded.numShards(); ++s)
-            engines.push_back(std::make_unique<OramEngine>(
-                sharded.controller(s), engine_config));
+        ShardedOramEngine engine(sharded);
         Rng rng(23);
         std::map<BlockAddr, std::uint32_t> post;
         for (std::size_t op = 0; op < 64; ++op) {
             const BlockAddr addr =
                 rng.nextBelow(sharded.router.totalBlocks());
-            const ShardSlot slot = sharded.router.route(addr);
             if (rng.nextBool(0.5)) {
                 const auto version =
                     static_cast<std::uint32_t>(3'000'000 + op);
-                stampPayload(slot.local, version, buf);
-                engines[slot.shard]->submitWrite(slot.local, buf);
+                stampPayload(sharded.router.route(addr).local, version,
+                             buf);
+                engine.submitWrite(addr, buf);
                 post[addr] = version;
             } else if (post.count(addr)) {
                 const std::uint32_t expect = post[addr];
-                engines[slot.shard]->submitRead(
-                    slot.local,
-                    [expect](const OramEngine::Completion &c) {
-                        EXPECT_EQ(payloadVersion(c.data.data()),
-                                  expect);
+                engine.submitRead(
+                    addr, [expect](const ShardedOramEngine::Completion &c) {
+                        EXPECT_EQ(payloadVersion(c.data.data()), expect);
                     });
             }
         }
-        for (auto &engine : engines)
-            engine->drain();
+        engine.drain();
     }
     scrub();
 }

@@ -25,7 +25,7 @@ namespace psoram {
 namespace {
 
 ShardedSystemConfig
-shardedConfig(unsigned shards, ShardPolicy policy = ShardPolicy::Interleave)
+shardedConfig(unsigned shards)
 {
     ShardedSystemConfig config;
     config.base.design = DesignKind::PsOram;
@@ -34,7 +34,6 @@ shardedConfig(unsigned shards, ShardPolicy policy = ShardPolicy::Interleave)
     config.base.stash_capacity = 64;
     config.base.seed = 17;
     config.sharding.num_shards = shards;
-    config.sharding.policy = policy;
     return config;
 }
 
@@ -51,7 +50,7 @@ TEST(ShardRouter, InterleaveRoundTripsAndCovers)
 {
     for (const unsigned n : {1u, 2u, 3u, 4u, 8u}) {
         const std::uint64_t total = 109; // prime: uneven shard sizes
-        ShardRouter router({n, ShardPolicy::Interleave}, total);
+        ShardRouter router({n}, total);
 
         std::uint64_t covered = 0;
         for (unsigned k = 0; k < n; ++k)
@@ -67,31 +66,9 @@ TEST(ShardRouter, InterleaveRoundTripsAndCovers)
     }
 }
 
-TEST(ShardRouter, RangeRoundTripsAndCovers)
-{
-    for (const unsigned n : {1u, 2u, 3u, 5u}) {
-        const std::uint64_t total = 97;
-        ShardRouter router({n, ShardPolicy::Range}, total);
-
-        std::uint64_t covered = 0;
-        for (unsigned k = 0; k < n; ++k)
-            covered += router.shardBlocks(k);
-        EXPECT_EQ(covered, total);
-
-        BlockAddr previous_shard = 0;
-        for (BlockAddr addr = 0; addr < total; ++addr) {
-            const ShardSlot slot = router.route(addr);
-            // Ranges are monotone in the address.
-            EXPECT_GE(slot.shard, previous_shard);
-            previous_shard = slot.shard;
-            EXPECT_EQ(router.globalAddr(slot.shard, slot.local), addr);
-        }
-    }
-}
-
 TEST(ShardRouter, SingleShardIsIdentity)
 {
-    ShardRouter router({1, ShardPolicy::Interleave}, 64);
+    ShardRouter router({1}, 64);
     for (BlockAddr addr = 0; addr < 64; ++addr) {
         const ShardSlot slot = router.route(addr);
         EXPECT_EQ(slot.shard, 0u);

@@ -311,7 +311,7 @@ runShardedTrafficDigests(DesignKind design, CipherKind cipher,
 
 // The single-shard fast path must be byte-identical to the unsharded
 // stack: same golden digest as PsOramAesCtr10k, produced through the
-// mailbox -> worker -> per-shard engine pipeline.
+// mailbox -> shard worker -> controller pipeline.
 TEST(TrafficEquivalence, ShardedSingleShardByteIdentical)
 {
     const std::vector<std::uint64_t> digests = runShardedTrafficDigests(

@@ -74,9 +74,10 @@ TEST(TreeGeometry, CommonLevelProperties)
             // The buckets at the common level coincide...
             EXPECT_EQ(geo.bucketAt(a, ab), geo.bucketAt(b, ab));
             // ...and diverge one level deeper.
-            if (ab < geo.height)
+            if (ab < geo.height) {
                 EXPECT_NE(geo.bucketAt(a, ab + 1),
                           geo.bucketAt(b, ab + 1));
+            }
         }
     }
 }

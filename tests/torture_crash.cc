@@ -314,8 +314,6 @@ runShardedInner(TortureCase &tc, Rng &rng, IterationStats &stats,
     ShardedSystemConfig config;
     config.base = tc.system;
     config.sharding.num_shards = tc.num_shards;
-    config.sharding.policy = rng.nextBool(0.5) ? ShardPolicy::Interleave
-                                               : ShardPolicy::Range;
     ShardedSystem sharded = buildShardedSystem(config);
 
     std::vector<RecoveryOracle> oracles(sharded.numShards());
