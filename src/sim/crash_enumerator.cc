@@ -1,5 +1,6 @@
 #include "sim/crash_enumerator.hh"
 
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -48,39 +49,73 @@ CrashEnumSummary::describe() const
 
 namespace {
 
-/**
- * Drive @p trace against @p system with @p oracle tracking durability.
- * @return true if an InjectedFault aborted the run.
- */
-bool
-runTrace(System &system, const std::vector<TraceOp> &trace,
+/** Drive config.trace against @p system in commit groups, @p oracle
+ *  tracking every write. @return where a fault aborted it */
+CrashReplay
+runTrace(System &system, const CrashEnumConfig &config,
          RecoveryOracle &oracle)
 {
+    CrashReplay replay;
+    PsOramController &ctrl = *system.controller;
+    const Drainer *drainer = ctrl.drainer();
+    const std::size_t group = config.commit_group;
     std::uint8_t buf[kBlockDataBytes];
-    for (const TraceOp &op : trace) {
-        try {
+    std::uint64_t rounds_before = 0;
+    try {
+        for (std::size_t i = 0; i < config.trace.size(); ++i) {
+            const TraceOp &op = config.trace[i];
+            rounds_before = drainer ? drainer->roundsIssued() : 0;
+            if (group > 1 && i % group == 0)
+                ctrl.beginGroup();
             if (op.is_write) {
+                // Before the access: a cut write may persist or not.
+                oracle.latest[op.addr] = op.version;
                 stampPayload(op.addr, op.version, buf);
-                system.controller->write(op.addr, buf);
-                oracle.latest[op.addr] = op.version;
+                ctrl.write(op.addr, buf);
             } else {
-                system.controller->read(op.addr, buf);
+                ctrl.read(op.addr, buf);
             }
-        } catch (const InjectedFault &) {
-            // The in-flight write may or may not have persisted — both
-            // outcomes are legal under old-or-new.
-            if (op.is_write)
-                oracle.latest[op.addr] = op.version;
-            return true;
+            if (group > 1 &&
+                ((i + 1) % group == 0 || i + 1 == config.trace.size()))
+                ctrl.endGroup(i % group + 1);
         }
+    } catch (const InjectedFault &fault) {
+        replay.fired = true;
+        replay.kind = fault.kind();
+        replay.mid_eviction =
+            drainer && drainer->roundsIssued() > rounds_before;
     }
-    return false;
+    return replay;
 }
 
 } // namespace
 
-std::vector<std::string>
+std::vector<PersistBoundary>
+probeCrashPoints(const CrashEnumConfig &config)
+{
+    std::vector<PersistBoundary> kinds;
+    FaultInjector injector;
+    injector.setObserver([&kinds](PersistBoundary kind, std::uint64_t) {
+        kinds.push_back(kind);
+    });
+    removeDiskTrees(config.system.backing_file);
+    System system = buildSystem(config.system);
+    system.attachFaultInjector(&injector);
+    RecoveryOracle oracle;
+    runTrace(system, config, oracle);
+    return kinds;
+}
+
+CrashReplay
 runArmedCrash(const CrashEnumConfig &config, std::uint64_t k)
+{
+    return runArmedCrash(config, [k](System &, FaultInjector &injector) {
+        injector.armAt(k);
+    });
+}
+
+CrashReplay
+runArmedCrash(const CrashEnumConfig &config, const CrashArming &arm)
 {
     // Record this replay in isolation: a failure then writes exactly
     // the dying run's events, not the whole enumeration's history.
@@ -91,32 +126,29 @@ runArmedCrash(const CrashEnumConfig &config, std::uint64_t k)
         recorder.clear();
     }
 
+    FaultInjector injector;
+    removeDiskTrees(config.system.backing_file); // a fresh tree on disk
     System system = buildSystem(config.system);
     RecoveryOracle oracle;
     system.controller->setCommitObserver(oracle.observer());
     system.setRebindHook([&oracle](PsOramController &ctrl) {
         ctrl.setCommitObserver(oracle.observer());
     });
-
-    FaultInjector injector;
     system.attachFaultInjector(&injector);
-    injector.armAt(k);
+    arm(system, injector);
 
-    const bool crashed = runTrace(system, config.trace, oracle);
-    const std::string where =
-        "boundary " + std::to_string(k) +
-        (injector.fired()
-             ? std::string(" (") +
-                   persistBoundaryName(injector.firedKind()) + ")"
-             : std::string(" (never fired)"));
-    std::vector<std::string> violations;
-    if (!crashed) {
-        violations.push_back(where +
-                             ": trace completed without the armed fault "
-                             "firing — k outside the boundary domain?");
-        return violations;
+    CrashReplay replay = runTrace(system, config, oracle);
+    std::vector<std::string> &violations = replay.violations;
+    if (!replay.fired) {
+        violations.push_back("the armed fault never fired");
+        return replay;
     }
+    const std::uint64_t k = injector.firedIndex();
+    const std::string where = "boundary " + std::to_string(k) + " (" +
+                              persistBoundaryName(replay.kind) + ")";
 
+    if (config.before_recovery)
+        config.before_recovery(system);
     // Power failure: ADR flush, volatile state lost, rebuild, recover.
     system.recoverController();
     if (config.recovery_stats)
@@ -157,38 +189,28 @@ runArmedCrash(const CrashEnumConfig &config, std::uint64_t k)
             *system.device, system.params.flight_recorder_base,
             system.params.flight_recorder_records));
     }
-    return violations;
+    return replay;
 }
 
 CrashEnumSummary
 enumerateCrashPoints(const CrashEnumConfig &config)
 {
     CrashEnumSummary summary;
-
-    // Probe run: count the boundary population for this (config, trace).
-    {
-        System system = buildSystem(config.system);
-        RecoveryOracle oracle;
-        FaultInjector injector;
-        system.attachFaultInjector(&injector);
-        runTrace(system, config.trace, oracle);
-        summary.total_boundaries = injector.boundariesSeen();
-        for (std::size_t kind = 0; kind < kNumPersistBoundaryKinds;
-             ++kind)
-            summary.kind_counts[kind] =
-                injector.kindCount(static_cast<PersistBoundary>(kind));
-    }
+    const std::vector<PersistBoundary> kinds = probeCrashPoints(config);
+    summary.total_boundaries = kinds.size();
+    for (const PersistBoundary kind : kinds)
+        ++summary.kind_counts[static_cast<std::size_t>(kind)];
 
     const std::uint64_t stride = config.stride == 0 ? 1 : config.stride;
     CrashEnumConfig armed = config;
     for (std::uint64_t k = 1; k <= summary.total_boundaries;
          k += stride) {
         ++summary.replays;
-        std::vector<std::string> violations = runArmedCrash(armed, k);
-        if (!violations.empty()) {
+        CrashReplay replay = runArmedCrash(armed, k);
+        if (!replay.violations.empty()) {
             CrashPointFailure failure;
             failure.boundary = k;
-            failure.violations = std::move(violations);
+            failure.violations = std::move(replay.violations);
             summary.failures.push_back(std::move(failure));
             // Keep the *first* failing replay's trace + black box.
             armed.trace_path.clear();
@@ -196,6 +218,21 @@ enumerateCrashPoints(const CrashEnumConfig &config)
         }
     }
     return summary;
+}
+
+void
+removeDiskTrees(const std::string &path)
+{
+    if (path.empty())
+        return;
+    std::error_code ec;
+    const auto remove = [&ec](const std::string &tree) {
+        const bool had_tree = std::filesystem::remove(tree, ec);
+        return std::filesystem::remove(tree + ".wal", ec) || had_tree;
+    };
+    remove(path);
+    for (unsigned k = 0; remove(path + ".shard" + std::to_string(k)); ++k) {
+    }
 }
 
 } // namespace psoram

@@ -1,25 +1,26 @@
 /**
  * @file
- * Exhaustive crash-point enumerator.
+ * The crash harness: the one code that drives a versioned trace into a
+ * crash, recovers, and checks the result.
  *
  * For a fixed (config, trace) pair the persist-boundary sequence is
- * deterministic: every WPQ round start/commit, every drained or direct
- * functional write, and every disk page write and fsync fires in the
- * same order on every run. The enumerator exploits this:
+ * deterministic — every WPQ round start/commit, drained or direct
+ * write, and disk log record, log sync, page write and fsync fires in
+ * the same order on every run. The harness exploits this:
  *
- *   1. *Probe*: run the trace once with an unarmed FaultInjector and
- *      count the boundaries, B.
- *   2. *Replay*: for every k in [1, B], rebuild the system from
- *      scratch, arm the injector at boundary k, run the trace until
- *      the injected fault aborts it, apply the power-failure recovery
- *      sequence, and run the full recovery-invariant checker
- *      (sim/recovery_invariants.hh) plus a verified post-recovery
- *      workload.
+ *   1. *Probe*: run the trace once unarmed and record the kind of every
+ *      boundary, in order (probeCrashPoints).
+ *   2. *Replay*: rebuild the system from scratch — on disk, from a
+ *      fresh tree and log (removeDiskTrees) — arm the injector at
+ *      boundary k or at a protocol point, run the trace until the fault
+ *      aborts it, recover, and run the recovery-invariant checker
+ *      (sim/recovery_invariants.hh, I1–I5 and monotonic durability)
+ *      plus a verified post-recovery workload (runArmedCrash).
  *
- * A design is crash-consistent under this model iff *no* k produces a
- * violation — the property the paper argues in §4.3, here checked at
- * every single durable-state transition rather than at hand-picked
- * protocol sites.
+ * enumerateCrashPoints replays every stride-th boundary. A design is
+ * crash-consistent under this model iff *no* k produces a violation —
+ * the property the paper argues in §4.3, checked at every durable-state
+ * transition rather than at hand-picked protocol sites.
  */
 
 #ifndef PSORAM_SIM_CRASH_ENUMERATOR_HH
@@ -27,6 +28,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,11 @@ struct CrashEnumConfig
     /** Replay every stride-th boundary only (1 = exhaustive). The
      *  torture harness uses larger strides for big traces. */
     std::uint64_t stride = 1;
+    /** Accesses per commit group (beginGroup/endGroup), as a shard
+     *  worker runs a mailbox batch; 1 = each durable on return. */
+    std::size_t commit_group = 1;
+    /** Non-empty: runs between crash and recovery (negative controls). */
+    std::function<void(System &)> before_recovery;
     /**
      * Non-empty: record every armed replay into the trace ring buffers
      * (cleared per replay) and write the Chrome trace of a *failing*
@@ -102,18 +109,33 @@ struct CrashEnumSummary
     std::string describe() const;
 };
 
-/**
- * Run one armed replay: crash at boundary @p k, recover, check.
- * Exposed separately so the torture harness can replay single points.
- *
- * @return violation list (empty = invariants hold), each prefixed with
- *         the boundary index and kind.
- */
-std::vector<std::string> runArmedCrash(const CrashEnumConfig &config,
-                                       std::uint64_t k);
+/** Outcome of one armed replay. */
+struct CrashReplay
+{
+    bool fired = false;
+    PersistBoundary kind = PersistBoundary::RoundStart;
+    /** The fault cut an access after one of its WPQ rounds issued. */
+    bool mid_eviction = false;
+    std::vector<std::string> violations;
+};
 
-/** Probe + exhaustive replay of every persist boundary. */
+/** Arms a replay's injector; called once with the fresh system. */
+using CrashArming = std::function<void(System &, FaultInjector &)>;
+
+/** The boundary kinds of a clean run, in order (boundary k at k - 1). */
+std::vector<PersistBoundary> probeCrashPoints(const CrashEnumConfig &config);
+
+/** @{ One replay, crashed at boundary @p k or where @p arm arms it. */
+CrashReplay runArmedCrash(const CrashEnumConfig &config, std::uint64_t k);
+CrashReplay runArmedCrash(const CrashEnumConfig &config,
+                          const CrashArming &arm);
+/** @} */
+
+/** Probe + replay of every stride-th persist boundary. */
 CrashEnumSummary enumerateCrashPoints(const CrashEnumConfig &config);
+
+/** Remove disk tree @p path, its redo log, and each `<path>.shardK`. */
+void removeDiskTrees(const std::string &path);
 
 } // namespace psoram
 

@@ -10,6 +10,11 @@
  * state is lost either way. DESIGN.md §10 gives the mapping; the table
  * below is its one copy.
  *
+ * crashAtPoint() runs one harness replay armed at a protocol point,
+ * expectRecovered() checks a hand-built scenario's recovered system,
+ * reportFailures() reports an enumeration's violations, and
+ * reportsLoss() is the verdict every negative control asserts.
+ *
  * gtest prints a test parameter's bytes into the test name, so the
  * enumerator values are part of the parameterised names (new points go
  * at the end), and the enum is 64 bits wide so a {point, occurrence}
@@ -19,10 +24,15 @@
 #ifndef PSORAM_TESTS_CRASH_POINTS_HH
 #define PSORAM_TESTS_CRASH_POINTS_HH
 
+#include <gtest/gtest.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "nvm/fault_injector.hh"
+#include "sim/crash_enumerator.hh"
 #include "sim/system.hh"
 
 namespace psoram {
@@ -109,6 +119,55 @@ armCrashPoint(System &system, FaultInjector &injector, CrashPoint point,
             system.controller->drainer()->splitEvictions() == target)
             injector.armAt(index);
     });
+}
+
+/**
+ * One harness replay of @p config crashed at the @p occurrence-th
+ * @p point (sim/crash_enumerator.hh); every invariant violation is a
+ * test failure.
+ */
+inline CrashReplay
+crashAtPoint(const CrashEnumConfig &config, CrashPoint point,
+             std::uint64_t occurrence)
+{
+    const CrashReplay replay = runArmedCrash(
+        config, [point, occurrence](System &system, FaultInjector &injector) {
+            armCrashPoint(system, injector, point, occurrence);
+        });
+    for (const std::string &v : replay.violations)
+        ADD_FAILURE() << crashPointArming(point).label << " "
+                      << occurrence << ": " << v;
+    return replay;
+}
+
+/** Check every address of @p system, just recovered, against
+ *  @p oracle; every violation is a test failure. */
+inline void
+expectRecovered(System &system, const RecoveryOracle &oracle)
+{
+    for (const std::string &v : checkRecoveryInvariants(system, oracle))
+        ADD_FAILURE() << v;
+}
+
+/** Add every violation of @p summary as a test failure. */
+inline void
+reportFailures(const CrashEnumSummary &summary)
+{
+    for (const CrashPointFailure &failure : summary.failures)
+        for (const std::string &v : failure.violations)
+            ADD_FAILURE() << v;
+}
+
+/** A negative control's verdict: the recovery-invariant checker
+ *  reported a lost or unreachable block (I3 or I4). */
+inline bool
+reportsLoss(const std::vector<std::string> &violations)
+{
+    for (const std::string &v : violations)
+        if (v.find("I3: ") != std::string::npos ||
+            v.find("I4: ") != std::string::npos)
+            return true;
+    return false;
 }
 
 } // namespace testing

@@ -2,35 +2,34 @@
  * @file
  * Crash-consistency tests for the non-recursive designs (§3.3 / §4.3).
  *
- * The harness runs a random workload with a versioned-payload oracle:
- * every write carries (addr, version); the controller's commit observer
- * records which version last became durable. A crash is injected at the
- * persist boundary of a protocol point (crash_points.hh), the ADR
- * flush + recovery sequence runs, and the test
- * checks the paper's guarantee: every address recovers a version
- * between its last durable version and its last written version
- * (atomic old-or-new), and the ORAM remains fully functional.
+ * Every row runs through the crash harness (sim/crash_enumerator.hh):
+ * a random versioned trace, a crash injected at the persist boundary of
+ * a protocol point (crash_points.hh), the ADR flush + recovery
+ * sequence, the recovery-invariant checker (I1–I5: every address
+ * recovers a version between its last durable and its last written
+ * one, untorn and reachable) and a verified post-recovery workload.
+ * The scenario tests keep their hand-built state and run the same
+ * checker.
  *
  * The Baseline and FullNVM designs are tested negatively: the paper's
- * case studies say they lose data, and they must do so here too.
+ * case studies say they lose data, and the checker must report it.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <map>
-
 #include "common/random.hh"
 #include "crash_points.hh"
-#include "psoram/recovery.hh"
-#include "sim/system.hh"
+#include "sim/crash_enumerator.hh"
 
 namespace psoram {
 namespace {
 
 using testing::CrashPoint;
 using testing::armCrashPoint;
+using testing::crashAtPoint;
 using testing::crashPointArming;
+using testing::expectRecovered;
+using testing::reportsLoss;
 
 constexpr std::uint64_t kBlocks = 48;
 
@@ -49,147 +48,15 @@ crashConfig(DesignKind design, std::size_t wpq = 96)
     return config;
 }
 
-void
-payload(BlockAddr addr, std::uint32_t version, std::uint8_t *out)
+/** @p ops accesses (60 % writes) of trace @p seed on @p system. */
+CrashEnumConfig
+crashCase(const SystemConfig &system, std::uint64_t seed, std::size_t ops)
 {
-    std::memset(out, 0, kBlockDataBytes);
-    std::memcpy(out, &addr, sizeof(addr));
-    std::memcpy(out + 8, &version, sizeof(version));
-}
-
-std::uint32_t
-versionOf(const std::uint8_t *data)
-{
-    std::uint32_t version = 0;
-    std::memcpy(&version, data + 8, sizeof(version));
-    return version;
-}
-
-/** Versioned-payload oracle fed by the commit observer. */
-struct Oracle
-{
-    std::map<BlockAddr, std::uint32_t> committed;
-    std::map<BlockAddr, std::uint32_t> latest;
-
-    CommitObserver
-    observer()
-    {
-        return [this](BlockAddr addr,
-                      const std::array<std::uint8_t, kBlockDataBytes>
-                          &data) {
-            const std::uint32_t version = versionOf(data.data());
-            auto &slot = committed[addr];
-            // Durability is monotonic: the observer must never report
-            // an older version than one already durable.
-            ASSERT_GE(version, slot);
-            slot = version;
-        };
-    }
-};
-
-struct CrashRunResult
-{
-    bool crashed = false;
-    BlockAddr in_flight = kDummyBlockAddr;
-    PersistBoundary kind = PersistBoundary::RoundStart;
-    /** An earlier round of the crashing access had committed. */
-    bool mid_eviction = false;
-};
-
-/**
- * Run @p ops random accesses with a crash armed at (point, occurrence);
- * on crash, recover and verify the old-or-new guarantee for every
- * address; then run a post-recovery workload to confirm the ORAM still
- * functions.
- */
-CrashRunResult
-runCrashScenario(const SystemConfig &config, CrashPoint point,
-                 std::uint64_t occurrence, int ops, std::uint64_t seed)
-{
-    FaultInjector injector;
-    System system = buildSystem(config);
-    Oracle oracle;
-    system.controller->setCommitObserver(oracle.observer());
-    system.attachFaultInjector(&injector);
-    armCrashPoint(system, injector, point, occurrence);
-
-    Rng rng(seed);
-    std::uint8_t buf[kBlockDataBytes];
-    CrashRunResult result;
-
-    for (int op = 0; op < ops; ++op) {
-        const BlockAddr addr = rng.nextBelow(kBlocks);
-        const bool is_write = rng.nextBool(0.6);
-        const std::uint64_t rounds_before =
-            system.controller->drainer()->roundsIssued();
-        try {
-            if (is_write) {
-                const auto version = static_cast<std::uint32_t>(op + 1);
-                payload(addr, version, buf);
-                system.controller->write(addr, buf);
-                oracle.latest[addr] = version;
-            } else {
-                system.controller->read(addr, buf);
-            }
-        } catch (const InjectedFault &fault) {
-            result.crashed = true;
-            result.in_flight = addr;
-            result.kind = fault.kind();
-            result.mid_eviction =
-                system.controller->drainer()->roundsIssued() >
-                rounds_before;
-            // The write that crashed mid-flight may persist or abort.
-            if (is_write)
-                oracle.latest[addr] =
-                    static_cast<std::uint32_t>(op + 1);
-            break;
-        }
-    }
-    if (!result.crashed)
-        return result;
-
-    // Power failure: ADR flush, volatile state lost, rebuild, recover.
-    system.recoverController();
-    system.controller->setCommitObserver(oracle.observer());
-
-    // The paper's guarantee (§4.3): every block recovers a version
-    // v with durable <= v <= latest; nothing is lost, nothing is torn.
-    for (const auto &[addr, latest] : oracle.latest) {
-        system.controller->read(addr, buf);
-        const std::uint32_t v = versionOf(buf);
-        const auto it = oracle.committed.find(addr);
-        const std::uint32_t durable =
-            it == oracle.committed.end() ? 0 : it->second;
-        EXPECT_GE(v, durable)
-            << "addr " << addr << " lost data at "
-            << crashPointArming(point).label << " occurrence "
-            << occurrence;
-        EXPECT_LE(v, latest) << "addr " << addr << " corrupt";
-        if (v != 0) {
-            BlockAddr stored = 0;
-            std::memcpy(&stored, buf, sizeof(stored));
-            EXPECT_EQ(stored, addr) << "payload torn";
-        }
-    }
-
-    // Recovery must leave a fully working ORAM: run a fresh verified
-    // workload on top.
-    std::map<BlockAddr, std::uint32_t> post;
-    for (int op = 0; op < 300; ++op) {
-        const BlockAddr addr = rng.nextBelow(kBlocks);
-        if (rng.nextBool(0.5)) {
-            const auto version =
-                static_cast<std::uint32_t>(100000 + op);
-            payload(addr, version, buf);
-            system.controller->write(addr, buf);
-            post[addr] = version;
-        } else if (post.count(addr)) {
-            system.controller->read(addr, buf);
-            EXPECT_EQ(versionOf(buf), post[addr])
-                << "post-recovery ORAM broken at op " << op;
-        }
-    }
-    return result;
+    CrashEnumConfig config;
+    config.system = system;
+    config.trace = makeCrashTrace(seed, ops, kBlocks, 0.6);
+    config.post_recovery_ops = 300;
+    return config;
 }
 
 struct CrashCase
@@ -206,10 +73,11 @@ class PsOramCrash
 TEST_P(PsOramCrash, RecoversConsistently)
 {
     const auto [design, crash] = GetParam();
-    const CrashRunResult result = runCrashScenario(
-        crashConfig(design), crash.point, crash.occurrence, 400, 7);
-    EXPECT_TRUE(result.crashed) << "crash point never reached";
-    EXPECT_EQ(result.kind, crashPointArming(crash.point).fires);
+    const CrashReplay replay = crashAtPoint(
+        crashCase(crashConfig(design), 7, 400), crash.point,
+        crash.occurrence);
+    EXPECT_TRUE(replay.fired) << "crash point never reached";
+    EXPECT_EQ(replay.kind, crashPointArming(crash.point).fires);
 }
 
 const CrashCase kCrashCases[] = {
@@ -252,13 +120,13 @@ class SmallWpqCrash : public ::testing::TestWithParam<CrashCase>
 TEST_P(SmallWpqCrash, RecoversWithFourEntryWpq)
 {
     const CrashCase crash = GetParam();
-    const CrashRunResult result =
-        runCrashScenario(crashConfig(DesignKind::PsOram, 4), crash.point,
-                         crash.occurrence, 400, 13);
-    EXPECT_TRUE(result.crashed) << "crash point never reached";
-    EXPECT_EQ(result.kind, crashPointArming(crash.point).fires);
+    const CrashReplay replay = crashAtPoint(
+        crashCase(crashConfig(DesignKind::PsOram, 4), 13, 400),
+        crash.point, crash.occurrence);
+    EXPECT_TRUE(replay.fired) << "crash point never reached";
+    EXPECT_EQ(replay.kind, crashPointArming(crash.point).fires);
     if (crash.point == CrashPoint::BetweenRounds) {
-        EXPECT_TRUE(result.mid_eviction)
+        EXPECT_TRUE(replay.mid_eviction)
             << "crashed before the eviction's first round";
     }
 }
@@ -282,12 +150,11 @@ TEST(PsOramCrashSweep, EveryEvictionBoundarySurvives)
     // runs — broad coverage of stash/temp states.
     for (std::uint64_t occurrence = 1; occurrence <= 120;
          occurrence += 7) {
-        const CrashRunResult result =
-            runCrashScenario(crashConfig(DesignKind::PsOram),
-                             CrashPoint::AfterCommit, occurrence, 300,
-                             occurrence);
-        EXPECT_TRUE(result.crashed);
-        EXPECT_EQ(result.kind, PersistBoundary::DrainWrite);
+        const CrashReplay replay = crashAtPoint(
+            crashCase(crashConfig(DesignKind::PsOram), occurrence, 300),
+            CrashPoint::AfterCommit, occurrence);
+        EXPECT_TRUE(replay.fired);
+        EXPECT_EQ(replay.kind, PersistBoundary::DrainWrite);
     }
 }
 
@@ -298,9 +165,9 @@ TEST(BaselineCrash, LosesDataWithoutPersistence)
     // be interpreted (§3.3 Case 1a).
     FaultInjector injector;
     System system = buildSystem(crashConfig(DesignKind::Baseline));
+    RecoveryOracle oracle;
     Rng rng(5);
     std::uint8_t buf[kBlockDataBytes];
-    std::map<BlockAddr, std::uint32_t> latest;
     system.attachFaultInjector(&injector);
     armCrashPoint(system, injector, CrashPoint::DuringDirectEviction, 80);
 
@@ -308,10 +175,12 @@ TEST(BaselineCrash, LosesDataWithoutPersistence)
     for (int op = 0; op < 400 && !crashed; ++op) {
         const BlockAddr addr = rng.nextBelow(kBlocks);
         const auto version = static_cast<std::uint32_t>(op + 1);
-        payload(addr, version, buf);
+        stampPayload(addr, version, buf);
+        oracle.latest[addr] = version;
         try {
             system.controller->write(addr, buf);
-            latest[addr] = version;
+            // Held to what crash consistency owes a completed write.
+            oracle.durable[addr] = version;
         } catch (const InjectedFault &fault) {
             crashed = true;
             EXPECT_EQ(fault.kind(), PersistBoundary::DirectWrite);
@@ -320,15 +189,9 @@ TEST(BaselineCrash, LosesDataWithoutPersistence)
     ASSERT_TRUE(crashed);
 
     system.recoverController();
-    std::size_t lost = 0;
-    for (const auto &[addr, version] : latest) {
-        system.controller->read(addr, buf);
-        if (versionOf(buf) != version)
-            ++lost;
-    }
     // Baseline must demonstrably lose data — that is the problem
     // statement of the paper.
-    EXPECT_GT(lost, 0u);
+    EXPECT_TRUE(reportsLoss(checkRecoveryInvariants(system, oracle)));
 }
 
 TEST(FullNvmCrash, NonAtomicMetadataLosesInFlightBlock)
@@ -338,16 +201,17 @@ TEST(FullNvmCrash, NonAtomicMetadataLosesInFlightBlock)
     // unreachable even though stash and PosMap survive in on-chip NVM.
     FaultInjector injector;
     System system = buildSystem(crashConfig(DesignKind::FullNvm));
+    RecoveryOracle oracle;
+    system.controller->setCommitObserver(oracle.observer());
     Rng rng(21);
     std::uint8_t buf[kBlockDataBytes];
-    std::map<BlockAddr, std::uint32_t> latest;
 
     // Phase 1: populate every block (no crash).
     for (BlockAddr addr = 0; addr < kBlocks; ++addr) {
         const auto version = static_cast<std::uint32_t>(addr + 1);
-        payload(addr, version, buf);
+        stampPayload(addr, version, buf);
         system.controller->write(addr, buf);
-        latest[addr] = version;
+        oracle.latest[addr] = version;
     }
 
     // Phase 2: crash at the first persist boundary after the remap of
@@ -383,11 +247,14 @@ TEST(FullNvmCrash, NonAtomicMetadataLosesInFlightBlock)
     ASSERT_TRUE(crashed);
 
     system.recoverController();
+    // Held to what crash consistency owes every completed write.
+    oracle.durable = oracle.latest;
+    EXPECT_TRUE(reportsLoss(checkRecoveryInvariants(system, oracle)));
     system.controller->read(in_flight, buf);
     // The block's data cannot be located: the PosMap (persistent in
     // on-chip NVM) already points at the new path, where nothing was
     // ever written.
-    EXPECT_NE(versionOf(buf), latest[in_flight]);
+    EXPECT_NE(payloadVersion(buf), oracle.latest[in_flight]);
 }
 
 TEST(PsOramCrashDetail, BackupRestoresPreCrashValue)
@@ -396,33 +263,37 @@ TEST(PsOramCrashDetail, BackupRestoresPreCrashValue)
     // (new value only in the stash), crash before the new value
     // commits. Recovery must return the OLD value via the backup block.
     System system = buildSystem(crashConfig(DesignKind::PsOram));
-    Oracle oracle;
+    RecoveryOracle oracle;
     system.controller->setCommitObserver(oracle.observer());
     std::uint8_t buf[kBlockDataBytes];
 
-    payload(5, 1, buf);
+    stampPayload(5, 1, buf);
     system.controller->write(5, buf);
+    oracle.latest[5] = 1;
     // Force block 5 out of the stash so it commits.
     for (BlockAddr a = 10; a < 40; ++a) {
-        payload(a, 1, buf);
+        stampPayload(a, 1, buf);
         system.controller->write(a, buf);
+        oracle.latest[a] = 1;
     }
     if (system.controller->stash().find(5) != nullptr)
         GTEST_SKIP() << "block 5 never evicted with this seed";
-    ASSERT_EQ(oracle.committed[5], 1u);
+    ASSERT_EQ(oracle.durableOf(5), 1u);
 
     // Re-write with version 2; crash during the eviction of that very
     // access, before its round commits.
     FaultInjector injector;
     system.attachFaultInjector(&injector);
     armCrashPoint(system, injector, CrashPoint::BeforeCommit, 1);
-    payload(5, 2, buf);
+    stampPayload(5, 2, buf);
+    oracle.latest[5] = 2;
     EXPECT_THROW(system.controller->write(5, buf), InjectedFault);
     EXPECT_EQ(injector.firedKind(), PersistBoundary::RoundCommit);
 
     system.recoverController();
+    expectRecovered(system, oracle);
     system.controller->read(5, buf);
-    EXPECT_EQ(versionOf(buf), 1u)
+    EXPECT_EQ(payloadVersion(buf), 1u)
         << "backup block failed to restore the committed value";
 }
 
@@ -433,8 +304,11 @@ TEST(PsOramCrashDetail, RepeatedCrashesAndRecoveries)
     SystemConfig config = crashConfig(DesignKind::PsOram);
     FaultInjector injector;
     System system = buildSystem(config);
-    Oracle oracle;
+    RecoveryOracle oracle;
     system.controller->setCommitObserver(oracle.observer());
+    system.setRebindHook([&oracle](PsOramController &ctrl) {
+        ctrl.setCommitObserver(oracle.observer());
+    });
     system.attachFaultInjector(&injector);
     Rng rng(31);
     std::uint8_t buf[kBlockDataBytes];
@@ -447,30 +321,25 @@ TEST(PsOramCrashDetail, RepeatedCrashesAndRecoveries)
             const BlockAddr addr = rng.nextBelow(kBlocks);
             const auto version =
                 static_cast<std::uint32_t>(1000 * round + op + 1);
-            payload(addr, version, buf);
+            stampPayload(addr, version, buf);
+            oracle.latest[addr] = version;
             try {
                 system.controller->write(addr, buf);
-                oracle.latest[addr] = version;
             } catch (const InjectedFault &fault) {
                 crashed = true;
-                oracle.latest[addr] = version;
                 EXPECT_EQ(fault.kind(), PersistBoundary::DrainWrite);
             }
         }
         ASSERT_TRUE(crashed) << "round " << round;
         system.recoverController();
-        system.controller->setCommitObserver(oracle.observer());
-        for (const auto &[addr, latest] : oracle.latest) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        expectRecovered(system, oracle);
+        // Re-baseline the oracle to the recovered state: the value
+        // read back is what is durable now.
+        for (auto &[addr, latest] : oracle.latest) {
             system.controller->read(addr, buf);
-            const std::uint32_t v = versionOf(buf);
-            EXPECT_GE(v, oracle.committed.count(addr)
-                             ? oracle.committed[addr] : 0u)
-                << "round " << round << " addr " << addr;
-            EXPECT_LE(v, latest);
-            // Re-baseline the oracle to the recovered state: the value
-            // read back is what is durable now.
-            oracle.latest[addr] = v;
-            oracle.committed[addr] = v;
+            latest = payloadVersion(buf);
+            oracle.durable[addr] = latest;
         }
     }
 }

@@ -7,24 +7,29 @@
  * crash anywhere either commits the whole access or aborts it cleanly.
  * Rcr-Baseline writes the PosMap tree directly and keeps the stash
  * volatile — the negative tests show it loses data.
+ *
+ * The protocol-point rows run through the crash harness
+ * (sim/crash_enumerator.hh); the scenario tests build their state by
+ * hand and run the same recovery-invariant checker.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <map>
 
 #include "common/random.hh"
 #include "crash_points.hh"
 #include "psoram/recovery.hh"
-#include "sim/system.hh"
+#include "sim/crash_enumerator.hh"
 
 namespace psoram {
 namespace {
 
 using testing::CrashPoint;
 using testing::armCrashPoint;
+using testing::crashAtPoint;
 using testing::crashPointArming;
+using testing::expectRecovered;
+using testing::reportsLoss;
 
 constexpr std::uint64_t kBlocks = 64;
 
@@ -46,41 +51,6 @@ rcrConfig(DesignKind design, std::size_t wpq = 256)
     return config;
 }
 
-void
-payload(BlockAddr addr, std::uint32_t version, std::uint8_t *out)
-{
-    std::memset(out, 0, kBlockDataBytes);
-    std::memcpy(out, &addr, sizeof(addr));
-    std::memcpy(out + 8, &version, sizeof(version));
-}
-
-std::uint32_t
-versionOf(const std::uint8_t *data)
-{
-    std::uint32_t version = 0;
-    std::memcpy(&version, data + 8, sizeof(version));
-    return version;
-}
-
-struct Oracle
-{
-    std::map<BlockAddr, std::uint32_t> committed;
-    std::map<BlockAddr, std::uint32_t> latest;
-
-    CommitObserver
-    observer()
-    {
-        return [this](BlockAddr addr,
-                      const std::array<std::uint8_t, kBlockDataBytes>
-                          &data) {
-            const std::uint32_t version = versionOf(data.data());
-            auto &slot = committed[addr];
-            if (version > slot)
-                slot = version;
-        };
-    }
-};
-
 struct CrashCase
 {
     CrashPoint point;
@@ -94,68 +64,14 @@ class RcrPsOramCrash : public ::testing::TestWithParam<CrashCase>
 TEST_P(RcrPsOramCrash, RecoversConsistently)
 {
     const CrashCase crash = GetParam();
-    FaultInjector injector;
-    System system = buildSystem(rcrConfig(DesignKind::RcrPsOram));
-    Oracle oracle;
-    system.controller->setCommitObserver(oracle.observer());
-    system.attachFaultInjector(&injector);
-    armCrashPoint(system, injector, crash.point, crash.occurrence);
-
-    Rng rng(17);
-    std::uint8_t buf[kBlockDataBytes];
-    bool crashed = false;
-    for (int op = 0; op < 500 && !crashed; ++op) {
-        const BlockAddr addr = rng.nextBelow(kBlocks);
-        const bool is_write = rng.nextBool(0.6);
-        try {
-            if (is_write) {
-                const auto version = static_cast<std::uint32_t>(op + 1);
-                payload(addr, version, buf);
-                system.controller->write(addr, buf);
-                oracle.latest[addr] = version;
-            } else {
-                system.controller->read(addr, buf);
-            }
-        } catch (const InjectedFault &fault) {
-            crashed = true;
-            EXPECT_EQ(fault.kind(), crashPointArming(crash.point).fires);
-            if (is_write)
-                oracle.latest[addr] =
-                    static_cast<std::uint32_t>(op + 1);
-        }
-    }
-    ASSERT_TRUE(crashed) << "crash point never reached";
-
-    system.recoverController();
-    system.controller->setCommitObserver(oracle.observer());
-
-    for (const auto &[addr, latest] : oracle.latest) {
-        system.controller->read(addr, buf);
-        const std::uint32_t v = versionOf(buf);
-        const auto it = oracle.committed.find(addr);
-        const std::uint32_t durable =
-            it == oracle.committed.end() ? 0 : it->second;
-        EXPECT_GE(v, durable)
-            << "addr " << addr << " lost at "
-            << crashPointArming(crash.point).label;
-        EXPECT_LE(v, latest) << "addr " << addr << " corrupt";
-    }
-
-    // Post-recovery functionality.
-    std::map<BlockAddr, std::uint32_t> post;
-    for (int op = 0; op < 300; ++op) {
-        const BlockAddr addr = rng.nextBelow(kBlocks);
-        if (rng.nextBool(0.5)) {
-            const auto version = static_cast<std::uint32_t>(9000 + op);
-            payload(addr, version, buf);
-            system.controller->write(addr, buf);
-            post[addr] = version;
-        } else if (post.count(addr)) {
-            system.controller->read(addr, buf);
-            EXPECT_EQ(versionOf(buf), post[addr])
-                << "post-recovery broken, op " << op;
-        }
-    }
+    CrashEnumConfig config;
+    config.system = rcrConfig(DesignKind::RcrPsOram);
+    config.trace = makeCrashTrace(17, 500, kBlocks, 0.6);
+    config.post_recovery_ops = 300;
+    const CrashReplay replay =
+        crashAtPoint(config, crash.point, crash.occurrence);
+    ASSERT_TRUE(replay.fired) << "crash point never reached";
+    EXPECT_EQ(replay.kind, crashPointArming(crash.point).fires);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -187,7 +103,7 @@ TEST(RcrPsOramCrash2, SmallWpqIsAutoRaisedToOneBracket)
     Rng rng(61);
     std::uint8_t buf[kBlockDataBytes];
     for (int op = 0; op < 300; ++op) {
-        payload(op, op + 1, buf);
+        stampPayload(op, op + 1, buf);
         system.controller->write(rng.nextBelow(kBlocks), buf);
     }
     ASSERT_NE(system.controller->drainer(), nullptr);
@@ -202,15 +118,16 @@ TEST(RcrPsOramCrash2, ShadowStashRestoresResidentBlocks)
     SystemConfig config = rcrConfig(DesignKind::RcrPsOram);
     config.bucket_slots = 2;
     System system = buildSystem(config);
+    RecoveryOracle oracle;
+    system.controller->setCommitObserver(oracle.observer());
     Rng rng(23);
     std::uint8_t buf[kBlockDataBytes];
-    std::map<BlockAddr, std::uint32_t> latest;
     for (int op = 0; op < 150; ++op) {
         const BlockAddr addr = rng.nextBelow(kBlocks);
         const auto version = static_cast<std::uint32_t>(op + 1);
-        payload(addr, version, buf);
+        stampPayload(addr, version, buf);
         system.controller->write(addr, buf);
-        latest[addr] = version;
+        oracle.latest[addr] = version;
     }
     const std::size_t resident = system.controller->stash().liveSize();
     if (resident == 0)
@@ -219,10 +136,11 @@ TEST(RcrPsOramCrash2, ShadowStashRestoresResidentBlocks)
     system.controller = RecoveryManager::recover(
         std::move(system.controller), *system.device);
     EXPECT_EQ(system.controller->stash().size(), resident);
+    expectRecovered(system, oracle);
 
-    for (const auto &[addr, version] : latest) {
+    for (const auto &[addr, version] : oracle.latest) {
         system.controller->read(addr, buf);
-        EXPECT_EQ(versionOf(buf), version) << "addr " << addr;
+        EXPECT_EQ(payloadVersion(buf), version) << "addr " << addr;
     }
 }
 
@@ -234,15 +152,16 @@ TEST(RcrBaselineCrash, VolatileStashLosesData)
     SystemConfig config = rcrConfig(DesignKind::RcrBaseline);
     config.bucket_slots = 2;
     System system = buildSystem(config);
+    RecoveryOracle oracle;
+    system.controller->setCommitObserver(oracle.observer());
     Rng rng(29);
     std::uint8_t buf[kBlockDataBytes];
-    std::map<BlockAddr, std::uint32_t> latest;
     for (int op = 0; op < 200; ++op) {
         const BlockAddr addr = rng.nextBelow(kBlocks);
         const auto version = static_cast<std::uint32_t>(op + 1);
-        payload(addr, version, buf);
+        stampPayload(addr, version, buf);
         system.controller->write(addr, buf);
-        latest[addr] = version;
+        oracle.latest[addr] = version;
     }
     // Collect the stash residents before the "crash".
     std::vector<BlockAddr> residents;
@@ -253,10 +172,13 @@ TEST(RcrBaselineCrash, VolatileStashLosesData)
         GTEST_SKIP() << "no stash residents with this seed";
 
     system.recoverController();
+    // Held to what crash consistency owes every completed write.
+    oracle.durable = oracle.latest;
+    EXPECT_TRUE(reportsLoss(checkRecoveryInvariants(system, oracle)));
     std::size_t lost = 0;
     for (const BlockAddr addr : residents) {
         system.controller->read(addr, buf);
-        if (versionOf(buf) != latest[addr])
+        if (payloadVersion(buf) != oracle.latest[addr])
             ++lost;
     }
     EXPECT_GT(lost, 0u)
@@ -267,8 +189,11 @@ TEST(RcrPsOramCrash2, RepeatedCrashRecoveryCycles)
 {
     FaultInjector injector;
     System system = buildSystem(rcrConfig(DesignKind::RcrPsOram));
-    Oracle oracle;
+    RecoveryOracle oracle;
     system.controller->setCommitObserver(oracle.observer());
+    system.setRebindHook([&oracle](PsOramController &ctrl) {
+        ctrl.setCommitObserver(oracle.observer());
+    });
     system.attachFaultInjector(&injector);
     Rng rng(41);
     std::uint8_t buf[kBlockDataBytes];
@@ -283,28 +208,24 @@ TEST(RcrPsOramCrash2, RepeatedCrashRecoveryCycles)
             const BlockAddr addr = rng.nextBelow(kBlocks);
             const auto version =
                 static_cast<std::uint32_t>(1000 * (round + 1) + op);
-            payload(addr, version, buf);
+            stampPayload(addr, version, buf);
+            oracle.latest[addr] = version;
             try {
                 system.controller->write(addr, buf);
-                oracle.latest[addr] = version;
             } catch (const InjectedFault &fault) {
                 crashed = true;
-                oracle.latest[addr] = version;
                 EXPECT_EQ(fault.kind(), crashPointArming(point).fires);
             }
         }
         ASSERT_TRUE(crashed) << "round " << round;
         system.recoverController();
-        system.controller->setCommitObserver(oracle.observer());
-        for (const auto &[addr, latest] : oracle.latest) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        expectRecovered(system, oracle);
+        // Re-baseline the oracle to the recovered state.
+        for (auto &[addr, latest] : oracle.latest) {
             system.controller->read(addr, buf);
-            const std::uint32_t v = versionOf(buf);
-            EXPECT_GE(v, oracle.committed.count(addr)
-                             ? oracle.committed[addr] : 0u)
-                << "round " << round << " addr " << addr;
-            EXPECT_LE(v, latest);
-            oracle.latest[addr] = v;
-            oracle.committed[addr] = v;
+            latest = payloadVersion(buf);
+            oracle.durable[addr] = latest;
         }
     }
 }

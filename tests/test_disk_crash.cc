@@ -7,10 +7,9 @@
  * window that loses the log's unsynced tail (LogSync), and a
  * checkpoint's torn in-place page (PageWrite) and tree fsync (Sync).
  *
- * The enumerations loop over armed replays directly instead of calling
- * enumerateCrashPoints(): each replay rebuilds the System, and on disk
- * that would reopen the previous replay's tree — the backing file and
- * its log must be wiped between replays to keep them independent.
+ * Every enumeration runs through the crash harness
+ * (sim/crash_enumerator.hh), which starts each probe and each replay
+ * from a fresh tree and log.
  *
  * Group commit gets its own enumeration: the trace runs in commit
  * groups (PsOramController::beginGroup/endGroup), as a sharded engine
@@ -18,47 +17,29 @@
  * several accesses at once. The negative control truncates the log
  * before recovery, which must surface as lost writes.
  *
- * The sharded tests (2 and 4 shards) replay the cross-shard kill
- * scenario from test_sharded_crash.cc on disk trees: shard 0 fully
- * persisted, shard 1 killed mid-WPQ, every shard's RAM page cache lost,
- * recovery from the files alone.
+ * The sharded tests (1, 2 and 4 shards) run the cross-shard kill
+ * scenario (disk_trees.hh, killShardMidWpq) on out-of-core disk trees:
+ * the other shards fully persisted, the last one killed mid-WPQ, every
+ * shard's RAM page cache lost, recovery from the files alone.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
-#include "common/random.hh"
-#include "nvm/paged_disk.hh"
-#include "sim/crash_enumerator.hh"
-#include "sim/sharded_system.hh"
+#include "crash_points.hh"
+#include "disk_trees.hh"
 
 namespace psoram {
 namespace {
 
-/** Remove a tree and its redo log. */
-void
-removeTree(const std::string &path)
-{
-    std::remove(path.c_str());
-    std::remove((path + ".wal").c_str());
-}
-
-std::string
-tmpTree(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    removeTree(path);
-    for (unsigned shard = 0; shard < 8; ++shard)
-        removeTree(path + ".shard" + std::to_string(shard));
-    return path;
-}
+using testing::reportFailures;
+using testing::reportsLoss;
+using testing::tmpTree;
 
 /** The 32-page cache holds the whole height-5 tree (9 subtree pages),
  *  so a 200-write drive makes 0 evictions: the rows built on this
@@ -93,117 +74,10 @@ checkpointingConfig(const std::string &path)
     return config;
 }
 
-/**
- * Drive @p trace in commit groups of @p group accesses (1 = every
- * access durable on return, the direct-call path).
- * @return true if an InjectedFault aborted the run
- */
-bool
-runGrouped(System &system, const std::vector<TraceOp> &trace,
-           std::size_t group, RecoveryOracle &oracle)
+std::uint64_t
+countKind(const CrashEnumSummary &summary, PersistBoundary kind)
 {
-    std::uint8_t buf[kBlockDataBytes];
-    std::size_t in_group = 0;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const TraceOp &op = trace[i];
-        try {
-            if (group > 1 && in_group == 0)
-                system.controller->beginGroup();
-            if (op.is_write) {
-                oracle.latest[op.addr] = op.version;
-                stampPayload(op.addr, op.version, buf);
-                system.controller->write(op.addr, buf);
-            } else {
-                system.controller->read(op.addr, buf);
-            }
-            if (group > 1 &&
-                (++in_group == group || i + 1 == trace.size())) {
-                system.controller->endGroup(in_group);
-                in_group = 0;
-            }
-        } catch (const InjectedFault &) {
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Kind of every boundary (1-based index) of a clean grouped run. */
-std::vector<PersistBoundary>
-probeKinds(const SystemConfig &config, const std::vector<TraceOp> &trace,
-           std::size_t group)
-{
-    removeTree(config.backing_file);
-    std::vector<PersistBoundary> kinds;
-    System system = buildSystem(config);
-    RecoveryOracle oracle;
-    FaultInjector injector;
-    injector.setObserver([&kinds](PersistBoundary kind, std::uint64_t) {
-        kinds.push_back(kind);
-    });
-    system.attachFaultInjector(&injector);
-    runGrouped(system, trace, group, oracle);
-    system.attachFaultInjector(nullptr);
-    return kinds;
-}
-
-/**
- * One armed replay of a grouped trace: crash at boundary @p k, recover
- * in process, run the I1-I5 checker and a verified follow-up workload.
- * With @p lose_log the redo log is truncated before recovery (the
- * negative control).
- */
-std::vector<std::string>
-runGroupedCrash(const SystemConfig &config,
-                const std::vector<TraceOp> &trace, std::size_t group,
-                std::uint64_t k, bool lose_log = false)
-{
-    removeTree(config.backing_file);
-    System system = buildSystem(config);
-    RecoveryOracle oracle;
-    system.controller->setCommitObserver(oracle.observer());
-    system.setRebindHook([&oracle](PsOramController &ctrl) {
-        ctrl.setCommitObserver(oracle.observer());
-    });
-    FaultInjector injector;
-    system.attachFaultInjector(&injector);
-    injector.armAt(k);
-
-    const std::string where =
-        "boundary " + std::to_string(k) + " (group " +
-        std::to_string(group) + ")";
-    std::vector<std::string> violations;
-    if (!runGrouped(system, trace, group, oracle)) {
-        violations.push_back(where + ": armed fault never fired");
-        return violations;
-    }
-    const std::string kind = persistBoundaryName(injector.firedKind());
-    if (oracle.non_monotonic)
-        violations.push_back(where + ": durability went backwards");
-    if (lose_log)
-        std::filesystem::resize_file(config.backing_file + ".wal", 0);
-    system.recoverController();
-    for (std::string &v : checkRecoveryInvariants(system, oracle))
-        violations.push_back(where + " " + kind + ": " + std::move(v));
-
-    Rng rng(config.seed ^ k);
-    std::uint8_t buf[kBlockDataBytes];
-    std::map<BlockAddr, std::uint32_t> post;
-    for (unsigned op = 0; op < 16; ++op) {
-        const BlockAddr addr = rng.nextBelow(config.num_blocks);
-        if (rng.nextBool(0.5)) {
-            const auto version = static_cast<std::uint32_t>(1'000'000 + op);
-            stampPayload(addr, version, buf);
-            system.controller->write(addr, buf);
-            post[addr] = version;
-        } else if (post.count(addr)) {
-            system.controller->read(addr, buf);
-            if (payloadVersion(buf) != post[addr])
-                violations.push_back(where + " " + kind +
-                                     ": post-recovery ORAM broken");
-        }
-    }
-    return violations;
+    return summary.kind_counts[static_cast<std::size_t>(kind)];
 }
 
 std::size_t
@@ -211,6 +85,38 @@ countKind(const std::vector<PersistBoundary> &kinds, PersistBoundary kind)
 {
     return static_cast<std::size_t>(
         std::count(kinds.begin(), kinds.end(), kind));
+}
+
+/** A disk-tier boundary: a torn record, a log sync, a torn checkpoint
+ *  page or a tree fsync. */
+bool
+diskKind(PersistBoundary kind)
+{
+    return kind == PersistBoundary::PageWrite ||
+           kind == PersistBoundary::Sync ||
+           kind == PersistBoundary::LogAppend ||
+           kind == PersistBoundary::LogSync;
+}
+
+/** Replay every disk-tier boundary of @p config's trace (probed as
+ *  @p kinds) and the first boundary of every protocol kind.
+ *  @return the number of replays */
+std::size_t
+replayDiskKinds(const CrashEnumConfig &config,
+                const std::vector<PersistBoundary> &kinds)
+{
+    std::set<PersistBoundary> first_seen;
+    std::size_t replayed = 0;
+    for (std::uint64_t k = 1; k <= kinds.size(); ++k) {
+        const PersistBoundary kind = kinds[k - 1];
+        if (!diskKind(kind) && !first_seen.insert(kind).second)
+            continue;
+        for (const std::string &violation :
+             runArmedCrash(config, k).violations)
+            ADD_FAILURE() << violation;
+        ++replayed;
+    }
+    return replayed;
 }
 
 /**
@@ -227,10 +133,10 @@ TEST(DiskCrashEnum, SampledBoundariesAllRecoverOnDisk)
     config.trace = makeCrashTrace(/*seed=*/7, /*ops=*/64,
                                   config.system.num_blocks);
     config.post_recovery_ops = 32;
+    config.stride = 11;
 
-    const std::vector<PersistBoundary> kinds =
-        probeKinds(config.system, config.trace, 1);
-    ASSERT_FALSE(kinds.empty());
+    const CrashEnumSummary summary = enumerateCrashPoints(config);
+    ASSERT_GT(summary.total_boundaries, 0u);
     // The disk tier's own crash points must be in the enumeration
     // domain, or the torn-record and torn-page arguments are vacuous.
     for (const PersistBoundary kind :
@@ -238,22 +144,12 @@ TEST(DiskCrashEnum, SampledBoundariesAllRecoverOnDisk)
           PersistBoundary::DrainWrite, PersistBoundary::LogAppend,
           PersistBoundary::LogSync, PersistBoundary::PageWrite,
           PersistBoundary::Sync})
-        EXPECT_GT(countKind(kinds, kind), 0u)
+        EXPECT_GT(countKind(summary, kind), 0u)
             << "no " << persistBoundaryName(kind) << " crash points";
-
-    std::uint64_t replays = 0;
-    for (std::uint64_t k = 1; k <= kinds.size(); k += 11) {
-        removeTree(path); // fresh tree per replay
-        const std::vector<std::string> violations =
-            runArmedCrash(config, k);
-        ++replays;
-        for (const std::string &violation : violations)
-            ADD_FAILURE() << violation;
-        if (::testing::Test::HasFailure())
-            break;
-    }
-    EXPECT_GT(replays, 10u);
-    removeTree(path);
+    reportFailures(summary);
+    EXPECT_TRUE(summary.ok()) << summary.describe();
+    EXPECT_GT(summary.replays, 10u);
+    removeDiskTrees(path);
 }
 
 /**
@@ -270,27 +166,11 @@ TEST(DiskCrashEnum, TornPageAndFsyncBoundariesRecover)
                                   config.system.num_blocks);
     config.post_recovery_ops = 24;
 
-    const std::vector<PersistBoundary> kinds =
-        probeKinds(config.system, config.trace, 1);
-    std::set<PersistBoundary> first_seen;
-    std::size_t replayed = 0;
-    for (std::uint64_t k = 1; k <= kinds.size(); ++k) {
-        const PersistBoundary kind = kinds[k - 1];
-        const bool disk_kind = kind == PersistBoundary::PageWrite ||
-                               kind == PersistBoundary::Sync ||
-                               kind == PersistBoundary::LogAppend ||
-                               kind == PersistBoundary::LogSync;
-        if (!disk_kind && !first_seen.insert(kind).second)
-            continue;
-        removeTree(path);
-        for (const std::string &violation : runArmedCrash(config, k))
-            ADD_FAILURE()
-                << persistBoundaryName(kind) << ": " << violation;
-        ++replayed;
-    }
+    const std::vector<PersistBoundary> kinds = probeCrashPoints(config);
+    const std::size_t replayed = replayDiskKinds(config, kinds);
     EXPECT_GT(countKind(kinds, PersistBoundary::PageWrite), 0u);
     EXPECT_GT(replayed, countKind(kinds, PersistBoundary::LogSync));
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /**
@@ -312,25 +192,11 @@ TEST(DiskCrashEnum, TornPageWithIntegrityTreeNeverSilent)
                                   config.system.num_blocks);
     config.post_recovery_ops = 24;
 
-    const std::vector<PersistBoundary> kinds =
-        probeKinds(config.system, config.trace, 1);
+    const std::vector<PersistBoundary> kinds = probeCrashPoints(config);
     ASSERT_GT(countKind(kinds, PersistBoundary::PageWrite), 0u)
         << "trace never checkpointed";
-    std::set<PersistBoundary> first_seen;
-    for (std::uint64_t k = 1; k <= kinds.size(); ++k) {
-        const PersistBoundary kind = kinds[k - 1];
-        const bool disk_kind = kind == PersistBoundary::PageWrite ||
-                               kind == PersistBoundary::Sync ||
-                               kind == PersistBoundary::LogAppend ||
-                               kind == PersistBoundary::LogSync;
-        if (!disk_kind && !first_seen.insert(kind).second)
-            continue;
-        removeTree(path);
-        for (const std::string &violation : runArmedCrash(config, k))
-            ADD_FAILURE()
-                << persistBoundaryName(kind) << ": " << violation;
-    }
-    removeTree(path);
+    replayDiskKinds(config, kinds);
+    removeDiskTrees(path);
 }
 
 /**
@@ -343,19 +209,19 @@ TEST(DiskCrashEnum, TornPageWithIntegrityTreeNeverSilent)
 TEST(DiskCrashEnum, GroupCommitEveryBoundaryRecovers)
 {
     const std::string path = tmpTree("disk_crash_group.tree");
-    const SystemConfig config = checkpointingConfig(path);
-    const std::vector<TraceOp> trace =
-        makeCrashTrace(/*seed=*/5, /*ops=*/60, config.num_blocks, 0.7);
-    const std::vector<PersistBoundary> kinds =
-        probeKinds(config, trace, 3);
-    EXPECT_GT(countKind(kinds, PersistBoundary::PageWrite), 0u);
-    EXPECT_EQ(countKind(kinds, PersistBoundary::LogSync), trace.size() / 3)
+    CrashEnumConfig config;
+    config.system = checkpointingConfig(path);
+    config.trace = makeCrashTrace(/*seed=*/5, /*ops=*/60,
+                                  config.system.num_blocks, 0.7);
+    config.post_recovery_ops = 16;
+    config.commit_group = 3;
+    const CrashEnumSummary summary = enumerateCrashPoints(config);
+    EXPECT_GT(countKind(summary, PersistBoundary::PageWrite), 0u);
+    EXPECT_EQ(countKind(summary, PersistBoundary::LogSync),
+              config.trace.size() / 3)
         << "one log sync per commit group";
-    for (std::uint64_t k = 1; k <= kinds.size(); ++k)
-        for (const std::string &violation :
-             runGroupedCrash(config, trace, 3, k))
-            ADD_FAILURE() << violation;
-    removeTree(path);
+    reportFailures(summary);
+    removeDiskTrees(path);
 }
 
 /**
@@ -367,19 +233,18 @@ TEST(DiskCrashEnum, GroupCommitEveryBoundaryRecovers)
 TEST(DiskCrashEnum, EvictionsInAGroupRespectTheWriteAheadRule)
 {
     const std::string path = tmpTree("disk_crash_wal_rule.tree");
-    SystemConfig config = diskCrashConfig(path);
-    config.disk_cache_pages = 2;
-    config.disk_pinned_pages = 0;
-    const std::vector<TraceOp> trace =
-        makeCrashTrace(/*seed=*/13, /*ops=*/24, config.num_blocks, 0.7);
-    const std::vector<PersistBoundary> kinds =
-        probeKinds(config, trace, 4);
-    ASSERT_FALSE(kinds.empty());
-    for (std::uint64_t k = 1; k <= kinds.size(); ++k)
-        for (const std::string &violation :
-             runGroupedCrash(config, trace, 4, k))
-            ADD_FAILURE() << violation;
-    removeTree(path);
+    CrashEnumConfig config;
+    config.system = diskCrashConfig(path);
+    config.system.disk_cache_pages = 2;
+    config.system.disk_pinned_pages = 0;
+    config.trace = makeCrashTrace(/*seed=*/13, /*ops=*/24,
+                                  config.system.num_blocks, 0.7);
+    config.post_recovery_ops = 16;
+    config.commit_group = 4;
+    const CrashEnumSummary summary = enumerateCrashPoints(config);
+    ASSERT_GT(summary.total_boundaries, 0u);
+    reportFailures(summary);
+    removeDiskTrees(path);
 }
 
 /**
@@ -428,7 +293,7 @@ TEST(DiskCrashEnum, GroupCutAtLogSyncLosesNoObservedWrite)
         EXPECT_EQ(payloadVersion(buf), 1u)
             << "the unsynced group survived the power failure";
     }
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /**
@@ -440,143 +305,55 @@ TEST(DiskCrashEnum, GroupCutAtLogSyncLosesNoObservedWrite)
 TEST(DiskCrashEnum, LostLogIsCaughtByTheEnumeration)
 {
     const std::string path = tmpTree("disk_crash_lost_log.tree");
-    const SystemConfig config = diskCrashConfig(path);
-    const std::vector<TraceOp> trace =
-        makeCrashTrace(/*seed=*/7, /*ops=*/12, config.num_blocks, 0.8);
-    const std::vector<PersistBoundary> kinds =
-        probeKinds(config, trace, 1);
+    CrashEnumConfig config;
+    config.system = diskCrashConfig(path);
+    config.trace = makeCrashTrace(/*seed=*/7, /*ops=*/12,
+                                  config.system.num_blocks, 0.8);
+    config.post_recovery_ops = 16;
+    CrashEnumConfig lose_log = config;
+    lose_log.before_recovery = [&path](System &) {
+        std::filesystem::resize_file(path + ".wal", 0);
+    };
+    const std::uint64_t total = probeCrashPoints(config).size();
     std::size_t failing = 0;
     std::size_t replays = 0;
-    for (std::uint64_t k = kinds.size() / 2; k <= kinds.size(); k += 5) {
+    for (std::uint64_t k = total / 2; k <= total; k += 5) {
         ++replays;
-        failing += !runGroupedCrash(config, trace, 1, k,
-                                    /*lose_log=*/true)
-                        .empty();
-        EXPECT_TRUE(runGroupedCrash(config, trace, 1, k).empty())
+        failing += reportsLoss(runArmedCrash(lose_log, k).violations);
+        EXPECT_TRUE(runArmedCrash(config, k).violations.empty())
             << "boundary " << k << " fails even with its log";
     }
     EXPECT_GT(replays, 3u);
     EXPECT_EQ(failing, replays)
         << "a lost log went unnoticed at some crash points";
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
-void
-runShardedDiskKill(unsigned num_shards)
+/** Out-of-core disk shards for the process-kill rows. */
+SystemConfig
+shardKillConfig(unsigned num_shards)
 {
-    const std::string backing = tmpTree(
-        "disk_sharded_crash_" + std::to_string(num_shards) + ".tree");
-    ShardedSystemConfig config;
-    config.base = diskCrashConfig(backing);
-    config.base.tree_height = 6;
-    config.base.num_blocks = 96;
-    config.base.seed = 31;
-    config.sharding.num_shards = num_shards;
-
-    constexpr BlockAddr kBlocks = 96;
-    std::uint8_t buf[kBlockDataBytes];
-    std::vector<RecoveryOracle> oracle(num_shards);
-    const unsigned victim = num_shards - 1;
-
-    // "Process 1": version-1 writes everywhere; kill the victim shard
-    // mid-WPQ on a version-2 write; power fails for every shard.
-    {
-        FaultInjector injector;
-        ShardedSystem system = buildShardedSystem(config);
-        ASSERT_EQ(system.numShards(), num_shards);
-        for (unsigned k = 0; k < num_shards; ++k)
-            system.controller(k).setCommitObserver(
-                oracle[k].observer());
-
-        for (BlockAddr addr = 0; addr < kBlocks; ++addr) {
-            const ShardSlot slot = system.router.route(addr);
-            stampPayload(slot.local, 1, buf);
-            system.controller(slot.shard).write(slot.local, buf);
-            oracle[slot.shard].latest[slot.local] = 1;
-        }
-
-        system.shards[victim].attachFaultInjector(&injector);
-        injector.armAtKind(PersistBoundary::RoundCommit, 1);
-        bool crashed = false;
-        for (BlockAddr addr = 0; addr < kBlocks && !crashed; ++addr) {
-            const ShardSlot slot = system.router.route(addr);
-            if (slot.shard != victim)
-                continue;
-            stampPayload(slot.local, 2, buf);
-            try {
-                system.controller(victim).write(slot.local, buf);
-                oracle[victim].latest[slot.local] = 2;
-            } catch (const InjectedFault &fault) {
-                crashed = true;
-                EXPECT_EQ(fault.kind(), PersistBoundary::RoundCommit);
-                oracle[victim].latest[slot.local] = 2;
-            }
-        }
-        ASSERT_TRUE(crashed) << "WPQ crash site never reached";
-
-        // Power failure: the ADR flush, then every shard's RAM page
-        // cache and unsynced log tail are gone and its log replays
-        // (powerFailureFlush). No orderly shutdown flush may save
-        // un-persisted state.
-        for (unsigned k = 0; k < num_shards; ++k)
-            system.controller(k).powerFailureFlush();
-    }
-
-    // "Process 2": reopen the trees, recover, check the guarantee.
-    {
-        ShardedSystem system = buildShardedSystem(config);
-        for (unsigned k = 0; k < num_shards; ++k)
-            system.controller(k).recoverFromNvm();
-
-        for (BlockAddr addr = 0; addr < kBlocks; ++addr) {
-            const ShardSlot slot = system.router.route(addr);
-            std::memset(buf, 0xFF, sizeof(buf));
-            system.controller(slot.shard).read(slot.local, buf);
-            const std::uint32_t v = payloadVersion(buf);
-            EXPECT_GE(v, oracle[slot.shard].durableOf(slot.local))
-                << "shard " << slot.shard << " lost block " << addr;
-            EXPECT_LE(v, oracle[slot.shard].latest.at(slot.local))
-                << "shard " << slot.shard << " resurrected block "
-                << addr;
-            if (v != 0) {
-                EXPECT_EQ(payloadAddr(buf), slot.local)
-                    << "shard " << slot.shard << " tore block " << addr;
-            }
-        }
-
-        // Recovery must leave every shard fully functional.
-        std::map<BlockAddr, std::uint32_t> post;
-        for (BlockAddr addr = 0; addr < kBlocks; addr += 5) {
-            const ShardSlot slot = system.router.route(addr);
-            const auto version = static_cast<std::uint32_t>(500 + addr);
-            stampPayload(slot.local, version, buf);
-            system.controller(slot.shard).write(slot.local, buf);
-            post[addr] = version;
-        }
-        for (const auto &[addr, version] : post) {
-            const ShardSlot slot = system.router.route(addr);
-            system.controller(slot.shard).read(slot.local, buf);
-            EXPECT_EQ(payloadVersion(buf), version)
-                << "post-recovery shard " << slot.shard << " broken";
-        }
-    }
-    tmpTree("disk_sharded_crash_" + std::to_string(num_shards) +
-            ".tree"); // scrub
+    SystemConfig config = diskCrashConfig(tmpTree(
+        "disk_sharded_crash_" + std::to_string(num_shards) + ".tree"));
+    config.tree_height = 6;
+    config.num_blocks = 96;
+    config.seed = 31;
+    return config;
 }
 
 TEST(DiskCrash, SingleShardKillRecoversFromFile)
 {
-    runShardedDiskKill(1);
+    testing::killShardMidWpq(shardKillConfig(1), 1);
 }
 
 TEST(DiskCrash, TwoShardKillRecoversBothTrees)
 {
-    runShardedDiskKill(2);
+    testing::killShardMidWpq(shardKillConfig(2), 2);
 }
 
 TEST(DiskCrash, FourShardKillRecoversAllTrees)
 {
-    runShardedDiskKill(4);
+    testing::killShardMidWpq(shardKillConfig(4), 4);
 }
 
 } // namespace

@@ -5,8 +5,11 @@
  * reports, over a pipe, every (key, version) it submits and every one
  * the engine acknowledges. The parent SIGKILLs it mid-load, reopens the
  * trees in-process (each backend replays its redo log at open),
- * recovers, and checks every key: the version read back is at least the
- * last acknowledged one and at most the last submitted one.
+ * recovers, runs the recovery-invariant checker on every shard (each
+ * key's last acknowledged version as its durable floor, its last
+ * submitted one as latest), and checks every key: the version read back
+ * is at least the last acknowledged one and at most the last submitted
+ * one.
  *
  * What SIGKILL can show: the kernel keeps the killed process's written
  * file pages, so a write survives iff its log record reached the file
@@ -18,7 +21,7 @@
  *
  * The negative control deletes the logs before the reopen: every write
  * since the last checkpoint lived only there, so acknowledged versions
- * must go missing.
+ * must go missing and the checker must report the loss.
  *
  * Not in the ThreadSanitizer job: it forks a process that then starts
  * threads.
@@ -41,9 +44,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "sim/recovery_invariants.hh"
+#include "disk_trees.hh"
 #include "sim/sharded_engine.hh"
-#include "sim/sharded_system.hh"
 
 namespace psoram {
 namespace {
@@ -79,16 +81,6 @@ killConfig(const std::string &path)
 }
 
 void
-removeTrees(const std::string &path)
-{
-    for (unsigned shard = 0; shard < kShards; ++shard) {
-        const std::string tree = path + ".shard" + std::to_string(shard);
-        std::remove(tree.c_str());
-        std::remove((tree + ".wal").c_str());
-    }
-}
-
-void
 sendMessage(int fd, char kind, BlockAddr key, std::uint32_t version)
 {
     std::uint8_t buf[kMessageBytes];
@@ -116,7 +108,7 @@ serveUntilKilled(const ShardedSystemConfig &config, int fd)
     for (std::uint64_t i = 0;; ++i) {
         const BlockAddr key = (i * 7) % kKeys;
         const std::uint32_t v = ++version[key];
-        stampPayload(key, v, payload);
+        stampPayload(system.router.route(key).local, v, payload);
         while (in_flight.load() >= kMaxInFlight)
             std::this_thread::yield();
         sendMessage(fd, 'S', key, v);
@@ -202,14 +194,37 @@ serveAndKill(const ShardedSystemConfig &config, std::size_t kill_after)
     return out;
 }
 
-/** Reopen the killed trees, recover, and read every key back. */
-std::map<BlockAddr, std::uint32_t>
-reopenAndRead(const ShardedSystemConfig &config)
+struct Reopened
+{
+    /** The version read back per key. */
+    std::map<BlockAddr, std::uint32_t> seen;
+    /** The recovery-invariant checker's verdict over every shard. */
+    std::vector<std::string> violations;
+};
+
+/** Reopen the killed trees, recover and check every shard against
+ *  @p run, and read every key back. */
+Reopened
+reopenAndRead(const ShardedSystemConfig &config, const KillOutcome &run)
 {
     ShardedSystem system = buildShardedSystem(config);
-    for (unsigned k = 0; k < system.numShards(); ++k)
+    std::vector<RecoveryOracle> oracle(system.numShards());
+    for (const auto &[key, v] : run.submitted) {
+        const ShardSlot slot = system.router.route(key);
+        oracle[slot.shard].latest[slot.local] = v;
+    }
+    for (const auto &[key, v] : run.acked) {
+        const ShardSlot slot = system.router.route(key);
+        oracle[slot.shard].durable[slot.local] = v;
+    }
+    Reopened out;
+    for (unsigned k = 0; k < system.numShards(); ++k) {
         system.controller(k).recoverFromNvm();
-    std::map<BlockAddr, std::uint32_t> seen;
+        for (const std::string &v :
+             checkRecoveryInvariants(system.shards[k], oracle[k]))
+            out.violations.push_back("shard " + std::to_string(k) + ": " +
+                                     v);
+    }
     std::uint8_t buf[kBlockDataBytes];
     for (BlockAddr key = 0; key < kKeys; ++key) {
         const ShardSlot slot = system.router.route(key);
@@ -217,13 +232,13 @@ reopenAndRead(const ShardedSystemConfig &config)
         const std::uint32_t v = payloadVersion(buf);
         if (v != 0) {
             std::uint8_t expect[kBlockDataBytes];
-            stampPayload(key, v, expect);
+            stampPayload(slot.local, v, expect);
             EXPECT_EQ(std::memcmp(buf, expect, sizeof(buf)), 0)
                 << "key " << key << " torn at version " << v;
         }
-        seen[key] = v;
+        out.seen[key] = v;
     }
-    return seen;
+    return out;
 }
 
 class DiskKill : public ::testing::TestWithParam<std::size_t>
@@ -232,15 +247,16 @@ class DiskKill : public ::testing::TestWithParam<std::size_t>
 
 TEST_P(DiskKill, AckedWritesSurviveSigkill)
 {
-    const std::string path = ::testing::TempDir() + "disk_kill_" +
-                             std::to_string(GetParam()) + ".tree";
-    removeTrees(path);
+    const std::string path = testing::tmpTree(
+        "disk_kill_" + std::to_string(GetParam()) + ".tree");
     const ShardedSystemConfig config = killConfig(path);
     const KillOutcome run = serveAndKill(config, GetParam());
     ASSERT_GE(run.acks, GetParam());
 
-    const std::map<BlockAddr, std::uint32_t> seen = reopenAndRead(config);
-    for (const auto &[key, v] : seen) {
+    const Reopened reopened = reopenAndRead(config, run);
+    for (const std::string &violation : reopened.violations)
+        ADD_FAILURE() << violation;
+    for (const auto &[key, v] : reopened.seen) {
         const auto acked = run.acked.find(key);
         const auto submitted = run.submitted.find(key);
         const std::uint32_t floor =
@@ -251,7 +267,7 @@ TEST_P(DiskKill, AckedWritesSurviveSigkill)
         EXPECT_LE(v, ceiling) << "key " << key << " read a version never "
                                  "submitted";
     }
-    removeTrees(path);
+    removeDiskTrees(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(KillPoints, DiskKill,
@@ -265,22 +281,22 @@ INSTANTIATE_TEST_SUITE_P(KillPoints, DiskKill,
  *  writes must go missing — the harness can see a lost write. */
 TEST(DiskKillControl, DeletedLogLosesAckedWrites)
 {
-    const std::string path = ::testing::TempDir() + "disk_kill_nolog.tree";
-    removeTrees(path);
+    const std::string path = testing::tmpTree("disk_kill_nolog.tree");
     const ShardedSystemConfig config = killConfig(path);
     const KillOutcome run = serveAndKill(config, 40);
     for (unsigned shard = 0; shard < kShards; ++shard)
         std::remove((path + ".shard" + std::to_string(shard) + ".wal")
                         .c_str());
 
-    const std::map<BlockAddr, std::uint32_t> seen = reopenAndRead(config);
+    const Reopened reopened = reopenAndRead(config, run);
+    EXPECT_TRUE(testing::reportsLoss(reopened.violations));
     std::size_t lost = 0;
-    for (const auto &[key, v] : seen) {
+    for (const auto &[key, v] : reopened.seen) {
         const auto acked = run.acked.find(key);
         lost += acked != run.acked.end() && v < acked->second;
     }
     EXPECT_GT(lost, 0u) << "a lost log went unnoticed";
-    removeTrees(path);
+    removeDiskTrees(path);
 }
 
 } // namespace

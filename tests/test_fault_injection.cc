@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <ostream>
 
+#include "crash_points.hh"
 #include "sim/crash_enumerator.hh"
 
 namespace psoram {
@@ -65,9 +67,7 @@ expectAllCrashPointsRecover(const CrashEnumConfig &config)
         << summary.describe();
     EXPECT_EQ(summary.replays, summary.total_boundaries);
     EXPECT_TRUE(summary.ok()) << summary.describe();
-    for (const CrashPointFailure &failure : summary.failures)
-        for (const std::string &violation : failure.violations)
-            ADD_FAILURE() << violation;
+    testing::reportFailures(summary);
 }
 
 struct EnumCase
@@ -119,49 +119,25 @@ INSTANTIATE_TEST_SUITE_P(Designs, ExhaustiveCrashPoints,
 TEST(CrashEnumeratorProbe, BoundaryPopulationIsDeterministic)
 {
     // The whole scheme rests on replayability: two probe runs of the
-    // same (config, trace) must count identical boundary populations.
+    // same (config, trace) must see identical boundary sequences.
     const CrashEnumConfig config = enumCase(DesignKind::PsOram, 8);
-    auto probe = [&config]() {
-        System system = buildSystem(config.system);
-        FaultInjector injector;
-        system.attachFaultInjector(&injector);
-        std::uint8_t buf[kBlockDataBytes];
-        for (const TraceOp &op : config.trace) {
-            if (op.is_write) {
-                stampPayload(op.addr, op.version, buf);
-                system.controller->write(op.addr, buf);
-            } else {
-                system.controller->read(op.addr, buf);
-            }
-        }
-        return injector.boundariesSeen();
-    };
-    const std::uint64_t first = probe();
-    const std::uint64_t second = probe();
-    EXPECT_EQ(first, second);
-    EXPECT_GT(first, 0u);
+    const std::vector<PersistBoundary> first = probeCrashPoints(config);
+    EXPECT_EQ(first, probeCrashPoints(config));
+    EXPECT_GT(first.size(), 0u);
 }
 
 TEST(CrashEnumeratorProbe, RoundBracketsBalance)
 {
     // Every committed round opens exactly once: starts == commits when
     // no fault interrupts the trace.
-    const CrashEnumConfig config = enumCase(DesignKind::PsOram, 8);
-    System system = buildSystem(config.system);
-    FaultInjector injector;
-    system.attachFaultInjector(&injector);
-    std::uint8_t buf[kBlockDataBytes];
-    for (const TraceOp &op : config.trace) {
-        if (op.is_write) {
-            stampPayload(op.addr, op.version, buf);
-            system.controller->write(op.addr, buf);
-        } else {
-            system.controller->read(op.addr, buf);
-        }
-    }
-    EXPECT_EQ(injector.kindCount(PersistBoundary::RoundStart),
-              injector.kindCount(PersistBoundary::RoundCommit));
-    EXPECT_GT(injector.kindCount(PersistBoundary::DrainWrite), 0u);
+    const std::vector<PersistBoundary> kinds =
+        probeCrashPoints(enumCase(DesignKind::PsOram, 8));
+    const auto count = [&kinds](PersistBoundary kind) {
+        return std::count(kinds.begin(), kinds.end(), kind);
+    };
+    EXPECT_EQ(count(PersistBoundary::RoundStart),
+              count(PersistBoundary::RoundCommit));
+    EXPECT_GT(count(PersistBoundary::DrainWrite), 0);
 }
 
 /** Feed @p kinds to @p injector in order; return the 1-based position
@@ -264,6 +240,10 @@ TEST(CrashEnumeratorNegative, MissingBackupBlocksAreDetected)
         << "checker failed to detect data loss in a build without "
            "backup blocks: "
         << summary.describe();
+    bool lost = false;
+    for (const CrashPointFailure &failure : summary.failures)
+        lost = lost || testing::reportsLoss(failure.violations);
+    EXPECT_TRUE(lost) << "no failing crash point reports a lost block";
 }
 
 } // namespace

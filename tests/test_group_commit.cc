@@ -9,16 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "nvm/paged_disk.hh"
-#include "sim/recovery_invariants.hh"
+#include "disk_trees.hh"
 #include "sim/sharded_engine.hh"
-#include "sim/sharded_system.hh"
 
 namespace psoram {
 namespace {
@@ -36,29 +33,12 @@ groupConfig(BackendKind backend, const std::string &name)
     config.base.seed = 47;
     config.base.backend = backend;
     if (backend == BackendKind::Disk) {
-        config.base.backing_file = ::testing::TempDir() + name;
+        config.base.backing_file = testing::tmpTree(name);
         config.base.disk_cache_pages = 16;
         config.base.disk_pinned_pages = 2;
-        for (unsigned shard = 0; shard < 2; ++shard) {
-            const std::string tree = config.base.backing_file + ".shard" +
-                                     std::to_string(shard);
-            std::remove(tree.c_str());
-            std::remove((tree + ".wal").c_str());
-        }
     }
     config.sharding.num_shards = 2;
     return config;
-}
-
-void
-removeTrees(const ShardedSystemConfig &config)
-{
-    for (unsigned shard = 0; shard < 2; ++shard) {
-        const std::string tree =
-            config.base.backing_file + ".shard" + std::to_string(shard);
-        std::remove(tree.c_str());
-        std::remove((tree + ".wal").c_str());
-    }
 }
 
 const PagedDiskBackend &
@@ -99,7 +79,7 @@ TEST(GroupCommit, DiskAcksFollowTheirLogSync)
         EXPECT_GE(stats.group_syncs, 2u);
         EXPECT_LE(stats.group_syncs, stats.group_requests);
     }
-    removeTrees(config);
+    removeDiskTrees(config.base.backing_file);
 }
 
 /** The memory backend never holds an unsynced tail: no group syncs,
@@ -155,7 +135,7 @@ TEST(GroupCommit, ConcurrentSubmittersReadTheirWrites)
         EXPECT_EQ(wrong.load(), 0u);
         EXPECT_GT(engine.stats().group_syncs, 0u);
     }
-    removeTrees(config);
+    removeDiskTrees(config.base.backing_file);
 }
 
 /** Direct controller use: a group of writes syncs once, and the commit
@@ -191,7 +171,7 @@ TEST(GroupCommit, ControllerGroupSyncsOnceThenReports)
         EXPECT_EQ(oracle.durableOf(4), 1u);
         EXPECT_FALSE(oracle.non_monotonic);
     }
-    removeTrees(config);
+    removeDiskTrees(config.base.backing_file);
 }
 
 } // namespace

@@ -34,15 +34,18 @@
 #include <string>
 #include <vector>
 
-#include "nvm/paged_disk.hh"
+#include "disk_trees.hh"
 #include "oram/block.hh"
 #include "oram/integrity.hh"
 #include "sim/crash_enumerator.hh"
-#include "sim/sharded_system.hh"
 #include "sim/tamper_injector.hh"
 
 namespace psoram {
 namespace {
+
+using testing::fileBacked;
+using testing::reportFailures;
+using testing::tmpTree;
 
 constexpr std::uint32_t kWorkloadRounds = 2;
 
@@ -561,15 +564,16 @@ TEST(Integrity, ArmedTamperLandsAtExactBoundaryAndIsDetected)
     // Probe: the boundary sequence is deterministic per (config,
     // workload); count it so the tamper can be armed at the very last
     // boundary — after the final eviction's writes, where nothing
-    // overwrites the mutation before the next read verifies it.
-    std::uint64_t total = 0;
-    {
-        System probe = buildSystem(config);
-        FaultInjector injector;
-        probe.attachFaultInjector(&injector);
-        runWorkload(probe);
-        total = injector.boundariesSeen();
-    }
+    // overwrites the mutation before the next read verifies it. The
+    // probe drives runWorkload's accesses as a trace.
+    CrashEnumConfig probe;
+    probe.system = config;
+    for (std::uint32_t round = 1; round <= kWorkloadRounds; ++round)
+        for (BlockAddr addr = 0; addr < config.num_blocks; ++addr)
+            probe.trace.push_back({addr, true, round});
+    for (BlockAddr addr = 0; addr < config.num_blocks; ++addr)
+        probe.trace.push_back({addr, false, 0});
+    const std::uint64_t total = probeCrashPoints(probe).size();
     ASSERT_GT(total, 0u);
 
     System system = buildSystem(config);
@@ -592,15 +596,6 @@ TEST(Integrity, ArmedTamperLandsAtExactBoundaryAndIsDetected)
 /* ------------------------------------------------------------------ */
 /* Crash enumeration: I5 across every persist boundary.               */
 /* ------------------------------------------------------------------ */
-
-void
-reportFailures(const CrashEnumSummary &summary)
-{
-    for (const CrashPointFailure &failure : summary.failures)
-        for (const std::string &violation : failure.violations)
-            ADD_FAILURE() << "boundary " << failure.boundary << ": "
-                          << violation;
-}
 
 TEST(IntegrityCrashEnum, TreeModeEveryBoundaryRecovers)
 {
@@ -636,74 +631,14 @@ TEST(IntegrityCrashEnum, MacModeEveryBoundaryRecovers)
     EXPECT_GT(summary.replays, 10u);
 }
 
-std::string
-tmpTree(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    // Each disk tree has a redo-log sidecar (<tree>.wal).
-    std::remove(path.c_str());
-    std::remove((path + ".wal").c_str());
-    for (unsigned shard = 0; shard < 8; ++shard) {
-        const std::string tree = path + ".shard" + std::to_string(shard);
-        std::remove(tree.c_str());
-        std::remove((tree + ".wal").c_str());
-    }
-    return path;
-}
-
-/**
- * Sampled enumeration with a fresh backing file per replay: each armed
- * replay rebuilds the System, and a disk backend would otherwise
- * reopen the previous replay's tree.
- */
+/** A sampled enumeration that must recover at every replayed point. */
 void
-runSampledEnum(CrashEnumConfig config, const std::string &path,
-               std::uint64_t stride)
+expectSampledEnumRecovers(const CrashEnumConfig &config)
 {
-    std::uint64_t total = 0;
-    {
-        System system = buildSystem(config.system);
-        FaultInjector injector;
-        system.attachFaultInjector(&injector);
-        std::uint8_t buf[kBlockDataBytes];
-        for (const TraceOp &op : config.trace) {
-            if (op.is_write) {
-                stampPayload(op.addr, op.version, buf);
-                system.controller->write(op.addr, buf);
-            } else {
-                system.controller->read(op.addr, buf);
-            }
-        }
-        total = injector.boundariesSeen();
-    }
-    ASSERT_GT(total, 0u);
-
-    std::uint64_t replays = 0;
-    for (std::uint64_t k = 1; k <= total; k += stride) {
-        std::remove(path.c_str()); // fresh tree per replay
-        const std::vector<std::string> violations =
-            runArmedCrash(config, k);
-        ++replays;
-        for (const std::string &violation : violations)
-            ADD_FAILURE() << violation;
-        if (::testing::Test::HasFailure())
-            break;
-    }
-    EXPECT_GT(replays, 8u);
-    std::remove(path.c_str());
-    std::remove((path + ".wal").c_str());
-}
-
-/** Page-cache budget that holds every page of these small trees. */
-constexpr std::size_t kInCorePages = 4096;
-
-/** A file-backed system: a paged disk tree that stays in core. */
-void
-fileBacked(SystemConfig &config, const std::string &path)
-{
-    config.backend = BackendKind::Disk;
-    config.backing_file = path;
-    config.disk_cache_pages = kInCorePages;
+    const CrashEnumSummary summary = enumerateCrashPoints(config);
+    ASSERT_GT(summary.total_boundaries, 0u);
+    reportFailures(summary);
+    EXPECT_GT(summary.replays, 8u);
 }
 
 TEST(IntegrityCrashEnum, FileBackedTreeModeSampledBoundaries)
@@ -716,7 +651,9 @@ TEST(IntegrityCrashEnum, FileBackedTreeModeSampledBoundaries)
     config.trace = makeCrashTrace(/*seed=*/5, /*ops=*/8,
                                   config.system.num_blocks);
     config.post_recovery_ops = 24;
-    runSampledEnum(config, path, /*stride=*/7);
+    config.stride = 7;
+    expectSampledEnumRecovers(config);
+    removeDiskTrees(path);
 }
 
 TEST(IntegrityCrashEnum, DiskTreeModeSampledBoundaries)
@@ -731,167 +668,41 @@ TEST(IntegrityCrashEnum, DiskTreeModeSampledBoundaries)
     config.trace = makeCrashTrace(/*seed=*/13, /*ops=*/8,
                                   config.system.num_blocks);
     config.post_recovery_ops = 24;
-    runSampledEnum(config, path, /*stride=*/13);
+    config.stride = 13;
+    expectSampledEnumRecovers(config);
+    removeDiskTrees(path);
 }
 
 /* ------------------------------------------------------------------ */
 /* Sharded deployments killed mid-WPQ, integrity=tree.                */
 /* ------------------------------------------------------------------ */
 
-/** The shard's disk tree, asserted to be in core. */
-PagedDiskBackend *
-fileNvm(System &system)
+/** File-backed shards with integrity=tree for the process-kill rows. */
+SystemConfig
+shardKillConfig(unsigned num_shards)
 {
-    auto *nvm = dynamic_cast<PagedDiskBackend *>(system.device.get());
-    EXPECT_NE(nvm, nullptr);
-    if (nvm != nullptr) {
-        EXPECT_LE(nvm->numPages(), nvm->config().cache_pages)
-            << "cache smaller than the tree: not in core";
-    }
-    return nvm;
-}
-
-/** Bytes of page records in the tree file @p path (0 when missing). */
-std::uintmax_t
-treeFilePageBytes(const std::string &path)
-{
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (ec || size < PagedDiskBackend::kHeaderBytes)
-        return 0;
-    return size - PagedDiskBackend::kHeaderBytes;
-}
-
-void
-runShardedIntegrityKill(unsigned num_shards)
-{
-    const std::string backing = tmpTree(
-        "integrity_sharded_" + std::to_string(num_shards) + ".img");
-    ShardedSystemConfig config;
-    config.base = integrityConfig(IntegrityMode::Tree);
-    config.base.tree_height = 5;
-    config.base.num_blocks = 48;
-    config.base.seed = 31;
-    fileBacked(config.base, backing);
-    config.sharding.num_shards = num_shards;
-
-    constexpr BlockAddr kBlocks = 48;
-    std::uint8_t buf[kBlockDataBytes];
-    std::vector<RecoveryOracle> oracle(num_shards);
-    const unsigned victim = num_shards - 1;
-
-    // "Process 1": version-1 writes everywhere; kill the victim shard
-    // mid-WPQ on a version-2 write; power fails for every shard.
-    {
-        FaultInjector injector;
-        ShardedSystem system = buildShardedSystem(config);
-        ASSERT_EQ(system.numShards(), num_shards);
-        for (unsigned k = 0; k < num_shards; ++k) {
-            ASSERT_NE(system.controller(k).integrity(), nullptr);
-            system.controller(k).setCommitObserver(
-                oracle[k].observer());
-        }
-
-        for (BlockAddr addr = 0; addr < kBlocks; ++addr) {
-            const ShardSlot slot = system.router.route(addr);
-            stampPayload(slot.local, 1, buf);
-            system.controller(slot.shard).write(slot.local, buf);
-            oracle[slot.shard].latest[slot.local] = 1;
-        }
-
-        system.shards[victim].attachFaultInjector(&injector);
-        injector.armAtKind(PersistBoundary::RoundCommit, 1);
-        bool crashed = false;
-        for (BlockAddr addr = 0; addr < kBlocks && !crashed; ++addr) {
-            const ShardSlot slot = system.router.route(addr);
-            if (slot.shard != victim)
-                continue;
-            stampPayload(slot.local, 2, buf);
-            try {
-                system.controller(victim).write(slot.local, buf);
-                oracle[victim].latest[slot.local] = 2;
-            } catch (const InjectedFault &fault) {
-                crashed = true;
-                EXPECT_EQ(fault.kind(), PersistBoundary::RoundCommit);
-                oracle[victim].latest[slot.local] = 2;
-            }
-        }
-        ASSERT_TRUE(crashed) << "WPQ crash site never reached";
-
-        for (unsigned k = 0; k < num_shards; ++k) {
-            system.controller(k).powerFailureFlush();
-            fileNvm(system.shards[k])->persistBarrier();
-        }
-    }
-
-    // "Process 2": rebuild from the files alone; every shard's
-    // integrity recovery must accept its committed prefix (the victim
-    // included — a torn round never committed a root record) and the
-    // verified reads must hold the crash guarantee.
-    for (unsigned k = 0; k < num_shards; ++k) {
-        const std::string file = num_shards == 1
-            ? backing
-            : backing + ".shard" + std::to_string(k);
-        EXPECT_GT(treeFilePageBytes(file), 0u)
-            << "shard " << k << " image missing";
-    }
-    {
-        ShardedSystem system = buildShardedSystem(config);
-        for (unsigned k = 0; k < num_shards; ++k) {
-            fileNvm(system.shards[k]);
-            const auto outcome = integrityOutcome(
-                [&] { system.controller(k).recoverFromNvm(); });
-            ASSERT_FALSE(outcome.has_value())
-                << "shard " << k << " refused its own crash image: "
-                << IntegrityError::kindName(*outcome);
-        }
-
-        for (BlockAddr addr = 0; addr < kBlocks; ++addr) {
-            const ShardSlot slot = system.router.route(addr);
-            std::memset(buf, 0xFF, sizeof(buf));
-            system.controller(slot.shard).read(slot.local, buf);
-            const std::uint32_t v = payloadVersion(buf);
-            EXPECT_GE(v, oracle[slot.shard].durableOf(slot.local))
-                << "shard " << slot.shard << " lost block " << addr;
-            EXPECT_LE(v, oracle[slot.shard].latest.at(slot.local))
-                << "shard " << slot.shard << " resurrected block "
-                << addr;
-            if (v != 0) {
-                EXPECT_EQ(payloadAddr(buf), slot.local)
-                    << "shard " << slot.shard << " tore block "
-                    << addr;
-            }
-        }
-
-        // Recovery must leave every shard fully functional under
-        // continued sealing + verification.
-        for (BlockAddr addr = 0; addr < kBlocks; addr += 5) {
-            const ShardSlot slot = system.router.route(addr);
-            const auto version = static_cast<std::uint32_t>(500 + addr);
-            stampPayload(slot.local, version, buf);
-            system.controller(slot.shard).write(slot.local, buf);
-            system.controller(slot.shard).read(slot.local, buf);
-            EXPECT_EQ(payloadVersion(buf), version)
-                << "post-recovery shard " << slot.shard << " broken";
-        }
-    }
-    tmpTree("integrity_sharded_" + std::to_string(num_shards) +
-            ".img"); // scrubs the trees
+    SystemConfig config = integrityConfig(IntegrityMode::Tree);
+    config.tree_height = 5;
+    config.num_blocks = 48;
+    config.seed = 31;
+    fileBacked(config, tmpTree("integrity_sharded_" +
+                               std::to_string(num_shards) + ".img"));
+    return config;
 }
 
 TEST(IntegrityShardedCrash, OneShardKillRecoversVerified)
 {
-    runShardedIntegrityKill(1);
+    testing::killShardMidWpq(shardKillConfig(1), 1);
 }
 
 TEST(IntegrityShardedCrash, TwoShardKillRecoversVerified)
 {
-    runShardedIntegrityKill(2);
+    testing::killShardMidWpq(shardKillConfig(2), 2);
 }
 
 TEST(IntegrityShardedCrash, FourShardKillRecoversVerified)
 {
-    runShardedIntegrityKill(4);
+    testing::killShardMidWpq(shardKillConfig(4), 4);
 }
 
 } // namespace

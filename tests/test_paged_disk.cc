@@ -28,32 +28,17 @@
 
 #include "common/crc32.hh"
 #include "common/random.hh"
+#include "disk_trees.hh"
 #include "nvm/device.hh"
 #include "nvm/fault_injector.hh"
-#include "nvm/paged_disk.hh"
 #include "sim/sharded_engine.hh"
-#include "sim/system.hh"
 
 namespace psoram {
 namespace {
 
+using testing::tmpTree;
+
 constexpr std::uint64_t kCapacity = 1ULL << 20; // 256 pages
-
-/** Remove a tree and its redo log. */
-void
-removeTree(const std::string &path)
-{
-    std::remove(path.c_str());
-    std::remove((path + ".wal").c_str());
-}
-
-std::string
-tmpTree(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    removeTree(path);
-    return path;
-}
 
 PagedDiskConfig
 diskConfig(const std::string &path)
@@ -117,7 +102,7 @@ TEST(PagedDisk, MatchesInMemoryModelOnMixedTraffic)
     }
     EXPECT_EQ(disk.image(), reference.image());
     EXPECT_EQ(disk.tornPagesDetected(), 0u);
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 TEST(PagedDisk, TreePersistsAcrossReopen)
@@ -138,7 +123,7 @@ TEST(PagedDisk, TreePersistsAcrossReopen)
         EXPECT_EQ(got, payload);
         EXPECT_EQ(disk.tornPagesDetected(), 0u);
     }
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 TEST(PagedDisk, DropVolatileLosesUnbarrieredQuietWrites)
@@ -179,7 +164,7 @@ TEST(PagedDisk, DropVolatileLosesUnbarrieredQuietWrites)
     disk.dropVolatile();
     disk.readBytes(4096 * 3, got.data(), got.size());
     EXPECT_EQ(got, noisy);
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 TEST(PagedDisk, NoisyWriteCarriesQuietWriteBack)
@@ -214,7 +199,7 @@ TEST(PagedDisk, NoisyWriteCarriesQuietWriteBack)
     EXPECT_EQ(got, quiet);
     disk.readBytes(4096 * 3, got.data(), got.size());
     EXPECT_EQ(got, noisy);
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /**
@@ -247,7 +232,7 @@ TEST(PagedDisk, TornLogRecordIsNotReplayed)
     disk.readBytes(4096 * 6, got.data(), got.size());
     EXPECT_EQ(got, std::vector<std::uint8_t>(4096, 0))
         << "a torn record was replayed";
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /**
@@ -307,7 +292,7 @@ TEST(PagedDisk, ReopenReplaysSyncedRecords)
         << "a record that fails its CRC was replayed";
     EXPECT_EQ(readBack(no_log, 4096 * 7), zeros);
     for (const std::string &tree : {path, intact, corrupt, no_log})
-        removeTree(tree);
+        removeDiskTrees(tree);
 }
 
 TEST(PagedDisk, EvictionWritesBackDirtyPages)
@@ -340,7 +325,7 @@ TEST(PagedDisk, EvictionWritesBackDirtyPages)
             ++durable;
     }
     EXPECT_GE(durable, 64u - 5u);
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 TEST(PagedDisk, PinnedPagesNeverReloadFromDisk)
@@ -361,7 +346,7 @@ TEST(PagedDisk, PinnedPagesNeverReloadFromDisk)
     disk.readBytes(0, buf.data(), buf.size());
     EXPECT_EQ(disk.ioStats().preads, preads)
         << "pinned page 0 must still be resident";
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 TEST(PagedDisk, ImageSnapshotRestoreRoundtrips)
@@ -388,8 +373,8 @@ TEST(PagedDisk, ImageSnapshotRestoreRoundtrips)
     b.dropVolatile();
     b.readBytes(100, got.data(), got.size());
     EXPECT_EQ(got, p1);
-    removeTree(path_a);
-    removeTree(path_b);
+    removeDiskTrees(path_a);
+    removeDiskTrees(path_b);
 }
 
 /**
@@ -425,7 +410,7 @@ TEST(PagedDisk, TornPageIsDetectedAtNextLoad)
     disk.readBytes(0, got.data(), got.size());
     EXPECT_GE(disk.tornPagesDetected(), 1u)
         << "partial-pwrite corruption escaped the CRC trailer";
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /**
@@ -469,7 +454,7 @@ TEST(PagedDisk, ImageCountsATornSubtreePageOnce)
     const std::uint64_t torn_before = disk.tornPagesDetected();
     disk.image();
     EXPECT_EQ(disk.tornPagesDetected(), torn_before + 1);
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /**
@@ -521,7 +506,7 @@ TEST(PagedDisk, InjectedCrashMidPageWriteLeavesDetectableTorn)
     std::vector<std::uint8_t> got(4096);
     disk.readBytes(0, got.data(), got.size());
     EXPECT_EQ(got, payload) << "log replay did not heal the torn page";
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /** Read @p len bytes at @p offset of @p path, out of band. */
@@ -579,7 +564,7 @@ TEST(PagedDisk, TrailersMatchTheReferenceCrc)
         // Tree file: every written page's trailer (the file ends at
         // the last page written).
         const std::uint64_t file_pages =
-            (std::filesystem::file_size(path) - D::kHeaderBytes) /
+            testing::treeFilePageBytes(path) /
             D::kRecordBytes;
         ASSERT_LE(file_pages, disk.numPages());
         std::size_t pages_checked = 0;
@@ -632,7 +617,7 @@ TEST(PagedDisk, TrailersMatchTheReferenceCrc)
     disk.readBytes(3 * D::kPageBytes, got.data(), got.size());
     EXPECT_EQ(disk.ioStats().torn_pages_detected, 1u)
         << "a flipped payload byte escaped the page CRC";
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 TEST(PagedDisk, CorruptPageIsWarnedNotFatal)
@@ -667,7 +652,7 @@ TEST(PagedDisk, CorruptPageIsWarnedNotFatal)
     EXPECT_NE(err.find("failed trailer verification"), std::string::npos)
         << err;
     EXPECT_EQ(got, std::vector<std::uint8_t>(64, 0xA5));
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /** Concurrent functional reads and quiet writes share the internal
@@ -715,7 +700,7 @@ TEST(PagedDisk, ConcurrentReadsAndQuietWritesAreSafe)
     for (std::thread &thread : threads)
         thread.join();
     EXPECT_EQ(disk.tornPagesDetected(), 0u);
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /**
@@ -749,7 +734,7 @@ TEST(PagedDisk, SubtreeMapPacksEveryPath)
                 config.pinned_pages = 0;
                 config.tree_levels = geo.levels();
                 config.bucket_bytes = bucket_bytes;
-                removeTree(path);
+                removeDiskTrees(path);
                 D disk(pcmTimings(), 1, 8, capacity, config);
 
                 unsigned k = 0;
@@ -823,7 +808,7 @@ TEST(PagedDisk, SubtreeMapPacksEveryPath)
             }
         }
     }
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 /**
@@ -866,8 +851,8 @@ TEST(PagedDiskDeathTest, LevelOrderedTreeIsRefused)
                                   diskConfig(path));
         },
         ::testing::ExitedWithCode(1), "layout .* does not match");
-    removeTree(path);
-    removeTree(level_ordered);
+    removeDiskTrees(path);
+    removeDiskTrees(level_ordered);
 }
 
 /**
@@ -945,7 +930,7 @@ runDiskMatchesMemory(IntegrityMode integrity)
         traffic(100);
         EXPECT_EQ(disk->tornPagesDetected(), 0u);
     }
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 TEST(PagedDisk, SubtreeMappedSystemMatchesMemory)
@@ -1030,7 +1015,7 @@ TEST(PagedDisk, OutOfCorePathIoShape)
         EXPECT_LE(perAccess(io.pwrites), 4.0)
             << "a path write-back writes more pages than its subtrees";
     }
-    removeTree(path);
+    removeDiskTrees(path);
 }
 
 } // namespace

@@ -12,23 +12,23 @@
  * Each crash is injected at the persist boundary that leaves the same
  * durable state as the paper's crash moment (crash_points.hh): steps 3
  * and 4 write nothing durable, so a PS-ORAM crash in them is the crash
- * at the eviction's first round-start.
+ * at the eviction's first round-start. After every recovery the
+ * recovery-invariant checker runs over the whole address space before
+ * the case's own assertions; on the Baseline it must report the loss.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <map>
-
 #include "crash_points.hh"
-#include "psoram/recovery.hh"
-#include "sim/system.hh"
+#include "sim/recovery_invariants.hh"
 
 namespace psoram {
 namespace {
 
 using testing::CrashPoint;
 using testing::armCrashPoint;
+using testing::expectRecovered;
+using testing::reportsLoss;
 
 SystemConfig
 caseConfig(DesignKind design)
@@ -43,29 +43,17 @@ caseConfig(DesignKind design)
     return config;
 }
 
+/** Populate every block (version addr + 1) with @p oracle tracking
+ *  durability, so values are committed. */
 void
-payload(BlockAddr addr, std::uint32_t version, std::uint8_t *out)
+populate(System &system, RecoveryOracle &oracle)
 {
-    std::memset(out, 0, kBlockDataBytes);
-    std::memcpy(out, &addr, sizeof(addr));
-    std::memcpy(out + 8, &version, sizeof(version));
-}
-
-std::uint32_t
-versionOf(const std::uint8_t *data)
-{
-    std::uint32_t v = 0;
-    std::memcpy(&v, data + 8, sizeof(v));
-    return v;
-}
-
-/** Populate every block and drain the stash so values are committed. */
-void
-populate(System &system)
-{
+    system.controller->setCommitObserver(oracle.observer());
     std::uint8_t buf[kBlockDataBytes];
     for (BlockAddr addr = 0; addr < 100; ++addr) {
-        payload(addr, static_cast<std::uint32_t>(addr + 1), buf);
+        const auto version = static_cast<std::uint32_t>(addr + 1);
+        oracle.latest[addr] = version;
+        stampPayload(addr, version, buf);
         system.controller->write(addr, buf);
     }
 }
@@ -76,7 +64,7 @@ recoveredVersion(System &system, BlockAddr addr)
 {
     std::uint8_t buf[kBlockDataBytes];
     system.controller->read(addr, buf);
-    return versionOf(buf);
+    return payloadVersion(buf);
 }
 
 TEST(PaperCase1, CrashDuringLoadRecoversViaUncommittedRemap)
@@ -88,7 +76,8 @@ TEST(PaperCase1, CrashDuringLoadRecoversViaUncommittedRemap)
     // access the data of interest in the original path".
     FaultInjector injector;
     System system = buildSystem(caseConfig(DesignKind::PsOram));
-    populate(system);
+    RecoveryOracle oracle;
+    populate(system, oracle);
 
     system.attachFaultInjector(&injector);
     armCrashPoint(system, injector, CrashPoint::DuringLoad, 1);
@@ -108,6 +97,7 @@ TEST(PaperCase1, CrashDuringLoadRecoversViaUncommittedRemap)
     ASSERT_NE(victim, kDummyBlockAddr);
 
     system.recoverController();
+    expectRecovered(system, oracle);
     EXPECT_EQ(recoveredVersion(system, victim),
               static_cast<std::uint32_t>(victim + 1));
 }
@@ -119,7 +109,8 @@ TEST(PaperCase2, CrashAfterLoadLosesNothingCommitted)
     // every block; recovery re-reads them from the data content region.
     FaultInjector injector;
     System system = buildSystem(caseConfig(DesignKind::PsOram));
-    populate(system);
+    RecoveryOracle oracle;
+    populate(system, oracle);
 
     system.attachFaultInjector(&injector);
     armCrashPoint(system, injector, CrashPoint::AfterStashUpdate, 1);
@@ -139,6 +130,7 @@ TEST(PaperCase2, CrashAfterLoadLosesNothingCommitted)
     ASSERT_NE(victim, kDummyBlockAddr);
 
     system.recoverController();
+    expectRecovered(system, oracle);
     // The victim AND every other block of the loaded path survive.
     for (BlockAddr addr = 0; addr < 100; ++addr)
         EXPECT_EQ(recoveredVersion(system, addr),
@@ -160,24 +152,23 @@ TEST(PaperCase3, PartialWritebackCannotDestroyLiveBlocks)
         config.wpq_entries = 4;
         FaultInjector injector;
         System system = buildSystem(config);
-        populate(system);
+        RecoveryOracle oracle;
+        populate(system, oracle);
 
         system.attachFaultInjector(&injector);
         armCrashPoint(system, injector, CrashPoint::BetweenRounds, occurrence);
         std::uint8_t buf[kBlockDataBytes];
         bool crashed = false;
-        std::map<BlockAddr, std::uint32_t> updated;
         for (int op = 0; op < 60 && !crashed; ++op) {
             const BlockAddr addr = static_cast<BlockAddr>(op) % 100;
-            payload(addr, 1000 + op, buf);
+            stampPayload(addr, 1000 + op, buf);
+            oracle.latest[addr] = static_cast<std::uint32_t>(1000 + op);
             const std::uint64_t rounds_before =
                 system.controller->drainer()->roundsIssued();
             try {
                 system.controller->write(addr, buf);
-                updated[addr] = static_cast<std::uint32_t>(1000 + op);
             } catch (const InjectedFault &fault) {
                 crashed = true;
-                updated[addr] = static_cast<std::uint32_t>(1000 + op);
                 // Between two rounds of one eviction: the next round
                 // opens after an earlier round of this access drained.
                 EXPECT_EQ(fault.kind(), PersistBoundary::RoundStart);
@@ -190,16 +181,17 @@ TEST(PaperCase3, PartialWritebackCannotDestroyLiveBlocks)
         ASSERT_TRUE(crashed) << "occurrence " << occurrence;
 
         system.recoverController();
+        expectRecovered(system, oracle);
         for (BlockAddr addr = 0; addr < 100; ++addr) {
             const std::uint32_t v = recoveredVersion(system, addr);
-            const auto it = updated.find(addr);
-            if (it == updated.end()) {
+            const std::uint32_t latest = oracle.latest[addr];
+            if (latest == addr + 1) {
                 // Untouched since populate: must hold its value.
-                EXPECT_EQ(v, static_cast<std::uint32_t>(addr + 1))
+                EXPECT_EQ(v, latest)
                     << "addr " << addr << " destroyed (Figure 3!)";
             } else {
                 // Updated: old-or-new, never zero/garbage.
-                EXPECT_TRUE(v == addr + 1 || v == it->second)
+                EXPECT_TRUE(v == addr + 1 || v == latest)
                     << "addr " << addr << " got " << v;
             }
         }
@@ -215,7 +207,8 @@ TEST(PaperCase1Baseline, SameCrashDestroysTheBaseline)
     // first direct write.
     FaultInjector injector;
     System system = buildSystem(caseConfig(DesignKind::Baseline));
-    populate(system);
+    RecoveryOracle oracle;
+    populate(system, oracle);
 
     system.attachFaultInjector(&injector);
     injector.armAtKind(PersistBoundary::DirectWrite, 1);
@@ -232,6 +225,9 @@ TEST(PaperCase1Baseline, SameCrashDestroysTheBaseline)
     ASSERT_TRUE(crashed);
 
     system.recoverController();
+    // Held to what crash consistency owes every completed write.
+    oracle.durable = oracle.latest;
+    EXPECT_TRUE(reportsLoss(checkRecoveryInvariants(system, oracle)));
     std::size_t lost = 0;
     for (BlockAddr addr = 0; addr < 100; ++addr)
         if (recoveredVersion(system, addr) !=

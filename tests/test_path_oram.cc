@@ -15,6 +15,7 @@
 
 #include "common/random.hh"
 #include "oram/controller.hh"
+#include "sim/recovery_invariants.hh"
 
 namespace psoram {
 namespace {
@@ -40,14 +41,6 @@ makeDevice()
     return NvmDevice(pcmTimings(), 1, 8, 64ULL << 20);
 }
 
-void
-payload(BlockAddr addr, std::uint32_t version, std::uint8_t *out)
-{
-    std::memset(out, 0, kBlockDataBytes);
-    std::memcpy(out, &addr, sizeof(addr));
-    std::memcpy(out + 8, &version, sizeof(version));
-}
-
 TEST(PathOram, ReadOfUntouchedBlockIsZero)
 {
     NvmDevice device = makeDevice();
@@ -64,7 +57,7 @@ TEST(PathOram, WriteThenReadBack)
     NvmDevice device = makeDevice();
     PathOramController oram(smallParams(), device);
     std::uint8_t in[kBlockDataBytes], out[kBlockDataBytes];
-    payload(3, 1, in);
+    stampPayload(3, 1, in);
     oram.write(3, in);
     oram.read(3, out);
     EXPECT_EQ(std::memcmp(in, out, kBlockDataBytes), 0);
@@ -82,7 +75,7 @@ TEST(PathOram, RandomWorkloadMatchesReferenceMap)
         const BlockAddr addr = rng.nextBelow(48);
         if (rng.nextBool(0.5)) {
             const auto version = static_cast<std::uint32_t>(op + 1);
-            payload(addr, version, buf);
+            stampPayload(addr, version, buf);
             oram.write(addr, buf);
             reference[addr] = version;
         } else {
@@ -214,7 +207,7 @@ TEST(PathOram, DebugFindLocatesEvictedBlock)
     NvmDevice device = makeDevice();
     PathOramController oram(smallParams(), device);
     std::uint8_t in[kBlockDataBytes], out[kBlockDataBytes];
-    payload(9, 5, in);
+    stampPayload(9, 5, in);
     oram.write(9, in);
     // Push block 9 out of the stash with other accesses.
     std::uint8_t buf[kBlockDataBytes] = {};

@@ -11,6 +11,7 @@
 #include <map>
 
 #include "common/random.hh"
+#include "sim/recovery_invariants.hh"
 #include "sim/system.hh"
 
 namespace psoram {
@@ -32,22 +33,6 @@ smallConfig(DesignKind design, unsigned height = 5,
     return config;
 }
 
-void
-payload(BlockAddr addr, std::uint32_t version, std::uint8_t *out)
-{
-    std::memset(out, 0, kBlockDataBytes);
-    std::memcpy(out, &addr, sizeof(addr));
-    std::memcpy(out + 8, &version, sizeof(version));
-}
-
-std::uint32_t
-versionOf(const std::uint8_t *data)
-{
-    std::uint32_t version = 0;
-    std::memcpy(&version, data + 8, sizeof(version));
-    return version;
-}
-
 class PsOramDesigns : public ::testing::TestWithParam<DesignKind>
 {
 };
@@ -56,7 +41,7 @@ TEST_P(PsOramDesigns, WriteThenReadBack)
 {
     System system = buildSystem(smallConfig(GetParam()));
     std::uint8_t in[kBlockDataBytes], out[kBlockDataBytes];
-    payload(3, 1, in);
+    stampPayload(3, 1, in);
     system.controller->write(3, in);
     system.controller->read(3, out);
     EXPECT_EQ(std::memcmp(in, out, kBlockDataBytes), 0);
@@ -84,13 +69,13 @@ TEST_P(PsOramDesigns, RandomWorkloadMatchesReferenceMap)
         const BlockAddr addr = rng.nextBelow(48);
         if (rng.nextBool(0.5)) {
             const auto version = static_cast<std::uint32_t>(op + 1);
-            payload(addr, version, buf);
+            stampPayload(addr, version, buf);
             oram.write(addr, buf);
             reference[addr] = version;
         } else {
             oram.read(addr, buf);
             const auto it = reference.find(addr);
-            EXPECT_EQ(versionOf(buf),
+            EXPECT_EQ(payloadVersion(buf),
                       it == reference.end() ? 0u : it->second)
                 << designName(GetParam()) << " op " << op << " addr "
                 << addr;
@@ -105,7 +90,7 @@ TEST_P(PsOramDesigns, StashStaysBounded)
     Rng rng(13);
     std::uint8_t buf[kBlockDataBytes] = {};
     for (int op = 0; op < 2500; ++op) {
-        payload(op, 1, buf);
+        stampPayload(op, 1, buf);
         oram.write(rng.nextBelow(120), buf);
     }
     EXPECT_LT(oram.stash().peakSize(), system.config.stash_capacity);
@@ -188,7 +173,7 @@ TEST(PsOramBackups, BackupCreatedForDirtyReaccessedBlock)
     System system = buildSystem(smallConfig(DesignKind::PsOram));
     PsOramController &oram = *system.controller;
     std::uint8_t buf[kBlockDataBytes] = {};
-    payload(5, 1, buf);
+    stampPayload(5, 1, buf);
     oram.write(5, buf);
     // Evict block 5 out of the stash, then touch it again: the reload
     // must spawn a backup (step 4).
@@ -196,7 +181,7 @@ TEST(PsOramBackups, BackupCreatedForDirtyReaccessedBlock)
         oram.write(a, buf);
     const std::uint64_t backups_before = oram.backupsCreated();
     if (!oram.stash().find(5)) {
-        payload(5, 2, buf);
+        stampPayload(5, 2, buf);
         oram.write(5, buf);
         EXPECT_GT(oram.backupsCreated(), backups_before);
     }

@@ -2,26 +2,26 @@
  * @file
  * Configuration-matrix property tests: functional correctness and
  * crash consistency of PS-ORAM across tree heights, bucket sizes and
- * WPQ capacities (property-style sweep via parameterized gtest).
+ * WPQ capacities (property-style sweep via parameterized gtest). The
+ * crash rows run through the crash harness (sim/crash_enumerator.hh)
+ * and its recovery-invariant checker.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <map>
 #include <string>
 #include <tuple>
 
 #include "common/random.hh"
 #include "crash_points.hh"
-#include "psoram/recovery.hh"
-#include "sim/system.hh"
+#include "sim/crash_enumerator.hh"
 
 namespace psoram {
 namespace {
 
 using testing::CrashPoint;
-using testing::armCrashPoint;
+using testing::crashAtPoint;
 using testing::crashPointArming;
 
 // (tree height, bucket slots Z, wpq entries)
@@ -44,20 +44,14 @@ matrixConfig(const MatrixParam &param)
     return config;
 }
 
-void
-payload(BlockAddr addr, std::uint32_t version, std::uint8_t *out)
+/** 400 writes of trace @p seed on @p system. */
+CrashEnumConfig
+crashCase(const SystemConfig &system, std::uint64_t seed)
 {
-    std::memset(out, 0, kBlockDataBytes);
-    std::memcpy(out, &addr, sizeof(addr));
-    std::memcpy(out + 8, &version, sizeof(version));
-}
-
-std::uint32_t
-versionOf(const std::uint8_t *data)
-{
-    std::uint32_t v = 0;
-    std::memcpy(&v, data + 8, sizeof(v));
-    return v;
+    CrashEnumConfig config;
+    config.system = system;
+    config.trace = makeCrashTrace(seed, 400, system.num_blocks, 1.0);
+    return config;
 }
 
 class PsOramMatrix : public ::testing::TestWithParam<MatrixParam>
@@ -74,13 +68,13 @@ TEST_P(PsOramMatrix, FunctionalAcrossGeometries)
     for (int op = 0; op < 800; ++op) {
         const BlockAddr addr = rng.nextBelow(config.num_blocks);
         if (rng.nextBool(0.5)) {
-            payload(addr, op + 1, buf);
+            stampPayload(addr, op + 1, buf);
             system.controller->write(addr, buf);
             reference[addr] = static_cast<std::uint32_t>(op + 1);
         } else {
             system.controller->read(addr, buf);
             const auto it = reference.find(addr);
-            EXPECT_EQ(versionOf(buf),
+            EXPECT_EQ(payloadVersion(buf),
                       it == reference.end() ? 0u : it->second)
                 << "op " << op;
         }
@@ -90,42 +84,11 @@ TEST_P(PsOramMatrix, FunctionalAcrossGeometries)
 
 TEST_P(PsOramMatrix, CrashRecoveryAcrossGeometries)
 {
-    const SystemConfig config = matrixConfig(GetParam());
-    FaultInjector injector;
-    System system = buildSystem(config);
-    std::map<BlockAddr, std::uint32_t> durable, latest;
-    system.controller->setCommitObserver(
-        [&](BlockAddr addr, const auto &data) {
-            durable[addr] =
-                std::max(durable[addr], versionOf(data.data()));
-        });
-    system.attachFaultInjector(&injector);
-    armCrashPoint(system, injector, CrashPoint::BeforeCommit, 25);
-
-    Rng rng(9);
-    std::uint8_t buf[kBlockDataBytes];
-    bool crashed = false;
-    for (int op = 0; op < 400 && !crashed; ++op) {
-        const BlockAddr addr = rng.nextBelow(config.num_blocks);
-        payload(addr, op + 1, buf);
-        try {
-            system.controller->write(addr, buf);
-            latest[addr] = static_cast<std::uint32_t>(op + 1);
-        } catch (const InjectedFault &fault) {
-            crashed = true;
-            latest[addr] = static_cast<std::uint32_t>(op + 1);
-            EXPECT_EQ(fault.kind(), PersistBoundary::RoundCommit);
-        }
-    }
-    ASSERT_TRUE(crashed);
-
-    system.recoverController();
-    for (const auto &[addr, version] : latest) {
-        system.controller->read(addr, buf);
-        const std::uint32_t v = versionOf(buf);
-        EXPECT_GE(v, durable[addr]) << "addr " << addr;
-        EXPECT_LE(v, version) << "addr " << addr;
-    }
+    const CrashReplay replay = crashAtPoint(
+        crashCase(matrixConfig(GetParam()), 9), CrashPoint::BeforeCommit,
+        25);
+    ASSERT_TRUE(replay.fired);
+    EXPECT_EQ(replay.kind, PersistBoundary::RoundCommit);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -163,42 +126,11 @@ TEST_P(PsOramCrashSeeds, ConsistentUnderRandomizedSchedules)
     SystemConfig config = matrixConfig(
         MatrixParam{6, 4, point == CrashPoint::BetweenRounds ? 8 : 96});
     config.seed = GetParam();
-    FaultInjector injector;
-    System system = buildSystem(config);
-    std::map<BlockAddr, std::uint32_t> durable, latest;
-    system.controller->setCommitObserver(
-        [&](BlockAddr addr, const auto &data) {
-            durable[addr] =
-                std::max(durable[addr], versionOf(data.data()));
-        });
-    system.attachFaultInjector(&injector);
-    armCrashPoint(system, injector, point, 10 + GetParam() % 40);
-
-    Rng rng(GetParam() * 17 + 3);
-    std::uint8_t buf[kBlockDataBytes];
-    bool crashed = false;
-    for (int op = 0; op < 400; ++op) {
-        const BlockAddr addr = rng.nextBelow(config.num_blocks);
-        payload(addr, op + 1, buf);
-        try {
-            system.controller->write(addr, buf);
-            latest[addr] = static_cast<std::uint32_t>(op + 1);
-        } catch (const InjectedFault &fault) {
-            crashed = true;
-            latest[addr] = static_cast<std::uint32_t>(op + 1);
-            EXPECT_EQ(fault.kind(), crashPointArming(point).fires);
-            break;
-        }
-    }
-    ASSERT_TRUE(crashed) << crashPointArming(point).label;
-
-    system.recoverController();
-    for (const auto &[addr, version] : latest) {
-        system.controller->read(addr, buf);
-        const std::uint32_t v = versionOf(buf);
-        EXPECT_GE(v, durable[addr]) << "addr " << addr;
-        EXPECT_LE(v, version) << "addr " << addr;
-    }
+    const CrashReplay replay =
+        crashAtPoint(crashCase(config, GetParam() * 17 + 3), point,
+                     10 + GetParam() % 40);
+    ASSERT_TRUE(replay.fired) << crashPointArming(point).label;
+    EXPECT_EQ(replay.kind, crashPointArming(point).fires);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PsOramCrashSeeds,

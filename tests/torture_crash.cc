@@ -198,21 +198,6 @@ drawCase(Rng &rng, std::uint64_t iteration)
     return tc;
 }
 
-void
-scrubBackingFiles(const TortureCase &tc)
-{
-    if (tc.system.backing_file.empty())
-        return;
-    // Each disk tree has a redo-log sidecar next to it.
-    const auto remove = [](const std::string &tree) {
-        std::remove(tree.c_str());
-        std::remove((tree + ".wal").c_str());
-    };
-    remove(tc.system.backing_file);
-    for (unsigned s = 0; s < tc.num_shards; ++s)
-        remove(tc.system.backing_file + ".shard" + std::to_string(s));
-}
-
 /** Run counters (common/stats.hh Counters so the metrics exporter can
  *  snapshot them directly). */
 struct IterationStats
@@ -242,26 +227,7 @@ runUnsharded(TortureCase &tc, Rng &rng, IterationStats &stats,
     config.blackbox_path = blackbox_path;
     config.recovery_stats = &stats.recovery;
 
-    scrubBackingFiles(tc);
-    std::vector<PersistBoundary> kinds;
-    {
-        System system = buildSystem(config.system);
-        FaultInjector injector;
-        injector.setObserver([&kinds](PersistBoundary kind, std::uint64_t) {
-            kinds.push_back(kind);
-        });
-        system.attachFaultInjector(&injector);
-        std::uint8_t buf[kBlockDataBytes];
-        for (const TraceOp &op : config.trace) {
-            if (op.is_write) {
-                stampPayload(op.addr, op.version, buf);
-                system.controller->write(op.addr, buf);
-            } else {
-                system.controller->read(op.addr, buf);
-            }
-        }
-    }
-    scrubBackingFiles(tc);
+    const std::vector<PersistBoundary> kinds = probeCrashPoints(config);
     const std::uint64_t total = kinds.size();
     if (total == 0)
         return {"probe run crossed no persist boundaries"};
@@ -293,11 +259,11 @@ runUnsharded(TortureCase &tc, Rng &rng, IterationStats &stats,
     ++stats.fired_kind[static_cast<std::size_t>(
         kinds[tc.armed_boundary - 1])];
     std::vector<std::string> violations =
-        runArmedCrash(config, tc.armed_boundary);
+        runArmedCrash(config, tc.armed_boundary).violations;
     // Success: scrub the backing files. Failure: keep them — they are
     // the crash evidence the report points at.
     if (violations.empty())
-        scrubBackingFiles(tc);
+        removeDiskTrees(tc.system.backing_file);
     return violations;
 }
 
@@ -425,7 +391,7 @@ runSharded(TortureCase &tc, Rng &rng, IterationStats &stats,
            const std::string &blackbox_path)
 {
     // Pre-clean leftovers from an earlier crashed process.
-    scrubBackingFiles(tc);
+    removeDiskTrees(tc.system.backing_file);
     std::vector<std::string> violations =
         runShardedInner(tc, rng, stats, blackbox_path);
     // Only now are the shard Systems destroyed — a file-backed image
@@ -433,7 +399,7 @@ runSharded(TortureCase &tc, Rng &rng, IterationStats &stats,
     // inside the inner scope would leave files behind. Success: scrub.
     // Failure: keep the images as crash evidence.
     if (violations.empty())
-        scrubBackingFiles(tc);
+        removeDiskTrees(tc.system.backing_file);
     return violations;
 }
 
