@@ -41,6 +41,9 @@ inline constexpr BlockAddr kDummyBlockAddr =
 /** CPU clock cycles per NVM clock cycle (3.2 GHz / 400 MHz). */
 inline constexpr CpuCycle kCpuCyclesPerNvmCycle = 8;
 
+/** CPU-cycle latency of one AES-128 operation (Table 3b). */
+inline constexpr CpuCycle kAesLatencyCpuCycles = 32;
+
 /** Cache line / ORAM data payload size in bytes (Table 3). */
 inline constexpr std::size_t kBlockDataBytes = 64;
 

@@ -154,7 +154,9 @@ void
 Aes128::encryptBlocks(Block *blocks, std::size_t count) const
 {
     if (useAesni()) {
-        aesni::encryptBlocks(roundKeys_.data(), blocks[0].data(), count);
+        aesni::encryptBlocks(roundKeys_.data(),
+                             reinterpret_cast<std::uint8_t *>(blocks),
+                             count);
         return;
     }
     for (std::size_t i = 0; i < count; ++i)

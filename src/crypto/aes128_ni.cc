@@ -15,13 +15,23 @@ supported()
 
 namespace {
 
-__attribute__((target("aes,sse2"))) inline __m128i
-encryptOne(__m128i block, const __m128i *keys)
+/** Encrypt N adjacent blocks at @p p, interleaved round by round. */
+template <int N>
+__attribute__((target("aes,sse2"), always_inline)) inline void
+encryptLanes(__m128i *p, const __m128i *keys)
 {
-    block = _mm_xor_si128(block, keys[0]);
-    for (int round = 1; round < 10; ++round)
-        block = _mm_aesenc_si128(block, keys[round]);
-    return _mm_aesenclast_si128(block, keys[10]);
+    __m128i b[N];
+#pragma GCC unroll 8
+    for (int l = 0; l < N; ++l)
+        b[l] = _mm_xor_si128(_mm_loadu_si128(p + l), keys[0]);
+    for (int round = 1; round < 10; ++round) {
+#pragma GCC unroll 8
+        for (int l = 0; l < N; ++l)
+            b[l] = _mm_aesenc_si128(b[l], keys[round]);
+    }
+#pragma GCC unroll 8
+    for (int l = 0; l < N; ++l)
+        _mm_storeu_si128(p + l, _mm_aesenclast_si128(b[l], keys[10]));
 }
 
 } // namespace
@@ -35,39 +45,20 @@ encryptBlocks(const std::uint8_t *round_keys, std::uint8_t *blocks,
         keys[i] = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(round_keys + 16 * i));
 
-    std::size_t i = 0;
-    // Four blocks ride the AES pipeline together: aesenc has multi-cycle
-    // latency but single-cycle throughput, so interleaving independent
-    // blocks hides it.
-    for (; i + 4 <= count; i += 4) {
-        __m128i *p = reinterpret_cast<__m128i *>(blocks + 16 * i);
-        __m128i b0 = _mm_loadu_si128(p + 0);
-        __m128i b1 = _mm_loadu_si128(p + 1);
-        __m128i b2 = _mm_loadu_si128(p + 2);
-        __m128i b3 = _mm_loadu_si128(p + 3);
-        b0 = _mm_xor_si128(b0, keys[0]);
-        b1 = _mm_xor_si128(b1, keys[0]);
-        b2 = _mm_xor_si128(b2, keys[0]);
-        b3 = _mm_xor_si128(b3, keys[0]);
-        for (int round = 1; round < 10; ++round) {
-            b0 = _mm_aesenc_si128(b0, keys[round]);
-            b1 = _mm_aesenc_si128(b1, keys[round]);
-            b2 = _mm_aesenc_si128(b2, keys[round]);
-            b3 = _mm_aesenc_si128(b3, keys[round]);
-        }
-        b0 = _mm_aesenclast_si128(b0, keys[10]);
-        b1 = _mm_aesenclast_si128(b1, keys[10]);
-        b2 = _mm_aesenclast_si128(b2, keys[10]);
-        b3 = _mm_aesenclast_si128(b3, keys[10]);
-        _mm_storeu_si128(p + 0, b0);
-        _mm_storeu_si128(p + 1, b1);
-        _mm_storeu_si128(p + 2, b2);
-        _mm_storeu_si128(p + 3, b3);
+    // Independent blocks ride the AES pipeline together: aesenc has
+    // multi-cycle latency but single-cycle throughput, so interleaving
+    // hides it. A path batch (five counter blocks per slot) runs
+    // through eight lanes, then a four-lane and a one-block tail.
+    __m128i *p = reinterpret_cast<__m128i *>(blocks);
+    __m128i *const end = p + count;
+    for (; end - p >= 8; p += 8)
+        encryptLanes<8>(p, keys);
+    if (end - p >= 4) {
+        encryptLanes<4>(p, keys);
+        p += 4;
     }
-    for (; i < count; ++i) {
-        __m128i *p = reinterpret_cast<__m128i *>(blocks + 16 * i);
-        _mm_storeu_si128(p, encryptOne(_mm_loadu_si128(p), keys));
-    }
+    for (; p != end; ++p)
+        encryptLanes<1>(p, keys);
 }
 
 } // namespace aesni

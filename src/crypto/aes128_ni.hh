@@ -24,8 +24,8 @@ bool supported();
 /**
  * Encrypt @p count contiguous 16-byte blocks in place with the
  * expanded FIPS-197 round-key schedule (11 x 16 bytes). Blocks are
- * pipelined four at a time through the AES rounds; output is
- * bit-identical to the scalar implementation.
+ * pipelined eight at a time through the AES rounds, then four, then
+ * one; output is bit-identical to the scalar implementation.
  *
  * @pre supported() returned true.
  */

@@ -55,11 +55,10 @@ AdrDomain::drain(MemoryBackend &device, Cycle earliest)
     const FaultInjector::ScopedDrain drain_scope(fault_injector_);
     if (data_wpq_.open() || posmap_wpq_.open())
         PSORAM_PANIC("ADR drain before end()");
-    std::vector<WriteSpan> spans;
-    spans.reserve(data_wpq_.size() + posmap_wpq_.size());
-    data_wpq_.appendSpans(spans);
-    posmap_wpq_.appendSpans(spans);
-    device.writev(spans);
+    spans_.clear();
+    data_wpq_.appendSpans(spans_);
+    posmap_wpq_.appendSpans(spans_);
+    device.writev(spans_);
     const Cycle data_done = data_wpq_.retire(device.timing(), earliest);
     return posmap_wpq_.retire(device.timing(), data_done);
 }
@@ -69,16 +68,16 @@ AdrDomain::crashFlush(MemoryBackend &device)
 {
     // ADR: a committed round always reaches the medium, as one write
     // like its drain; an uncommitted one is discarded.
-    std::vector<WriteSpan> spans;
+    spans_.clear();
     if (data_wpq_.committed())
-        data_wpq_.appendSpans(spans);
+        data_wpq_.appendSpans(spans_);
     if (posmap_wpq_.committed())
-        posmap_wpq_.appendSpans(spans);
-    if (!spans.empty())
-        device.writev(spans);
+        posmap_wpq_.appendSpans(spans_);
+    if (!spans_.empty())
+        device.writev(spans_);
     data_wpq_.clear();
     posmap_wpq_.clear();
-    return spans.size();
+    return spans_.size();
 }
 
 } // namespace psoram

@@ -12,8 +12,8 @@
 #define PSORAM_NVM_ADR_DOMAIN_HH
 
 #include <cstdint>
+#include <vector>
 
-#include "common/stats.hh"
 #include "nvm/fault_injector.hh"
 #include "nvm/wpq.hh"
 
@@ -67,6 +67,8 @@ class AdrDomain
   private:
     Wpq data_wpq_;
     Wpq posmap_wpq_;
+    /** One round's writev spans, reused across drains. */
+    std::vector<WriteSpan> spans_;
     std::uint64_t bytes_persisted_ = 0;
     FaultInjector *fault_injector_ = nullptr;
 };

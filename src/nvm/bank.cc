@@ -34,8 +34,8 @@ Bank::access(Cycle earliest, bool is_write)
 void
 Bank::resetStats()
 {
-    reads_.reset();
-    writes_.reset();
+    reads_ = 0;
+    writes_ = 0;
 }
 
 } // namespace psoram

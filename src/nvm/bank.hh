@@ -13,7 +13,8 @@
 #ifndef PSORAM_NVM_BANK_HH
 #define PSORAM_NVM_BANK_HH
 
-#include "common/stats.hh"
+#include <cstdint>
+
 #include "common/types.hh"
 #include "nvm/timing.hh"
 
@@ -35,8 +36,8 @@ class Bank
      */
     Cycle access(Cycle earliest, bool is_write);
 
-    std::uint64_t readCount() const { return reads_.value(); }
-    std::uint64_t writeCount() const { return writes_.value(); }
+    std::uint64_t readCount() const { return reads_; }
+    std::uint64_t writeCount() const { return writes_; }
 
     void resetStats();
 
@@ -44,8 +45,11 @@ class Bank
     NvmTimingParams params_;
     Cycle next_free_ = 0;
     bool last_was_write_ = false;
-    Counter reads_;
-    Counter writes_;
+    /** @{ Plain counts: the thread that drives the controller is the
+     *  only one that writes or reads them (see NvmTiming). */
+    std::uint64_t reads_ = 0;
+    std::uint64_t writes_ = 0;
+    /** @} */
 };
 
 } // namespace psoram

@@ -45,8 +45,8 @@ Channel::access(unsigned bank, Cycle earliest, bool is_write)
 void
 Channel::resetStats()
 {
-    reads_.reset();
-    writes_.reset();
+    reads_ = 0;
+    writes_ = 0;
     for (auto &bank : banks_)
         bank.resetStats();
 }

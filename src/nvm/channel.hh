@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "nvm/bank.hh"
 #include "nvm/timing.hh"
@@ -41,8 +40,8 @@ class Channel
         return static_cast<unsigned>(banks_.size());
     }
 
-    std::uint64_t readCount() const { return reads_.value(); }
-    std::uint64_t writeCount() const { return writes_.value(); }
+    std::uint64_t readCount() const { return reads_; }
+    std::uint64_t writeCount() const { return writes_; }
 
     void resetStats();
 
@@ -50,8 +49,11 @@ class Channel
     NvmTimingParams params_;
     std::vector<Bank> banks_;
     Cycle bus_free_ = 0;
-    Counter reads_;
-    Counter writes_;
+    /** @{ Plain counts: the thread that drives the controller is the
+     *  only one that writes or reads them (see NvmTiming). */
+    std::uint64_t reads_ = 0;
+    std::uint64_t writes_ = 0;
+    /** @} */
 };
 
 } // namespace psoram

@@ -18,12 +18,19 @@ NvmDevice::NvmDevice(const NvmTimingParams &params, unsigned num_channels,
 }
 
 void
-NvmDevice::readBytes(Addr addr, std::uint8_t *out, std::size_t len) const
+NvmDevice::checkRange(Addr addr, std::size_t len, const char *op) const
 {
     // Overflow-safe bounds check: `addr + len > capacity()` can wrap for
     // addresses near the top of the 64-bit space.
     if (addr > capacity() || len > capacity() - addr)
-        PSORAM_PANIC("NVM read past capacity: addr=", addr, " len=", len);
+        PSORAM_PANIC("NVM ", op, " past capacity: addr=", addr,
+                     " len=", len);
+}
+
+void
+NvmDevice::readBytes(Addr addr, std::uint8_t *out, std::size_t len) const
+{
+    checkRange(addr, len, "read");
     std::size_t off = 0;
     while (off < len) {
         const Addr cur = addr + off;
@@ -38,6 +45,28 @@ NvmDevice::readBytes(Addr addr, std::uint8_t *out, std::size_t len) const
             std::memcpy(out + off, page->bytes.data() + in_page, chunk);
         off += chunk;
     }
+}
+
+void
+NvmDevice::readv(const ReadSpan *spans, std::size_t n) const
+{
+    // Two passes: first prefetch every line of every span, then copy,
+    // so the path's cache misses in a large tree overlap instead of
+    // queueing behind one another. The first pass bounds-checks each
+    // span before it indexes the page table.
+    for (std::size_t i = 0; i < n; ++i) {
+        const Addr addr = spans[i].addr;
+        const std::size_t len = spans[i].len;
+        checkRange(addr, len, "read");
+        for (Addr line = addr - addr % kBlockDataBytes; line < addr + len;
+             line += kBlockDataBytes) {
+            const NvmPage *page = pages_[line / kPageBytes].get();
+            if (page != nullptr)
+                __builtin_prefetch(page->bytes.data() + line % kPageBytes);
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        readBytes(spans[i].addr, spans[i].data, spans[i].len);
 }
 
 void
@@ -61,8 +90,7 @@ NvmDevice::writev(const WriteSpan *spans, std::size_t n,
 void
 NvmDevice::applySpan(Addr addr, const std::uint8_t *in, std::size_t len)
 {
-    if (addr > capacity() || len > capacity() - addr)
-        PSORAM_PANIC("NVM write past capacity: addr=", addr, " len=", len);
+    checkRange(addr, len, "write");
     std::size_t off = 0;
     while (off < len) {
         const Addr cur = addr + off;

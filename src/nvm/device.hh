@@ -42,6 +42,9 @@ class NvmDevice : public MemoryBackend
 
     void readBytes(Addr addr, std::uint8_t *out,
                    std::size_t len) const override;
+    /** Prefetches every span's lines, then copies (see device.cc). */
+    void readv(const ReadSpan *spans, std::size_t n) const override;
+    using MemoryBackend::readv;
     using MemoryBackend::writev;
     void writev(const WriteSpan *spans, std::size_t n,
                 Durability durability) override;
@@ -76,6 +79,8 @@ class NvmDevice : public MemoryBackend
         std::array<std::uint32_t, kLinesPerPage> wear{};
     };
 
+    /** Panic unless [addr, addr + len) lies inside the device. */
+    void checkRange(Addr addr, std::size_t len, const char *op) const;
     void applySpan(Addr addr, const std::uint8_t *in, std::size_t len);
 
     /** Page table: index = byte address / kPageBytes; null = all-zero. */

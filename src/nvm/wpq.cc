@@ -12,6 +12,7 @@ Wpq::Wpq(std::string name, std::size_t capacity)
 {
     if (capacity_ == 0)
         PSORAM_FATAL("WPQ '", name_, "' needs capacity >= 1");
+    entries_.reserve(capacity_);
 }
 
 void
@@ -27,13 +28,13 @@ Wpq::start()
 }
 
 bool
-Wpq::push(WpqEntry entry)
+Wpq::push(const WpqEntry &entry)
 {
     if (!open_)
         PSORAM_PANIC("WPQ '", name_, "': push() without start()");
     if (full())
         return false;
-    entries_.push_back(std::move(entry));
+    entries_.push_back(entry);
     ++pushed_;
     return true;
 }
@@ -65,15 +66,14 @@ Wpq::retire(NvmTiming &timing, Cycle earliest)
     if (open_)
         PSORAM_PANIC("WPQ '", name_, "': drain before end()");
     Cycle done = earliest;
-    while (!entries_.empty()) {
-        const WpqEntry &entry = entries_.front();
+    for (const WpqEntry &entry : entries_) {
         // Each entry is one NVM transaction (a block or a PosMap entry).
         done = std::max(done, timing.accessOne(entry.addr, true, earliest));
         PSORAM_TRACE_INSTANT_ARG("nvm", "wpq.drain_entry", 0, "addr",
                                  static_cast<std::int64_t>(entry.addr));
-        ++drained_;
-        entries_.pop_front();
     }
+    drained_ += entries_.size();
+    entries_.clear();
     committed_ = false;
     return done;
 }

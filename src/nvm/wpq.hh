@@ -17,12 +17,11 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/backend.hh"
 
@@ -41,12 +40,17 @@ inline constexpr std::size_t kWpqEntryBytes = 128;
  * interface the WPQ paths use. An eviction queues roughly one entry
  * per path slot, so a heap-allocated payload per entry used to put an
  * allocate/free pair on the hot loop for every slot of every access;
- * inline storage makes a WpqEntry trivially movable plain data.
+ * inline storage makes a WpqEntry trivially copyable plain data.
+ * Construction leaves the array unfilled: only the first size() bytes
+ * are ever read, and every way to grow the size writes them.
  */
 class WpqBytes
 {
   public:
     using value_type = std::uint8_t;
+
+    /** User-provided, so value-initialization skips the array too. */
+    WpqBytes() {}
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -66,6 +70,17 @@ class WpqBytes
         checkFit(n);
         if (n > size_)
             std::memset(bytes_.data() + size_, 0, n - size_);
+        size_ = static_cast<std::uint32_t>(n);
+    }
+
+    /**
+     * Set the size to @p n and leave the bytes as they are, for a
+     * writer that fills all n of them (the evictor's batch encode).
+     */
+    void
+    resizeForOverwrite(std::size_t n)
+    {
+        checkFit(n);
         size_ = static_cast<std::uint32_t>(n);
     }
 
@@ -98,13 +113,16 @@ class WpqBytes
                          kWpqEntryBytes);
     }
 
-    std::array<std::uint8_t, kWpqEntryBytes> bytes_{};
+    std::array<std::uint8_t, kWpqEntryBytes> bytes_;
     std::uint32_t size_ = 0;
 };
 
 /** One pending persistent write (an evicted block or a PosMap entry). */
 struct WpqEntry
 {
+    /** User-provided, so emplace_back() does not zero the payload. */
+    WpqEntry() {}
+
     Addr addr = 0;
     WpqBytes data;
 };
@@ -122,10 +140,10 @@ class Wpq
     void start();
 
     /**
-     * Push an entry into the open round.
+     * Copy an entry into the open round.
      * @return false if the round is full (caller must split rounds)
      */
-    bool push(WpqEntry entry);
+    bool push(const WpqEntry &entry);
 
     /** Commit the round ("end" signal): entries become crash-durable. */
     void end();
@@ -152,22 +170,27 @@ class Wpq
     /** Total payload bytes currently queued (drain energy accounting). */
     std::size_t queuedBytes() const;
 
-    std::uint64_t totalPushed() const { return pushed_.value(); }
-    std::uint64_t totalDrained() const { return drained_.value(); }
-    std::uint64_t totalRounds() const { return rounds_.value(); }
+    std::uint64_t totalPushed() const { return pushed_; }
+    std::uint64_t totalDrained() const { return drained_; }
+    std::uint64_t totalRounds() const { return rounds_; }
 
     const std::string &name() const { return name_; }
 
   private:
     std::string name_;
     std::size_t capacity_;
-    std::deque<WpqEntry> entries_;
+    /** Flat, reserved to capacity_ at construction: no per-entry
+     *  allocation, and a drain empties it without releasing memory. */
+    std::vector<WpqEntry> entries_;
     bool open_ = false;
     bool committed_ = false;
 
-    Counter pushed_;
-    Counter drained_;
-    Counter rounds_;
+    /** @{ Plain counts: the thread that drives the controller is the
+     *  only one that writes or reads a WPQ (see NvmTiming). */
+    std::uint64_t pushed_ = 0;
+    std::uint64_t drained_ = 0;
+    std::uint64_t rounds_ = 0;
+    /** @} */
 };
 
 } // namespace psoram

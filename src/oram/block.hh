@@ -20,7 +20,7 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "common/types.hh"
 #include "crypto/aes128.hh"
@@ -66,15 +66,27 @@ using SlotBytes = std::array<std::uint8_t, kSlotBytes>;
 enum class CipherKind { Aes128Ctr, FastStream };
 
 /**
+ * Keystream scratch of the path-batch codec forms: five AES blocks per
+ * slot. The caller owns it (a phase's per-access scratch), so decode()
+ * stays safe to call concurrently through a const codec.
+ */
+using CodecScratch = std::vector<Aes128::Block>;
+
+/**
  * Encrypts/decrypts blocks to/from their slot wire format. Owns the IV
  * counter: every encode consumes fresh IVs, so re-encrypting the same
  * plaintext yields a different ciphertext (probabilistic encryption).
+ *
+ * There is one code path, the path batch: the header and payload
+ * keystreams of all n slots (one counter block for the 16-byte header,
+ * four for the 64-byte payload) are built into one array and
+ * enciphered by one Aes128::encryptBlocks call. The single-slot forms
+ * are its n = 1 case.
  */
 class BlockCodec
 {
   public:
     BlockCodec(const Aes128::Key &key, CipherKind kind);
-    ~BlockCodec();
 
     BlockCodec(const BlockCodec &) = delete;
     BlockCodec &operator=(const BlockCodec &) = delete;
@@ -84,6 +96,23 @@ class BlockCodec
 
     /** Decrypt a slot. All-zero slots decode as dummy blocks. */
     PlainBlock decode(const SlotBytes &slot) const;
+
+    /**
+     * Path-batch encode: encrypt @p blocks[i] into the kSlotBytes at
+     * @p out[i] for i < @p n, consuming IVs in index order (the
+     * emission order). Byte-identical to n single encodes.
+     */
+    void encode(std::size_t n, const PlainBlock *const *blocks,
+                std::uint8_t *const *out, CodecScratch &scratch);
+
+    /**
+     * Path-batch decode: decrypt the n slots at @p records +
+     * i * @p stride into @p out[i]. All-zero slots decode as dummies.
+     * Byte-identical to n single decodes.
+     */
+    void decode(std::size_t n, const std::uint8_t *records,
+                std::size_t stride, PlainBlock *out,
+                CodecScratch &scratch) const;
 
     CipherKind kind() const { return kind_; }
 
@@ -107,11 +136,22 @@ class BlockCodec
     }
 
   private:
-    void applyStream(std::uint64_t iv, std::uint8_t *data,
-                     std::size_t len) const;
+    /** Counter blocks per slot: one header block, four payload blocks. */
+    static constexpr std::size_t kStreamBlocksPerSlot = 5;
+
+    /** @{ The batch forms over caller-sized keystream space @p ks. */
+    void encodeWith(std::size_t n, const PlainBlock *const *blocks,
+                    std::uint8_t *const *out, Aes128::Block *ks);
+    void decodeWith(std::size_t n, const std::uint8_t *records,
+                    std::size_t stride, PlainBlock *out,
+                    Aes128::Block *ks) const;
+    /** @} */
+
+    /** Turn @p count counter blocks (iv || ctr) into keystream. */
+    void encipher(Aes128::Block *ks, std::size_t count) const;
 
     CipherKind kind_;
-    std::unique_ptr<class CtrCipher> ctr_;
+    Aes128 aes_;
     std::uint64_t fast_key_ = 0;
     std::uint64_t next_iv_ = 1;
 };

@@ -28,9 +28,6 @@
 
 namespace psoram {
 
-/** CPU-cycle latency of one AES-128 operation (Table 3b). */
-inline constexpr CpuCycle kAesLatencyCpuCycles = 32;
-
 struct PathOramParams
 {
     TreeLayout layout;

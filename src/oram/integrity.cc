@@ -222,15 +222,14 @@ IntegrityManager::rootRecordTag(std::uint64_t seq,
 
 void
 IntegrityManager::sealRecord(BucketId bucket, unsigned slot,
-                             const SlotBytes &cipher, std::uint8_t *out)
+                             std::uint8_t *record)
 {
     const Addr addr = layout_.slotAddr(bucket, slot);
     const std::uint64_t version = next_version_++;
-    std::memset(out, 0, kIntegrityRecordBytes);
-    std::memcpy(out, cipher.data(), kSlotBytes);
-    const Gcm::Tag tag = recordTag(addr, version, cipher.data());
-    std::memcpy(out + kRecordTagOffset, tag.data(), tag.size());
-    storeLe64(out + kRecordVersionOffset, version);
+    std::memset(record + kSlotBytes, 0, kIntegrityRecordBytes - kSlotBytes);
+    const Gcm::Tag tag = recordTag(addr, version, record);
+    std::memcpy(record + kRecordTagOffset, tag.data(), tag.size());
+    storeLe64(record + kRecordVersionOffset, version);
 }
 
 void

@@ -153,11 +153,11 @@ class IntegrityManager
     IntegrityMode mode() const { return mode_; }
 
     /**
-     * Eviction write-back: format @p cipher plus a fresh version and
-     * its tag into @p out (kIntegrityRecordBytes bytes).
+     * Eviction write-back, in place: @p record (kIntegrityRecordBytes
+     * bytes) holds the slot ciphertext in its first kSlotBytes; fill
+     * the trailer with a fresh version and its tag.
      */
-    void sealRecord(BucketId bucket, unsigned slot,
-                    const SlotBytes &cipher, std::uint8_t *out);
+    void sealRecord(BucketId bucket, unsigned slot, std::uint8_t *record);
 
     /**
      * Read-path verification of a record read from the device.

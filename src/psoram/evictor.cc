@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.hh"
-#include "oram/controller.hh"
 #include "oram/integrity.hh"
 
 namespace psoram {
@@ -222,6 +221,9 @@ Evictor::run(AccessContext &ctx)
     // vacated by group-1 relocations). The drainer preserves push order
     // across WPQ rounds, so any committed prefix is recoverable.
     sc.data_writes.reserve(geo.blocksPerPath());
+    sc.emit_blocks.clear();
+    const std::size_t record_bytes =
+        env_.integrity ? kIntegrityRecordBytes : kSlotBytes;
     const auto emitGroup = [&](bool live_group) {
         for (unsigned level = 0; level < levels; ++level) {
             const BucketId bucket = geo.bucketAt(leaf, level);
@@ -233,20 +235,8 @@ Evictor::run(AccessContext &ctx)
                 sc.data_writes.emplace_back();
                 WpqEntry &write = sc.data_writes.back();
                 write.addr = env_.params.data_layout.slotAddr(bucket, s);
-                const SlotBytes slot_bytes =
-                    env_.codec.encode(sc.plan[ix]);
-                if (env_.integrity) {
-                    // Authenticated record: ciphertext + fresh version
-                    // + GMAC tag, one WPQ entry (the durability atom).
-                    std::uint8_t record[kIntegrityRecordBytes];
-                    env_.integrity->sealRecord(bucket, s, slot_bytes,
-                                               record);
-                    write.data.assign(record,
-                                      record + kIntegrityRecordBytes);
-                } else {
-                    write.data.assign(slot_bytes.begin(),
-                                      slot_bytes.end());
-                }
+                write.data.resizeForOverwrite(record_bytes);
+                sc.emit_blocks.push_back(&sc.plan[ix]);
                 if (const std::uint32_t pi = sc.slot_writer[ix])
                     sc.placed[pi - 1].write_index =
                         sc.data_writes.size();
@@ -256,6 +246,25 @@ Evictor::run(AccessContext &ctx)
     emitGroup(false);
     if (safe_placement)
         emitGroup(true);
+
+    // Re-encrypt the whole path as one batch, IVs in emission order,
+    // straight into the queued entries. With integrity on each record
+    // is then sealed in place: ciphertext + fresh version + GMAC tag,
+    // one WPQ entry (the durability atom).
+    const std::size_t emitted = sc.data_writes.size();
+    sc.emit_dsts.resize(emitted);
+    for (std::size_t i = 0; i < emitted; ++i)
+        sc.emit_dsts[i] = sc.data_writes[i].data.data();
+    env_.codec.encode(emitted, sc.emit_blocks.data(), sc.emit_dsts.data(),
+                      sc.keystream);
+    if (env_.integrity) {
+        for (std::size_t i = 0; i < emitted; ++i) {
+            const std::size_t ix =
+                static_cast<std::size_t>(sc.emit_blocks[i] - sc.plan.data());
+            env_.integrity->sealRecord(geo.bucketAt(leaf, ix / z), ix % z,
+                                       sc.emit_dsts[i]);
+        }
+    }
 
     if (!env_.persistent()) {
         // Direct (non-atomic) write-back; FullNVM reads each evicted
@@ -275,12 +284,11 @@ Evictor::run(AccessContext &ctx)
         // own DirectWrite boundary, in entry order. The accessOne
         // schedule afterwards runs in the same entry order against the
         // same channel state.
-        std::vector<WriteSpan> spans;
-        spans.reserve(sc.data_writes.size());
+        sc.spans.clear();
         for (const WpqEntry &write : sc.data_writes)
-            spans.push_back({write.addr, write.data.data(),
-                             write.data.size()});
-        env_.device.writev(spans, Durability::Noisy);
+            sc.spans.push_back({write.addr, write.data.data(),
+                                write.data.size()});
+        env_.device.writev(sc.spans, Durability::Noisy);
 
         Cycle proc = issue;
         Cycle done = issue;

@@ -84,6 +84,14 @@ class Evictor
         /** Data-write index -> 1 + index into placed (0 = dummy). */
         std::vector<std::uint32_t> write_placed;
         std::vector<WpqEntry> data_writes;
+        /** @{ The batch encode: plan slot and destination bytes of
+         *  each data write, in emission order, and its keystream. */
+        std::vector<const PlainBlock *> emit_blocks;
+        std::vector<std::uint8_t *> emit_dsts;
+        CodecScratch keystream;
+        /** @} */
+        /** Non-persistent write-back: one span per data write. */
+        std::vector<WriteSpan> spans;
     };
 
     PhaseEnv &env_;

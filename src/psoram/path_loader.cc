@@ -1,10 +1,8 @@
 #include "psoram/path_loader.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
-#include "oram/controller.hh"
 #include "oram/integrity.hh"
 
 namespace psoram {
@@ -137,14 +135,17 @@ PathLoader::run(AccessContext &ctx)
     // designs pay close to one extra NVM pass per access (§5.2.1 a).
     // The write's persist boundary precedes the block's classification
     // into the stash.
+    // The whole path decrypts as one batch: one keystream array, one
+    // cipher dispatch.
+    decoded_.resize(total);
+    env_.codec.decode(total, records_.data(), span_bytes, decoded_.data(),
+                      keystream_);
     Cycle filled = proc;
     for (unsigned i = 0; i < total; ++i) {
         filled = std::max(filled, env_.onChipWrite(proc));
-        SlotBytes raw;
-        std::memcpy(raw.data(), spans_[i].data, kSlotBytes);
         LoadedSlot slot_info{i / geo.bucket_slots, i % geo.bucket_slots,
                              kDummyBlockAddr, false};
-        classify(env_.codec.decode(raw), ctx.addr, ctx.leaf, slot_info);
+        classify(decoded_[i], ctx.addr, ctx.leaf, slot_info);
         ctx.slots.push_back(slot_info);
     }
     ctx.t = filled + kAesLatencyCpuCycles / kCpuCyclesPerNvmCycle;

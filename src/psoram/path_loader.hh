@@ -40,9 +40,12 @@ class PathLoader
 
     PhaseEnv &env_;
 
-    /** @{ run()'s vectored-read scratch: one record per path slot. */
+    /** @{ run()'s scratch: the vectored read (one record per path
+     *  slot) and its batch decode. */
     std::vector<std::uint8_t> records_;
     std::vector<ReadSpan> spans_;
+    std::vector<PlainBlock> decoded_;
+    CodecScratch keystream_;
     /** @} */
 };
 

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "nvm/bank.hh"
 #include "nvm/channel.hh"
@@ -219,6 +222,69 @@ TEST(Device, BoundsCheckSurvivesAddressOverflow)
     // The boundary itself stays legal.
     device.readBytes(1024 - 64, buf, 64);
     device.writeBytes(1024 - 64, buf, 64);
+}
+
+// The prefetching readv is a two-pass form of readBytes: every span
+// must read exactly what a per-span readBytes reads, across 4 KiB
+// page boundaries, over pages that were never allocated (zeros), and
+// up to the last byte of the device.
+TEST(Device, ReadvMatchesPerSpanReads)
+{
+    constexpr std::uint64_t kCapacity = 4 * NvmDevice::kPageBytes;
+    NvmDevice device(pcmTimings(), 1, 8, kCapacity);
+    std::vector<std::uint8_t> pattern(NvmDevice::kPageBytes);
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    // Pages 0 and 2 allocated, page 1 never, page 3 only at its tail.
+    device.writeBytes(0, pattern.data(), pattern.size());
+    device.writeBytes(2 * NvmDevice::kPageBytes, pattern.data(),
+                      pattern.size());
+    device.writeBytes(kCapacity - 40, pattern.data(), 40);
+
+    const std::vector<std::pair<Addr, std::size_t>> ranges = {
+        {NvmDevice::kPageBytes - 50, 128},      // page 0 into page 1
+        {NvmDevice::kPageBytes + 904, 96},      // inside page 1
+        {2 * NvmDevice::kPageBytes - 70, 200},  // page 1 into page 2
+        {2 * NvmDevice::kPageBytes + 37, 96},   // unaligned in page 2
+        {3 * NvmDevice::kPageBytes - 10, 4106}, // page 2 to the end
+        {kCapacity - 128, 128},                 // ends at capacity
+        {kCapacity, 0},                         // empty, at capacity
+    };
+    std::vector<std::vector<std::uint8_t>> got, want;
+    std::vector<ReadSpan> spans;
+    for (const auto &[addr, len] : ranges) {
+        got.emplace_back(len + 1, 0xAA);
+        want.emplace_back(len + 1, 0xAA);
+        device.readBytes(addr, want.back().data(), len);
+    }
+    for (std::size_t i = 0; i < ranges.size(); ++i)
+        spans.push_back({ranges[i].first, got[i].data(), ranges[i].second});
+    device.readv(spans);
+    for (std::size_t i = 0; i < ranges.size(); ++i)
+        EXPECT_EQ(got[i], want[i]) << "span " << i;
+    // The span inside the never-allocated page reads as zeros.
+    EXPECT_TRUE(std::all_of(got[1].begin(), got[1].end() - 1,
+                            [](std::uint8_t b) { return b == 0; }));
+}
+
+// A span past capacity still panics in readv, and its bounds check
+// runs before the prefetch pass indexes the page table.
+TEST(DeviceDeathTest, ReadvPastCapacityPanics)
+{
+    NvmDevice device(pcmTimings(), 1, 8, 2 * NvmDevice::kPageBytes);
+    std::uint8_t buf[128];
+    const ReadSpan inside{0, buf, 64};
+    const std::vector<ReadSpan> past = {
+        inside, {2 * NvmDevice::kPageBytes - 64, buf, 65}};
+    EXPECT_DEATH(device.readv(past), "capacity");
+    // Far past the page table, without wrapping the address space.
+    const std::vector<ReadSpan> far = {inside, {Addr{1} << 44, buf, 64}};
+    EXPECT_DEATH(device.readv(far), "capacity");
+    const std::vector<ReadSpan> top = {inside, {UINT64_MAX - 8, buf, 64}};
+    EXPECT_DEATH(device.readv(top), "capacity");
+    const std::vector<ReadSpan> wrap = {
+        inside, {512, buf, UINT64_MAX - 256}};
+    EXPECT_DEATH(device.readv(wrap), "capacity");
 }
 
 TEST(Device, ResetStatsClearsCountersAndWear)

@@ -122,21 +122,18 @@ splitmix64(std::uint64_t &state)
 
 std::uint64_t
 runTrafficDigestUncached(DesignKind design, CipherKind cipher,
-                         std::uint64_t accesses)
+                         std::uint64_t accesses, IntegrityMode integrity)
 {
     SystemConfig config;
     config.design = design;
     config.tree_height = 10;
     config.cipher = cipher;
     config.seed = 7;
+    config.integrity = integrity;
     const PsOramParams params = systemParams(config);
 
-    // Capacity layout mirrors buildSystem (scratch region is last).
-    const Addr last = params.naive_scratch_base +
-                      params.data_layout.geometry.blocksPerPath() *
-                          kBlockDataBytes;
-    const std::uint64_t capacity =
-        ((last + 4095) & ~Addr{4095}) + (1ULL << 20);
+    // Capacity mirrors buildSystem: every region plus headroom.
+    const std::uint64_t capacity = params.regions_end + (1ULL << 20);
 
     NvmDevice device(timingsFor(config.main_tech), config.channels,
                      config.banks_per_channel, capacity);
@@ -168,27 +165,31 @@ runTrafficDigestUncached(DesignKind design, CipherKind cipher,
  */
 std::uint64_t
 runTrafficDigest(DesignKind design, CipherKind cipher,
-                 std::uint64_t accesses)
+                 std::uint64_t accesses,
+                 IntegrityMode integrity = IntegrityMode::Off)
 {
     std::ostringstream key;
     key << "traffic_" << static_cast<int>(design) << "_"
         << (cipher == CipherKind::Aes128Ctr ? "aes" : "fast") << "_"
-        << accesses;
+        << accesses << "_" << integrityModeName(integrity);
     return testing::cachedU64(key.str(), [&]() {
-        return runTrafficDigestUncached(design, cipher, accesses);
+        return runTrafficDigestUncached(design, cipher, accesses,
+                                        integrity);
     });
 }
 
 void
 expectDigest(DesignKind design, CipherKind cipher,
-             std::uint64_t accesses, std::uint64_t golden)
+             std::uint64_t accesses, std::uint64_t golden,
+             IntegrityMode integrity = IntegrityMode::Off)
 {
     const std::uint64_t digest =
-        runTrafficDigest(design, cipher, accesses);
+        runTrafficDigest(design, cipher, accesses, integrity);
     if (std::getenv("PSORAM_PRINT_TRAFFIC") != nullptr) {
         std::cout << "TRAFFIC_DIGEST design=" << static_cast<int>(design)
                   << " cipher=" << (cipher == CipherKind::Aes128Ctr
                                         ? "aes" : "fast")
+                  << " integrity=" << integrityModeName(integrity)
                   << " accesses=" << accesses << " digest=0x" << std::hex
                   << digest << std::dec << "\n";
         return;
@@ -203,6 +204,15 @@ TEST(TrafficEquivalence, PsOramAesCtr10k)
 {
     expectDigest(DesignKind::PsOram, CipherKind::Aes128Ctr, 10'000,
                  0xa9ebe9f06eedc7c8ULL);
+}
+
+// PS-ORAM with authenticated records and the Merkle tree: pins the
+// sealed record bytes (ciphertext, version, GMAC tag) of every evicted
+// slot, the root-record writes and the streamed interior nodes.
+TEST(TrafficEquivalence, PsOramIntegrityTreeAesCtr1k)
+{
+    expectDigest(DesignKind::PsOram, CipherKind::Aes128Ctr, 1'000,
+                 0xeddb51017c9eb545ULL, IntegrityMode::Tree);
 }
 
 // Classic greedy eviction (non-persistent baseline) — pins the

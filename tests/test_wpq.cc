@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nvm/device.hh"
 
 #include "nvm/adr_domain.hh"
@@ -163,6 +165,52 @@ TEST_F(WpqTest, AdrCrashFlushIsConsistentAcrossQueues)
 TEST_F(WpqTest, ZeroCapacityIsFatal)
 {
     EXPECT_DEATH(Wpq("bad", 0), "capacity");
+}
+
+// The payload array is not zero-filled at construction, so resize must
+// write the bytes it grows over: they read as zero, also where an
+// earlier, longer payload left its bytes behind.
+TEST(WpqBytes, ResizeGrowsWithZeros)
+{
+    WpqBytes fresh;
+    fresh.resize(16);
+    for (std::size_t i = 0; i < 16; ++i)
+        EXPECT_EQ(fresh[i], 0) << i;
+
+    WpqBytes reused;
+    reused.assign(kWpqEntryBytes, 0xFF);
+    reused.resize(8);
+    reused.resize(kWpqEntryBytes);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(reused[i], 0xFF) << i;
+    for (std::size_t i = 8; i < kWpqEntryBytes; ++i)
+        EXPECT_EQ(reused[i], 0) << i;
+}
+
+// The flat queue drains in push order and refills after a drain.
+TEST_F(WpqTest, DrainKeepsPushOrderAcrossRounds)
+{
+    Wpq wpq("data_wpq", 3);
+    for (int round = 0; round < 2; ++round) {
+        wpq.start();
+        for (std::uint8_t i = 0; i < 3; ++i)
+            ASSERT_TRUE(wpq.push(entry(4096 * i, 10 * round + i)));
+        wpq.end();
+        std::vector<WriteSpan> spans;
+        wpq.appendSpans(spans);
+        ASSERT_EQ(spans.size(), 3u);
+        for (std::uint8_t i = 0; i < 3; ++i) {
+            EXPECT_EQ(spans[i].addr, 4096u * i);
+            EXPECT_EQ(spans[i].data[0], 10 * round + i);
+        }
+        device.writev(spans);
+        wpq.retire(device.timing(), 0);
+        EXPECT_EQ(wpq.size(), 0u);
+    }
+    EXPECT_EQ(wpq.totalPushed(), 6u);
+    EXPECT_EQ(wpq.totalDrained(), 6u);
+    EXPECT_EQ(wpq.totalRounds(), 2u);
+    EXPECT_EQ(firstByteAt(device, 4096 * 2), 12);
 }
 
 } // namespace
